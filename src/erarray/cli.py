@@ -412,7 +412,7 @@ def _verify_thm2(report: _Report, order: int) -> None:
         at_one == laguerre_entries,
     )
     inv_at_one = tuple(
-        tuple(Scalar(e.eval_z(1)) for e in er_inverse(a).entries[r][: r + 1])
+        tuple(Scalar(e.eval_z(1)) for e in inv.entries[r][: r + 1])
         for r in range(n + 1)
     )
     signed = tuple(
@@ -530,10 +530,11 @@ def _verify_examples(report: _Report, order: int) -> None:
             for i, row in enumerate(displayed_lag) for j, v in enumerate(row)
         ),
     )
+    inv_lag = er_inverse(lag)
     report.check_true(
         "examples: inverse of [1/(1-x), x/(1-x)] is the signed Laguerre array",
         all(
-            er_inverse(lag).entries[r][k]
+            inv_lag.entries[r][k]
             == Scalar((-1) ** (r - k) * (factorial(r) // factorial(k)) * comb(r, k))
             for r in range(n + 1) for k in range(r + 1)
         ),

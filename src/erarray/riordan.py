@@ -19,7 +19,7 @@ from math import factorial
 
 from .orthopoly import JacobiParams, invert_lower_triangular
 from .scalars import ONE, ZERO, Scalar
-from .series import Series
+from .series import Series, _compose_powers, _degree, _powers
 
 
 def _as_scalar(value) -> Scalar:
@@ -112,7 +112,8 @@ def er_mul(a: ERArray, b: ERArray) -> ERArray:
     """Group law: [g, f] * [h, l] = [g (h o f), l o f]."""
     if a.order != b.order:
         raise ValueError(f"series order mismatch: {a.order} != {b.order}")
-    return er_build(a.g * b.g.compose(a.f), b.f.compose(a.f))
+    powers = _powers(a.f, max(_degree(b.g), _degree(b.f)))
+    return er_build(a.g * _compose_powers(b.g, powers), _compose_powers(b.f, powers))
 
 
 def er_inverse(a: ERArray) -> ERArray:
@@ -164,9 +165,10 @@ def production_cr(a: ERArray) -> tuple[Series, Series]:
     if n < 1:
         raise ValueError("production data needs order >= 1")
     fbar = a.f.revert().truncate(n - 1)
-    r = a.f.derivative().compose(fbar)
-    c = (a.g.derivative() / a.g.truncate(n - 1)).compose(fbar)
-    return c, r
+    fprime = a.f.derivative()
+    log_g_prime = a.g.derivative() / a.g.truncate(n - 1)
+    powers = _powers(fbar, max(_degree(fprime), _degree(log_g_prime)))
+    return _compose_powers(log_g_prime, powers), _compose_powers(fprime, powers)
 
 
 def production_from_pair(a: ERArray) -> ProductionMatrix:

@@ -168,37 +168,46 @@ class Series:
         return result
 
     def compose(self, inner: Series) -> Series:
-        """outer(inner(x)) truncated; inner must have zero constant term."""
+        """outer(inner(x)) truncated; inner must have zero constant term.
+
+        Reads [x^m] outer(inner) = sum_k a_k [x^m] inner^k off a table of
+        the powers of inner: at most order - 1 series products plus an
+        O(order^2) coefficient sum.
+        """
         self._check_order(inner)
         if not inner.coeffs[0].is_zero:
             raise ValueError("composition needs valuation >= 1")
-        n = self.order
-        result = Series.constant(self.coeffs[n], n)
-        for k in range(n - 1, -1, -1):
-            result = result * inner + self.coeffs[k]
-        return result
+        return _compose_powers(self, _powers(inner, _degree(self)))
 
     def revert(self) -> Series:
-        """Compositional inverse by Newton iteration on f(g) = x.
+        """Compositional inverse by Lagrange inversion in matrix form.
 
-        Needs f(0) = 0 and f'(0) != 0; the result g satisfies f(g) = x to
-        the full order, which is verified before returning.
+        Needs f(0) = 0 and f'(0) != 0.  With the powers f^k tabled once
+        (order - 2 series products), x = sum_k b_k f^k is solved row by row
+        as an O(order^2) triangular system: b_1 = 1/f_1 and
+        b_m = -(sum_{k<m} b_k [x^m] f^k) / f_1^m.  The result g satisfies
+        f(g) = x to the full order, which one ``compose`` (at most order - 1
+        more products) verifies before returning.
         """
         n = self.order
-        if n < 1 or not self.coeffs[0].is_zero or self.coeffs[1].is_zero:
+        f = self.coeffs
+        if n < 1 or not f[0].is_zero or f[1].is_zero:
             raise ValueError("not revertible")
-        x = Series.x(n)
-        # f' is exact to order n-1; its padded top coefficient never reaches
-        # the quotient because the Newton numerator has valuation >= 2.
-        dpad = Series(self.derivative().coeffs + (ZERO,))
-        g = Series([ZERO, ONE / self.coeffs[1]] + [ZERO] * (n - 1))
-        for _ in range(max(4, n.bit_length() + 2)):
-            err = self.compose(g) - x
-            if err.is_zero:
-                break
-            g = g - err / dpad.compose(g)
-        if not (self.compose(g) - x).is_zero:
-            raise ArithmeticError("Newton reversion failed to converge")
+        fpow = _powers(self, n - 1)
+        inv_f1 = ONE / f[1]
+        b = [ZERO, inv_f1]
+        inv_f1_pow = inv_f1
+        for m in range(2, n + 1):
+            inv_f1_pow = inv_f1_pow * inv_f1
+            acc = ZERO
+            for k in range(1, m):
+                c = fpow[k].coeffs[m]
+                if not b[k].is_zero and not c.is_zero:
+                    acc = acc + b[k] * c
+            b.append(-acc * inv_f1_pow)
+        g = Series(b)
+        if self.compose(g) != Series.x(n):
+            raise ArithmeticError("reversion check failed: f(g) != x")
         return g
 
     def exp(self) -> Series:
@@ -317,3 +326,40 @@ def divide(a: Series, b: Series) -> Series:
                 acc = acc - q[j] * b.coeffs[k - j]
         q.append(acc * binv)
     return Series(q)
+
+
+def _degree(a: Series) -> int:
+    """Index of the last nonzero coefficient (0 for the zero series)."""
+    for k in range(a.order, 0, -1):
+        if not a.coeffs[k].is_zero:
+            return k
+    return 0
+
+
+def _powers(inner: Series, count: int) -> list[Series]:
+    """inner^0 .. inner^count at inner's order: count - 1 series products."""
+    table = [Series.one(inner.order)]
+    if count >= 1:
+        table.append(inner)
+    for _ in range(count - 1):
+        table.append(table[-1] * inner)
+    return table
+
+
+def _compose_powers(outer: Series, powers: list[Series]) -> Series:
+    """sum_k a_k inner^k truncated, from a table of the powers of inner.
+
+    inner has zero constant term, so inner^k starts at x^k and row m needs
+    only k <= m; the table may stop at the last nonzero a_k.
+    """
+    a = outer.coeffs
+    top = len(powers) - 1
+    out = []
+    for m in range(outer.order + 1):
+        acc = ZERO
+        for k in range(min(m, top) + 1):
+            c = powers[k].coeffs[m]
+            if not a[k].is_zero and not c.is_zero:
+                acc = acc + a[k] * c
+        out.append(acc)
+    return Series(out)

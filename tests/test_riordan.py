@@ -4,6 +4,8 @@ import random
 from math import comb, factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from erarray.orthopoly import invert_lower_triangular
 from erarray.riordan import (
@@ -25,7 +27,16 @@ from erarray.scalars import ONE, ZERO, Scalar, Z
 from erarray.sequences import named_pair, stirling2
 from erarray.series import Series
 
-from oracles import bell_numbers, random_pair
+from oracles import (
+    ORACLE_SETTINGS,
+    bell_numbers,
+    compose_horner,
+    poly_scalars,
+    random_pair,
+    rational_leads,
+    revert_newton,
+    series_of,
+)
 
 STIRLING_ROWS = [
     (1,),
@@ -390,3 +401,38 @@ class TestStructuralIdentities:
         a = er_build(*named_pair("laguerre", n))
         lower = invert_lower_triangular(a.entries)
         assert er_inverse(a).entries == lower
+
+
+def draw_pair(data, n):
+    """A valid pair with z-polynomial coefficients and rational f'(0).
+
+    g and f are cut to random degrees, so that the two series composed over
+    one shared powers table need tables of different lengths.
+    """
+    g = data.draw(series_of(poly_scalars, n)).coeffs
+    f = data.draw(series_of(poly_scalars, n, lead=rational_leads)).coeffs
+    dg, df = data.draw(st.integers(0, n)), data.draw(st.integers(1, n))
+    return (Series((ONE,) + g[1:dg + 1] + (ZERO,) * (n - dg)),
+            Series(f[:df + 1] + (ZERO,) * (n - df)))
+
+
+class TestAgainstOracles:
+    """Shared powers tables give what separate Horner/Newton calls give."""
+
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_mul_matches_horner(self, data):
+        n = data.draw(st.integers(1, 6))
+        (g, f), (h, l) = draw_pair(data, n), draw_pair(data, n)
+        expected = er_build(g * compose_horner(h, f), compose_horner(l, f))
+        assert er_mul(er_build(g, f), er_build(h, l)) == expected
+
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_production_cr_matches_newton(self, data):
+        n = data.draw(st.integers(1, 6))
+        g, f = draw_pair(data, n)
+        fbar = revert_newton(f).truncate(n - 1)
+        c = compose_horner(g.derivative() / g.truncate(n - 1), fbar)
+        r = compose_horner(f.derivative(), fbar)
+        assert production_cr(er_build(g, f)) == (c, r)

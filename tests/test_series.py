@@ -4,11 +4,31 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from erarray.scalars import ONE, ZERO, Scalar, Z
 from erarray.series import Series
 
-from oracles import random_pair, random_series
+from oracles import (
+    ORACLE_SETTINGS,
+    compose_horner,
+    poly_scalars,
+    random_pair,
+    random_series,
+    rational_leads,
+    rational_scalars,
+    revert_newton,
+    series_of,
+)
+
+# z-polynomial coefficients up to order 8, rational functions of z up to
+# order 6, f'(0) a rational: the Newton oracle takes seconds to minutes per
+# case beyond that.
+COEFFICIENT_KINDS = pytest.mark.parametrize(
+    "scalars, max_order", [(poly_scalars, 8), (rational_scalars, 6)],
+    ids=["polynomial", "rational"],
+)
 
 
 def scal(*vals):
@@ -181,7 +201,7 @@ class TestProperties:
         n = 8
         x = Series.x(n)
         for _ in range(10):
-            _, f = random_pair(rng, n)
+            _, f = random_pair(rng, n, with_z=True)
             fbar = f.revert()
             assert f.compose(fbar) == x
             assert fbar.compose(f) == x
@@ -215,3 +235,33 @@ class TestProperties:
             c = random_series(rng, n)
             assert a * b == b * a
             assert (a * b) * c == a * (b * c)
+
+
+class TestAgainstOracles:
+    """The powers-table routes equal Horner composition and Newton reversion."""
+
+    @COEFFICIENT_KINDS
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_compose_matches_horner(self, scalars, max_order, data):
+        n = data.draw(st.integers(1, max_order))
+        inner = data.draw(series_of(scalars, n, lead=scalars))
+        outer = data.draw(series_of(scalars, n))
+        assert outer.compose(inner) == compose_horner(outer, inner)
+
+    @COEFFICIENT_KINDS
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_revert_matches_newton(self, scalars, max_order, data):
+        n = data.draw(st.integers(1, max_order))
+        f = data.draw(series_of(scalars, n, lead=rational_leads))
+        assert f.revert() == revert_newton(f)
+
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_revert_matches_newton_z_lead(self, data):
+        # f'(0) a function of z puts its powers in every denominator, so the
+        # orders stay low.
+        n = data.draw(st.integers(1, 3))
+        f = data.draw(series_of(rational_scalars, n, lead=rational_scalars))
+        assert f.revert() == revert_newton(f)
