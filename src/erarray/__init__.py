@@ -20,7 +20,6 @@ from .expr import (
 from .hankel import (
     binomial_transform,
     det_bareiss,
-    det_fraction_field,
     det_scalar,
     hankel_det,
     hankel_from_betas,
@@ -47,7 +46,6 @@ from .riordan import (
     er_power,
     extract_jacobi,
     identity,
-    production_bivariate_gf,
     production_cr,
     production_direct,
     production_from_pair,
@@ -92,7 +90,6 @@ __all__ = [
     "binomial_transform",
     "coeff_array_from_jacobi",
     "det_bareiss",
-    "det_fraction_field",
     "det_scalar",
     "divide",
     "er_apply",
@@ -119,7 +116,6 @@ __all__ = [
     "parse",
     "parse_scalar",
     "parse_series",
-    "production_bivariate_gf",
     "production_cr",
     "production_direct",
     "production_from_pair",

@@ -1,0 +1,347 @@
+"""The paper's identities, each written once.
+
+Each target in ``SUITES`` is a generator of ``(name, ok, detail)`` rows at
+one truncation order: ``name`` states the identity, ``ok`` says whether it
+holds exactly, and ``detail`` is what to show when it does not (empty when
+there is nothing to add).  ``erarray verify`` prints these rows and the
+acceptance tests assert them.  Where a row compares two routes (the
+production matrix from the pair and from DA = AP, the Hankel determinants
+and the beta product, an array and its closed form), the second route is
+computed here, not inside the library call.
+"""
+
+from __future__ import annotations
+
+from math import comb, factorial
+
+from .hankel import hankel_from_betas, hankel_transform
+from .orthopoly import moments_from_jacobi
+from .riordan import (
+    er_build,
+    er_inverse,
+    er_mul,
+    er_power,
+    extract_jacobi,
+    production_direct,
+    production_from_pair,
+)
+from .scalars import ONE, ZERO, Scalar, Z
+from .sequences import bell_poly, eulerian_poly, named_pair, stirling2
+from .series import Series
+
+# Displayed rows of the example corpus.  Production rows run to the first
+# entry of the superdiagonal; array rows are the lower triangle.
+SETS_OF_LISTS_P = (
+    (0, 1), (0, 2, 1), (0, 2, 4, 1), (0, 0, 6, 6, 1),
+    (0, 0, 0, 12, 8, 1), (0, 0, 0, 0, 20, 10),
+)
+LAGUERRE_P = (
+    (1, 1), (1, 3, 1), (0, 4, 5, 1), (0, 0, 9, 7, 1),
+    (0, 0, 0, 16, 9, 1), (0, 0, 0, 0, 25, 11),
+)
+CHARLIER_ROWS = (
+    (1,), (1, 1), (1, 3, 1), (1, 8, 6, 1), (1, 24, 29, 10, 1),
+    (1, 89, 145, 75, 15, 1),
+)
+
+
+def _equal(name: str, expected, actual):
+    """A row comparing two values; on failure its detail shows both."""
+    ok = expected == actual
+    return name, ok, "" if ok else f"expected: {expected}\nactual:   {actual}"
+
+
+def _strs(values) -> list[str]:
+    return [str(v) for v in values]
+
+
+def _rows_text(rows) -> str:
+    return "[" + "; ".join(
+        "(" + ", ".join(str(e) for e in row) + ")" for row in rows
+    ) + "]"
+
+
+def _tridiagonal(alpha_of, beta_of, order: int):
+    """Rows 0..order-1, width order+1, of a tridiagonal unit-superdiagonal P."""
+    rows = []
+    for i in range(order):
+        row = [ZERO] * (order + 1)
+        if i >= 1:
+            row[i - 1] = beta_of(i)
+        row[i] = alpha_of(i)
+        row[i + 1] = ONE
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _hankel_closed_form(base: Scalar, factorial_power: int, nmax: int) -> list[str]:
+    """base^C(n+1,2) prod_{k<=n} k!^factorial_power for n = 0..nmax."""
+    out = []
+    for n in range(nmax + 1):
+        h = base ** comb(n + 1, 2)
+        for k in range(1, n + 1):
+            h = h * (factorial(k) ** factorial_power)
+        out.append(str(h))
+    return out
+
+
+def _laguerre(r: int, k: int) -> int:
+    return factorial(r) // factorial(k) * comb(r, k)
+
+
+def _signed_laguerre(r: int, k: int) -> int:
+    return (-1) ** (r - k) * _laguerre(r, k)
+
+
+def _at_one(entry) -> Scalar:
+    return Scalar(entry.eval_z(1))
+
+
+def _lower_is(a, term, value=lambda e: e) -> bool:
+    """Every lower-triangle entry (r, k) of ``a``, through ``value``, is term(r, k)."""
+    return all(
+        value(a.entries[r][k]) == Scalar(term(r, k))
+        for r in range(a.order + 1) for k in range(r + 1)
+    )
+
+
+def _shows(entries, displayed, rows: int) -> bool:
+    """The displayed rows, those below ``rows``, match ``entries``."""
+    return all(
+        entries[i][j] == Scalar(v)
+        for i, row in enumerate(displayed[:rows]) for j, v in enumerate(row)
+    )
+
+
+def _production(label: str, a, p, alpha_of, beta_of):
+    n = a.order
+    yield _equal(
+        f"{label}: production matrix (pair method) is the displayed tridiagonal",
+        _rows_text(_tridiagonal(alpha_of, beta_of, n)),
+        _rows_text(p.entries[:n]),
+    )
+    yield (
+        f"{label}: production methods agree on rows 0..{n - 1}",
+        p.entries[:n] == production_direct(a).entries[:n],
+        "",
+    )
+
+
+def thm1(order: int):
+    """e_n(z) are the moments of the family with alpha_n = z + n, beta_n = n z."""
+    n = order
+    a = er_build(*named_pair("thm1", n))
+    p = production_from_pair(a)
+    yield from _production("thm1", a, p, lambda i: Z + i, lambda i: Z * i)
+    params = extract_jacobi(p)
+    bell = _strs(Scalar(bell_poly(k)) for k in range(n + 1))
+    yield _equal(
+        "thm1: first column equals the exponential polynomials e_n(z)",
+        bell, _strs(a.moments()),
+    )
+    yield _equal(
+        "thm1: moments of the extracted Jacobi data are e_n(z)",
+        bell, _strs(moments_from_jacobi(params, n).terms),
+    )
+    nmax = n // 2
+    hankel = hankel_transform([Scalar(bell_poly(k)) for k in range(2 * nmax + 1)], nmax)
+    yield _equal(
+        "thm1: Hankel transform of e_n(z) is z^C(n+1,2) prod k!",
+        _hankel_closed_form(Z, 1, nmax), _strs(hankel),
+    )
+    yield (
+        "thm1: Jacobi parameters are alpha_n = z + n, beta_n = n z",
+        params.alpha == tuple(Z + i for i in range(n))
+        and params.beta == tuple(Z * i for i in range(1, n)),
+        "",
+    )
+    m = min(nmax, len(params.beta))
+    yield (
+        "thm1: beta-product formula matches the Hankel transform",
+        hankel_from_betas(params, m) == hankel[: m + 1],
+        "",
+    )
+    x, one = Series.x(n), Series.one(n)
+    yield (
+        "thm1: inverse array is [exp(-z x), log(1+x)]",
+        er_inverse(a).entries == er_build((x * (-Z)).exp(), (one + x).log()).entries,
+        "",
+    )
+    yield (
+        "thm1: factorization L(n,k) = sum_j S(n,j) C(j,k) z^(j-k)",
+        all(
+            a.entries[r][k] == sum(
+                (Scalar(stirling2(r, j) * comb(j, k)) * Z ** (j - k)
+                 for j in range(k, r + 1)),
+                ZERO,
+            )
+            for r in range(n + 1) for k in range(r + 1)
+        ),
+        "",
+    )
+    yield _equal(
+        "thm1: Hankel transform of the row sums is (z+1)^C(n+1,2) prod k!",
+        _hankel_closed_form(Z + 1, 1, nmax), _strs(hankel_transform(a.row_sums(), nmax)),
+    )
+
+
+def thm2(order: int):
+    """EU_n(z) are the moments of the family with alpha_n = (n+1)z + n, beta_n = n^2 z."""
+    n = order
+    a = er_build(*named_pair("thm2", n))
+    p = production_from_pair(a)
+    yield from _production(
+        "thm2", a, p, lambda i: Z * (i + 1) + i, lambda i: Z * (i * i)
+    )
+    eulerian = _strs(Scalar(eulerian_poly(k)) for k in range(n + 1))
+    yield _equal(
+        "thm2: first column equals the Eulerian polynomials EU_n(z)",
+        eulerian, _strs(a.moments()),
+    )
+    yield _equal(
+        "thm2: moments of the extracted Jacobi data are EU_n(z)",
+        eulerian, _strs(moments_from_jacobi(extract_jacobi(p), n).terms),
+    )
+    nmax = n // 2
+    terms = [Scalar(eulerian_poly(k)) for k in range(2 * nmax + 1)]
+    yield _equal(
+        "thm2: Hankel transform of EU_n(z) is z^C(n+1,2) prod k!^2",
+        _hankel_closed_form(Z, 2, nmax), _strs(hankel_transform(terms, nmax)),
+    )
+    x, one = Series.x(n), Series.one(n)
+    fbar = ((one + x * Z).log() - (one + x).log()) * (ONE / (Z - 1))
+    # g o fbar evaluates to 1 + z x, so the inverse g-part is its reciprocal.
+    inv = er_inverse(a)
+    yield (
+        "thm2: inverse array is [1/(1+zx), log((1+zx)/(1+x))/(z-1)]",
+        inv.entries == er_build(one / (one + x * Z), fbar).entries
+        and er_mul(a, inv).entries == er_build(one, x).entries,
+        "",
+    )
+    yield (
+        "thm2: entries at z = 1 equal the Laguerre-type array (n!/k!) C(n,k)",
+        _lower_is(a, _laguerre, _at_one),
+        "",
+    )
+    yield (
+        "thm2: inverse entries at z = 1 are the signed Laguerre coefficients",
+        _lower_is(inv, _signed_laguerre, _at_one),
+        "",
+    )
+
+
+def examples(order: int):
+    """The worked examples: Pascal, Lah-like, sets of lists, Laguerre, Charlier."""
+    n = order
+    x, one = Series.x(n), Series.one(n)
+
+    binomial = er_build(*named_pair("binomial", n))
+    yield "examples: [e^x, x] realizes Pascal's triangle", _lower_is(binomial, comb), ""
+    yield (
+        "examples: [e^x, x]^3 = [e^{3x}, x]",
+        er_power(binomial, 3).entries == er_build((x * 3).exp(), x).entries,
+        "",
+    )
+
+    lah = er_build(*named_pair("lah_like", n))
+    yield (
+        "examples: [1/(1-x), x] has general term n!/k!",
+        _lower_is(lah, lambda r, k: factorial(r) // factorial(k)),
+        "",
+    )
+    # Entries fixed by the generating function e^{tw}(1/(1-w) + t): the
+    # array itself plus a unit superdiagonal.
+    expected_p_lah = tuple(
+        tuple(
+            (Scalar(factorial(i) // factorial(j)) if j <= i
+             else ONE if j == i + 1 else ZERO)
+            for j in range(n + 1)
+        )
+        for i in range(n)
+    )
+    yield (
+        "examples: production of [1/(1-x), x] matches its generating function",
+        production_from_pair(lah).entries[:n] == expected_p_lah,
+        "",
+    )
+    yield (
+        "examples: inverse of [1/(1-x), x] is [1-x, x]",
+        er_inverse(lah).entries == er_build(one - x, x).entries,
+        "",
+    )
+
+    sol = er_build(*named_pair("sets_of_lists", n))
+    yield (
+        "examples: [1, x/(1-x)] has general term (n!/k!) C(n-1, n-k)",
+        _lower_is(
+            sol,
+            lambda r, k: 1 if r == 0 else factorial(r) // factorial(k) * comb(r - 1, r - k),
+        ),
+        "",
+    )
+    yield _equal(
+        "examples: row sums of [1, x/(1-x)] count sets of lists",
+        ["1", "1", "3", "13", "73", "501"][: n + 1], _strs(sol.row_sums()[:6]),
+    )
+    yield (
+        "examples: inverse of [1, x/(1-x)] is [1, x/(1+x)]",
+        er_inverse(sol).entries == er_build(one, x / (one + x)).entries,
+        "",
+    )
+    yield (
+        "examples: production of [1, x/(1-x)] matches the displayed matrix",
+        _shows(production_from_pair(sol).entries, SETS_OF_LISTS_P, n),
+        "",
+    )
+
+    lag = er_build(*named_pair("laguerre", n))
+    yield (
+        "examples: [1/(1-x), x/(1-x)] has general term (n!/k!) C(n,k)",
+        _lower_is(lag, _laguerre),
+        "",
+    )
+    p_lag = production_from_pair(lag)
+    yield (
+        "examples: production of [1/(1-x), x/(1-x)] matches the displayed matrix",
+        _shows(p_lag.entries, LAGUERRE_P, n),
+        "",
+    )
+    yield (
+        "examples: inverse of [1/(1-x), x/(1-x)] is the signed Laguerre array",
+        _lower_is(er_inverse(lag), _signed_laguerre),
+        "",
+    )
+    params = extract_jacobi(p_lag)
+    yield (
+        "examples: Laguerre-type Jacobi data is alpha_n = 2n+1, beta_n = n^2",
+        params.alpha == tuple(Scalar(2 * i + 1) for i in range(n))
+        and params.beta == tuple(Scalar(i * i) for i in range(1, n)),
+        "",
+    )
+    yield _equal(
+        "examples: moments of [1/(1-x), x/(1-x)] are the factorials",
+        _strs(factorial(k) for k in range(n + 1)), _strs(lag.moments()),
+    )
+
+    charlier = er_build(*named_pair("charlier", n))
+    yield (
+        "examples: [e^x, log(1/(1-x))] matches the displayed rows",
+        _shows(charlier.entries, CHARLIER_ROWS, n + 1),
+        "",
+    )
+    inv_charlier = er_inverse(charlier)
+    emx = (x * (-1)).exp()
+    yield (
+        "examples: inverse of the Charlier array is [e^{-(1-e^{-x})}, 1-e^{-x}]",
+        inv_charlier.entries == er_build(((one - emx) * (-1)).exp(), one - emx).entries,
+        "",
+    )
+    yield _equal(
+        "examples: production of the Charlier inverse is the displayed tridiagonal",
+        _rows_text(_tridiagonal(lambda i: Scalar(-(i + 1)), Scalar, n)),
+        _rows_text(production_from_pair(inv_charlier).entries[:n]),
+    )
+
+
+#: Target name -> generator of (name, ok, detail) rows at a given order.
+SUITES = {"thm1": thm1, "thm2": thm2, "examples": examples}

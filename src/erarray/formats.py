@@ -17,10 +17,6 @@ def _dump(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def scalar_to_string(s: Scalar) -> str:
-    return str(s)
-
-
 def scalar_from_string(text: str) -> Scalar:
     return parse_scalar(text)
 

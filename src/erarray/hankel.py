@@ -3,9 +3,8 @@
 Determinants of polynomial matrices use Bareiss fraction-free elimination,
 which keeps every intermediate value in Q[z] via exact divisions.  Matrices
 with genuine rational-function entries are cleared column-wise to polynomial
-form first (tracking the cleared factor); a plain fraction-field Gaussian
-elimination is also provided so the two routes can be checked against each
-other.
+form first (tracking the cleared factor).  The tests check this one route
+against fraction-field Gaussian elimination and cofactor expansion.
 """
 
 from __future__ import annotations
@@ -60,37 +59,6 @@ def det_bareiss(rows) -> PolyZ:
         prev = m[k][k]
     det = m[size - 1][size - 1]
     return -det if sign < 0 else det
-
-
-def det_fraction_field(rows) -> Scalar:
-    """Determinant by Gaussian elimination over Q(z), with partial pivoting."""
-    m = [[Scalar._coerce(e) for e in row] for row in rows]
-    size = len(m)
-    for row in m:
-        if len(row) != size:
-            raise ValueError("determinant needs a square matrix")
-    if size == 0:
-        return ONE
-    det = ONE
-    for k in range(size):
-        if m[k][k].is_zero:
-            for i in range(k + 1, size):
-                if not m[i][k].is_zero:
-                    m[k], m[i] = m[i], m[k]
-                    det = -det
-                    break
-            else:
-                return ZERO
-        pivot = m[k][k]
-        det = det * pivot
-        inv = ONE / pivot
-        for i in range(k + 1, size):
-            factor = m[i][k] * inv
-            if factor.is_zero:
-                continue
-            for j in range(k + 1, size):
-                m[i][j] = m[i][j] - factor * m[k][j]
-    return det
 
 
 def det_scalar(rows) -> Scalar:

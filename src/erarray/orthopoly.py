@@ -134,22 +134,36 @@ def jfraction_expand(params: JacobiParams, order: int) -> Series:
 
 
 def moments_from_jacobi(params: JacobiParams, count: int) -> MomentSequence:
-    """Moments a_0..a_count, by two routes that must agree.
+    """Moments a_0..a_count, read off the Stieltjes tableau of the J-fraction.
 
-    Primary route: invert the monic coefficient array and read column 0,
-    scaled by a0.  Cross-check: expand the J-fraction to the same order.
+    Row m of the tableau is row m of the array A with A[m+1] = A[m] P, P the
+    tridiagonal matrix with diagonal alpha_k, subdiagonal beta_k and unit
+    superdiagonal:  A[m][k] = A[m-1][k-1] + alpha_k A[m-1][k]
+    + beta_{k+1} A[m-1][k+1], and a_m = a0 A[m][0].  Only the entries
+    k <= min(m, count - m), which still reach column 0 by row count, are
+    kept: O(count^2) ring operations and no division.  The tests compare it
+    with the inverse of the monic coefficient array and with
+    ``jfraction_expand``.
     """
     if count > params.depth:
         raise ValueError(
             f"insufficient parameters: count {count} > depth {params.depth}"
         )
-    rows = coeff_array_from_jacobi(params, count)
-    inv = invert_lower_triangular(rows)
-    via_matrix = [params.a0 * inv[n][0] for n in range(count + 1)]
-    via_fraction = jfraction_expand(params, count).coeffs
-    if tuple(via_matrix) != via_fraction:
-        raise ArithmeticError("moment computation routes disagree")
-    return MomentSequence(tuple(via_matrix))
+    alpha, beta = params.alpha, params.beta
+    row = [ONE]
+    terms = [params.a0]
+    for m in range(1, count + 1):
+        nxt = []
+        for k in range(min(m, count - m) + 1):
+            acc = row[k - 1] if k >= 1 else ZERO
+            if k < len(row):
+                acc = acc + alpha[k] * row[k]
+            if k + 1 < len(row):
+                acc = acc + beta[k] * row[k + 1]
+            nxt.append(acc)
+        row = nxt
+        terms.append(params.a0 * row[0])
+    return MomentSequence(tuple(terms))
 
 
 @dataclass(frozen=True)

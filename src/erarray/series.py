@@ -185,9 +185,9 @@ class Series:
         Needs f(0) = 0 and f'(0) != 0.  With the powers f^k tabled once
         (order - 2 series products), x = sum_k b_k f^k is solved row by row
         as an O(order^2) triangular system: b_1 = 1/f_1 and
-        b_m = -(sum_{k<m} b_k [x^m] f^k) / f_1^m.  The result g satisfies
-        f(g) = x to the full order, which one ``compose`` (at most order - 1
-        more products) verifies before returning.
+        b_m = -(sum_{k<m} b_k [x^m] f^k) / f_1^m.  The solve is exact, so the
+        result g satisfies f(g) = x to the full order; the tests check that
+        round trip and compare with Newton reversion.
         """
         n = self.order
         f = self.coeffs
@@ -205,10 +205,7 @@ class Series:
                 if not b[k].is_zero and not c.is_zero:
                     acc = acc + b[k] * c
             b.append(-acc * inv_f1_pow)
-        g = Series(b)
-        if self.compose(g) != Series.x(n):
-            raise ArithmeticError("reversion check failed: f(g) != x")
-        return g
+        return Series(b)
 
     def exp(self) -> Series:
         """Formal exponential via E' = a'E; needs zero constant term."""

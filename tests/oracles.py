@@ -1,20 +1,26 @@
 """Independent reference computations used to freeze expected test values.
 
 Everything here deliberately avoids the library's own algorithms: the
-determinant is cofactor expansion, Bell numbers come from the binomial
-recurrence, composition is Horner's rule, reversion is Newton iteration, and
-the random generators only build inputs.
+determinants are cofactor expansion and fraction-field elimination, Bell
+numbers come from the binomial recurrence, composition is Horner's rule,
+reversion is Newton iteration, an array acts on a sequence through e.g.f.s,
+production matrices are read off the bivariate generating function, moments
+come from inverting the monic coefficient array, and the random generators
+only build inputs.  Each library call computes one route; the tests compare
+it with these.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from erarray.orthopoly import coeff_array_from_jacobi, invert_lower_triangular
+from erarray.riordan import ProductionMatrix, production_cr
 from erarray.scalars import ONE, ZERO, PolyZ, Scalar, Z
 from erarray.series import Series
 
@@ -36,6 +42,53 @@ def det_cofactor(rows) -> Scalar:
         term = rows[0][j] * det_cofactor(minor)
         total = total + term if j % 2 == 0 else total - term
     return total
+
+
+def det_fraction_field(rows) -> Scalar:
+    """Determinant by Gaussian elimination over Q(z), with partial pivoting."""
+    m = [[Scalar._coerce(e) for e in row] for row in rows]
+    size = len(m)
+    for row in m:
+        if len(row) != size:
+            raise ValueError("determinant needs a square matrix")
+    if size == 0:
+        return ONE
+    det = ONE
+    for k in range(size):
+        if m[k][k].is_zero:
+            for i in range(k + 1, size):
+                if not m[i][k].is_zero:
+                    m[k], m[i] = m[i], m[k]
+                    det = -det
+                    break
+            else:
+                return ZERO
+        pivot = m[k][k]
+        det = det * pivot
+        inv = ONE / pivot
+        for i in range(k + 1, size):
+            factor = m[i][k] * inv
+            if factor.is_zero:
+                continue
+            for j in range(k + 1, size):
+                m[i][j] = m[i][j] - factor * m[k][j]
+    return det
+
+
+def matrix_product(a_rows, b_rows):
+    """Plain matrix product for square Scalar matrices."""
+    size = len(a_rows)
+    out = []
+    for i in range(size):
+        row = []
+        for j in range(size):
+            acc = ZERO
+            for k in range(size):
+                if not a_rows[i][k].is_zero and not b_rows[k][j].is_zero:
+                    acc = acc + a_rows[i][k] * b_rows[k][j]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def bell_numbers(count: int) -> list[int]:
@@ -80,6 +133,52 @@ def revert_newton(f: Series) -> Series:
     if not (compose_horner(f, g) - x).is_zero:
         raise ArithmeticError("Newton reversion failed to converge")
     return g
+
+
+def apply_egf(a, u) -> tuple[Scalar, ...]:
+    """Image of u under [g, f]: its e.g.f. is g(x) U(f(x)), U the e.g.f. of u."""
+    n = a.order
+    egf_u = Series(Scalar._coerce(t) / factorial(k) for k, t in enumerate(u))
+    image = a.g * compose_horner(egf_u, a.f)
+    return tuple(image.coeffs[r] * factorial(r) for r in range(n + 1))
+
+
+def production_bivariate_gf(a, orders: int | None = None) -> ProductionMatrix:
+    """Production matrix read off the bivariate generating function.
+
+    phi(t, w) = e^{tw} (c(w) + t r(w)) expands as sum p_{n,k} t^k w^n / n!;
+    the t^k coefficient is w^k c(w)/k! + w^{k-1} r(w)/(k-1)!, computed here
+    with series products.
+    """
+    n = a.order
+    if orders is None:
+        orders = n
+    if orders > n:
+        raise ValueError(f"requested orders {orders} beyond array order {n}")
+    c, r = production_cr(a)
+    m = n - 1
+    rows = [[ZERO] * (orders + 1) for _ in range(orders + 1)]
+
+    def monomial_over_factorial(k: int) -> Series:
+        coeffs = [ZERO] * (m + 1)
+        if k <= m:
+            coeffs[k] = Scalar(1) / factorial(k)
+        return Series(coeffs)
+
+    for k in range(min(orders, m + 1) + 1):
+        phi_k = monomial_over_factorial(k) * c
+        if k >= 1:
+            phi_k = phi_k + monomial_over_factorial(k - 1) * r
+        for i in range(min(orders, m) + 1):
+            if k <= orders:
+                rows[i][k] = phi_k.coeffs[i] * factorial(i)
+    return ProductionMatrix(entries=tuple(tuple(row) for row in rows))
+
+
+def moments_by_inverse(params, count: int) -> tuple[Scalar, ...]:
+    """Moments a0 (A^-1)[n][0], A the monic coefficient array of the data."""
+    inv = invert_lower_triangular(coeff_array_from_jacobi(params, count))
+    return tuple(params.a0 * inv[n][0] for n in range(count + 1))
 
 
 def random_scalar(rng: random.Random, with_z: bool = False) -> Scalar:

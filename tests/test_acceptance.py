@@ -2,6 +2,9 @@
 
 Each criterion prints one PASS/FAIL line (run pytest with -s to watch them
 stream); a FAIL line is always followed by the assertion failure itself.
+The paper's identities are written once, in ``erarray.checks``:
+``test_identity_suite`` asserts every row of each target, and criteria 03-10
+name the rows that carry them.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from math import comb, factorial
 
 import pytest
 
+from erarray.checks import SUITES
 from erarray.hankel import binomial_transform, hankel_from_betas, hankel_transform
 from erarray.orthopoly import JacobiParams, jacobi_from_moments, moments_from_jacobi
 from erarray.riordan import (
@@ -19,11 +23,10 @@ from erarray.riordan import (
     er_mul,
     er_power,
     identity,
-    production_direct,
     production_from_pair,
 )
-from erarray.scalars import ONE, ZERO, Scalar, Z
-from erarray.sequences import bell_poly, eulerian, eulerian_poly, named_pair, stirling2
+from erarray.scalars import ONE, ZERO, Scalar
+from erarray.sequences import bell_poly, eulerian, eulerian_poly, named_pair
 from erarray.series import Series
 
 from oracles import random_pair
@@ -37,29 +40,23 @@ def report(criterion: int, description: str, ok: bool) -> None:
 
 
 @pytest.fixture(scope="module")
-def thm1():
-    return er_build(*named_pair("thm1", ORDER))
+def suite():
+    """Every (name, ok, detail) row of erarray.checks at ORDER, by target."""
+    return {target: list(rows(ORDER)) for target, rows in SUITES.items()}
 
 
-@pytest.fixture(scope="module")
-def thm2():
-    return er_build(*named_pair("thm2", ORDER))
+def holds(suite, *prefixes: str) -> bool:
+    """Each prefix starts the name of some suite row, and every such row holds."""
+    rows = [(name, ok) for target in suite.values() for name, ok, _ in target]
+    return all(any(name.startswith(p) for name, _ in rows) for p in prefixes) \
+        and all(ok for name, ok in rows if name.startswith(prefixes))
 
 
-def tridiagonal_ok(p, alpha_of, beta_of, rows: int) -> bool:
-    for i in range(rows):
-        for j in range(len(p.entries[i])):
-            if j == i:
-                expected = alpha_of(i)
-            elif j == i - 1:
-                expected = beta_of(i)
-            elif j == i + 1:
-                expected = ONE
-            else:
-                expected = ZERO
-            if p.entries[i][j] != expected:
-                return False
-    return True
+@pytest.mark.parametrize("target", SUITES)
+def test_identity_suite(suite, target):
+    for name, ok, detail in suite[target]:
+        print(f"{'PASS' if ok else 'FAIL'} {name}")
+        assert ok, f"{name}\n{detail}"
 
 
 def test_criterion_01_stirling_array():
@@ -99,102 +96,48 @@ def test_criterion_02_eulerian_triangle():
     report(2, "eulerian(n,k) matches the displayed triangle and row sums are n!", ok)
 
 
-def test_criterion_03_thm1_production(thm1):
-    p = production_from_pair(thm1)
-    ok = tridiagonal_ok(p, lambda n: Z + n, lambda n: Z * n, 8)
-    ok = ok and p.entries[:ORDER] == production_direct(thm1).entries[:ORDER]
-    report(3, "thm1 production matrix is tridiagonal (n z, z+n, 1); methods agree", ok)
+def test_criterion_03_thm1_production(suite):
+    report(3, "thm1 production matrix is tridiagonal (n z, z+n, 1); methods agree",
+           holds(suite, "thm1: production matrix", "thm1: production methods"))
 
 
-def test_criterion_04_thm2_production(thm2):
-    p = production_from_pair(thm2)
-    ok = tridiagonal_ok(p, lambda n: Z * (n + 1) + n, lambda n: Z * (n * n), 8)
-    ok = ok and p.entries[:ORDER] == production_direct(thm2).entries[:ORDER]
-    report(4, "thm2 production matrix is tridiagonal (n^2 z, (n+1)z+n, 1); methods agree", ok)
+def test_criterion_04_thm2_production(suite):
+    report(4, "thm2 production matrix is tridiagonal (n^2 z, (n+1)z+n, 1); methods agree",
+           holds(suite, "thm2: production matrix", "thm2: production methods"))
 
 
-def test_criterion_05_moments(thm1, thm2):
-    ok = all(thm1.entries[n][0] == Scalar(bell_poly(n)) for n in range(11))
-    ok = ok and all(thm2.entries[n][0] == Scalar(eulerian_poly(n)) for n in range(11))
-    report(5, "first columns are e_n(z) and EU_n(z) for n <= 10", ok)
+def test_criterion_05_moments(suite):
+    ok = holds(suite, "thm1: first column", "thm2: first column",
+               "thm1: moments of the extracted", "thm2: moments of the extracted")
+    report(5, "first columns and Jacobi moments are e_n(z) and EU_n(z)", ok)
 
 
-def hankel_closed_form(base: Scalar, power: int, nmax: int) -> list[Scalar]:
-    out = []
-    for n in range(nmax + 1):
-        h = base ** comb(n + 1, 2)
-        for k in range(1, n + 1):
-            h = h * factorial(k) ** power
-        out.append(h)
-    return out
-
-
-def test_criterion_06_hankel_bell_polynomials():
-    terms = [Scalar(bell_poly(n)) for n in range(13)]
-    got = hankel_transform(terms, 6)
-    expected = hankel_closed_form(Z, 1, 6)
-    ok = got == expected and str(got[4]) == "288*z^10"
+def test_criterion_06_hankel_bell_polynomials(suite):
+    terms = [Scalar(bell_poly(n)) for n in range(9)]
+    ok = holds(suite, "thm1: Hankel transform of e_n(z)")
+    ok = ok and str(hankel_transform(terms, 4)[4]) == "288*z^10"
     report(6, "Hankel transform of e_n(z) equals z^C(n+1,2) prod k! for n <= 6", ok)
 
 
-def test_criterion_07_hankel_eulerian_polynomials():
-    terms = [Scalar(eulerian_poly(n)) for n in range(13)]
-    got = hankel_transform(terms, 6)
-    expected = hankel_closed_form(Z, 2, 6)
-    ok = got == expected and str(got[3]) == "144*z^6"
+def test_criterion_07_hankel_eulerian_polynomials(suite):
+    terms = [Scalar(eulerian_poly(n)) for n in range(7)]
+    ok = holds(suite, "thm2: Hankel transform of EU_n(z)")
+    ok = ok and str(hankel_transform(terms, 3)[3]) == "144*z^6"
     report(7, "Hankel transform of EU_n(z) equals z^C(n+1,2) prod k!^2 for n <= 6", ok)
 
 
-def test_criterion_08_row_sum_hankel(thm1):
-    sums = thm1.row_sums()
-    got = hankel_transform(sums, 5)
-    expected = hankel_closed_form(Z + 1, 1, 5)
-    report(8, "Hankel transform of thm1 row sums is (z+1)^C(n+1,2) prod k!", got == expected)
+def test_criterion_08_row_sum_hankel(suite):
+    report(8, "Hankel transform of thm1 row sums is (z+1)^C(n+1,2) prod k!",
+           holds(suite, "thm1: Hankel transform of the row sums"))
 
 
-def test_criterion_09_inverses_and_factorization(thm1, thm2):
-    n = ORDER
-    x = Series.x(n)
-    one = Series.one(n)
-    inv1 = er_inverse(thm1)
-    expected1 = er_build((x * (-1) * Z).exp(), (one + x).log())
-    ok = all(
-        inv1.entries[r][: r + 1] == expected1.entries[r][: r + 1]
-        for r in range(11)
-    )
-    # The inverse g-part is the reciprocal of g o fbar = 1 + z x.
-    fbar2 = ((one + x * Z).log() - (one + x).log()) * (ONE / (Z - 1))
-    expected2 = er_build(one / (one + x * Z), fbar2)
-    inv2 = er_inverse(thm2)
-    ok = ok and all(
-        inv2.entries[r][: r + 1] == expected2.entries[r][: r + 1]
-        for r in range(11)
-    )
-    ok = ok and er_mul(thm2, inv2).entries == identity(n).entries
-    for r in range(11):
-        for k in range(r + 1):
-            expected_entry = sum(
-                (Scalar(stirling2(r, j) * comb(j, k)) * Z ** (j - k)
-                 for j in range(k, r + 1)),
-                ZERO,
-            )
-            ok = ok and thm1.entries[r][k] == expected_entry
-    report(9, "inverse propositions and the factorization identity hold to order 10", ok)
+def test_criterion_09_inverses_and_factorization(suite):
+    ok = holds(suite, "thm1: inverse array", "thm2: inverse array", "thm1: factorization")
+    report(9, "inverse propositions and the factorization identity hold to order 12", ok)
 
 
-def test_criterion_10_z1_reduction(thm2):
-    n = ORDER
-    ok = all(
-        Scalar(thm2.entries[r][k].eval_z(1))
-        == Scalar((factorial(r) // factorial(k)) * comb(r, k))
-        for r in range(n + 1) for k in range(r + 1)
-    )
-    inv = er_inverse(thm2)
-    ok = ok and all(
-        Scalar(inv.entries[r][k].eval_z(1))
-        == Scalar((-1) ** (r - k) * (factorial(r) // factorial(k)) * comb(r, k))
-        for r in range(n + 1) for k in range(r + 1)
-    )
+def test_criterion_10_z1_reduction(suite):
+    ok = holds(suite, "thm2: entries at z = 1", "thm2: inverse entries at z = 1")
     report(10, "thm2 entries at z = 1 reduce to the (signed) Laguerre coefficients", ok)
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+from erarray import checks
 from erarray.cli import main
 
 
@@ -231,6 +232,41 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "examples", "--order", "6")
         assert code == 0
         assert "FAIL" not in out
+
+    def test_all_prints_every_identity(self, capsys):
+        code, out, _ = run(capsys, "verify", "all", "--order", "6")
+        assert code == 0
+        assert [line.split()[0] for line in out.splitlines()] == ["PASS"] * 35 + ["all"]
+
+    def test_smallest_order_passes(self, capsys):
+        code, out, _ = run(capsys, "verify", "all", "--order", "2")
+        assert code == 0
+        assert "FAIL" not in out
+
+    def test_order_bounds(self, capsys):
+        for order in ("1", "65"):
+            code, _, err = run(capsys, "verify", "all", "--order", order)
+            assert code == 2
+            assert "order must be between 2 and 64" in err
+
+    def test_format_option_removed(self, capsys):
+        code, _, err = run(capsys, "verify", "thm1", "--format", "json")
+        assert code == 2
+        assert "unrecognized arguments: --format" in err
+
+    def test_failure_shows_both_values(self, capsys, monkeypatch):
+        def failing(order):
+            yield "a: holds", True, ""
+            yield "b: compared", False, "expected: 1\nactual:   2"
+            yield "c: flagged", False, ""
+
+        monkeypatch.setitem(checks.SUITES, "thm1", failing)
+        code, out, _ = run(capsys, "verify", "thm1", "--order", "6")
+        assert code == 1
+        assert out == (
+            "PASS a: holds\nFAIL b: compared\n  expected: 1\n  actual:   2\n"
+            "FAIL c: flagged\n2 check(s) failed\n"
+        )
 
 
 class TestUsage:

@@ -9,7 +9,6 @@ import pytest
 from erarray.hankel import (
     binomial_transform,
     det_bareiss,
-    det_fraction_field,
     det_scalar,
     hankel_det,
     hankel_matrix,
@@ -20,7 +19,7 @@ from erarray.orthopoly import JacobiParams, moments_from_jacobi
 from erarray.scalars import ONE, ZERO, PolyZ, Scalar, Z
 from erarray.sequences import bell_poly
 
-from oracles import bell_numbers, det_cofactor, random_scalar
+from oracles import bell_numbers, det_cofactor, det_fraction_field, random_scalar
 
 
 def closed_form(base: Scalar, power: int, nmax: int) -> list[Scalar]:

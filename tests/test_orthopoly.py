@@ -4,6 +4,8 @@ import random
 from math import factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from erarray.orthopoly import (
     JacobiParams,
@@ -14,12 +16,18 @@ from erarray.orthopoly import (
     jfraction_expand,
     moments_from_jacobi,
 )
-from erarray.riordan import er_build, er_inverse, extract_jacobi, matrix_product, \
-    production_from_pair
+from erarray.riordan import er_build, er_inverse, extract_jacobi, production_from_pair
 from erarray.scalars import ONE, ZERO, Scalar, Z
 from erarray.sequences import bell_poly, eulerian_poly, named_pair
 
-from oracles import random_scalar
+from oracles import (
+    ORACLE_SETTINGS,
+    matrix_product,
+    moments_by_inverse,
+    poly_scalars,
+    random_scalar,
+    rational_scalars,
+)
 
 
 def thm1_params(depth):
@@ -214,3 +222,33 @@ class TestInvertLowerTriangular:
         rows = ((ONE, ZERO), (ONE, ZERO))
         with pytest.raises(ZeroDivisionError, match="singular"):
             invert_lower_triangular(rows)
+
+
+_entries = st.one_of(poly_scalars, rational_scalars)
+
+
+@st.composite
+def jacobi_cases(draw):
+    """Jacobi data over Q(z), with zero betas and a0 != 1, and a count.
+
+    Depth and count are sampled evenly, not by size, so that counts near the
+    depth (the deepest tableau rows) are as common as small ones.
+    """
+    depth = draw(st.sampled_from(range(7)))
+    alpha = draw(st.lists(_entries, min_size=depth, max_size=depth))
+    size = max(depth - 1, 0)
+    beta = draw(st.lists(st.one_of(_entries, st.just(ZERO)), min_size=size, max_size=size))
+    params = JacobiParams(alpha=tuple(alpha), beta=tuple(beta), a0=draw(_entries))
+    return params, max(depth - draw(st.sampled_from((0, 0, 1, 2))), 0)
+
+
+class TestAgainstOracles:
+    """The tableau equals the matrix-inverse route and the J-fraction."""
+
+    @ORACLE_SETTINGS
+    @given(case=jacobi_cases())
+    def test_tableau_matches_inverse_and_jfraction(self, case):
+        params, count = case
+        got = moments_from_jacobi(params, count).terms
+        assert got == moments_by_inverse(params, count)
+        assert got == jfraction_expand(params, count).coeffs
