@@ -15,6 +15,7 @@ sits past the horizon, so callers compare rows 0..order-1 only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial
 
 # invert_lower_triangular is not called here; the import is kept because
@@ -45,6 +46,11 @@ class ERArray:
 
     def row(self, n: int) -> tuple[Scalar, ...]:
         return self.entries[n][: n + 1]
+
+    @cached_property
+    def fbar(self) -> Series:
+        """The compositional inverse of f, reverted once per array."""
+        return self.f.revert()
 
     def column(self, k: int) -> tuple[Scalar, ...]:
         return tuple(self.entries[n][k] for n in range(self.order + 1))
@@ -120,8 +126,10 @@ def er_mul(a: ERArray, b: ERArray) -> ERArray:
 
 def er_inverse(a: ERArray) -> ERArray:
     """Group inverse [1/(g o fbar), fbar] with fbar the reversion of f."""
-    fbar = a.f.revert()
-    return er_build(Series.one(a.order) / a.g.compose(fbar), fbar)
+    fbar = a.fbar
+    inv = er_build(Series.one(a.order) / a.g.compose(fbar), fbar)
+    inv.__dict__["fbar"] = a.f  # the reversion of fbar is f: seed the cache
+    return inv
 
 
 def er_power(a: ERArray, m: int) -> ERArray:
@@ -158,7 +166,7 @@ def production_cr(a: ERArray) -> tuple[Series, Series]:
     n = a.order
     if n < 1:
         raise ValueError("production data needs order >= 1")
-    fbar = a.f.revert().truncate(n - 1)
+    fbar = a.fbar.truncate(n - 1)
     fprime = a.f.derivative()
     log_g_prime = a.g.derivative() / a.g.truncate(n - 1)
     powers = _powers(fbar, max(_degree(fprime), _degree(log_g_prime)))

@@ -3,12 +3,15 @@
 Every value in the library bottoms out here.  A ``Scalar`` is an element of
 Q(z), kept in canonical form (numerator and denominator coprime, denominator
 monic), so equality is a structural comparison and no floating point is ever
-involved.
+involved.  Its numerator and denominator are ``PolyZ`` values: a rational
+content times a primitive integer polynomial, whose arithmetic runs on
+Python ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Rational = Fraction
 
@@ -40,63 +43,96 @@ def _format_terms(pairs) -> str:
 
 
 class PolyZ:
-    """Dense univariate polynomial in z over Q, ascending coefficients.
+    """Polynomial in z over Q: a rational content times a primitive integer
+    polynomial.
 
-    Zero is the empty tuple; otherwise the last coefficient is nonzero.
+    ``_prim`` holds the ascending integer coefficients, with gcd 1 and a
+    positive leading coefficient; the content is ``_num/_den`` in lowest
+    terms with ``_den > 0``.  Zero is content 0/1 times the empty tuple.
+    The form is canonical, so equality and hashing are structural, and the
+    coefficient loops run on Python ints only.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den", "_prim")
 
     def __init__(self, coeffs=()):
         cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        den = lcm(*(c.denominator for c in cs))
+        canon = _normal([c.numerator * (den // c.denominator) for c in cs], 1, den)
+        self._num, self._den, self._prim = canon._num, canon._den, canon._prim
 
     @classmethod
     def const(cls, value) -> PolyZ:
-        return cls((_as_fraction(value),))
+        return _const(_as_fraction(value))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Ascending rational coefficients; empty for zero, last one nonzero."""
+        n, d = self._num, self._den
+        return tuple(Fraction(n * c, d) for c in self._prim)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._prim) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._prim
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self._prim:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self._num * self._prim[-1], self._den)
 
     def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        if 0 <= k < len(self._prim):
+            return Fraction(self._num * self._prim[k], self._den)
+        return Fraction(0)
 
     def _coerce(self, other):
         if isinstance(other, PolyZ):
             return other
         if isinstance(other, (int, Fraction)):
-            return PolyZ((other,))
+            return _const(other)
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        if not isinstance(other, PolyZ):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self._prim, other._prim
+        if not b:
+            return self
+        if not a:
+            return other
+        # Over the common denominator the sum is (ma*a + mb*b)/den.
+        ad, bd = self._den, other._den
+        g = gcd(ad, bd)
+        den = ad // g * bd
+        ma, mb = self._num * (bd // g), other._num * (ad // g)
+        if len(a) == 1 == len(b):
+            # Two constants: only the contents add.
+            num = ma + mb
+            if not num:
+                return POLY_ZERO
+            h = gcd(num, den)
+            return _poly(num // h, den // h, _UNIT)
+        # The common factor of ma and mb stays in the content.
+        h = gcd(ma, mb)
+        ma, mb = ma // h, mb // h
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
+            a, b, ma, mb = b, a, mb, ma
+        out = [ma * c for c in a]
         for i, c in enumerate(b):
-            out[i] += c
-        return PolyZ(out)
+            out[i] += mb * c
+        return _normal(out, h, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> PolyZ:
-        return PolyZ(tuple(-c for c in self.coeffs))
+        return _poly(-self._num, self._den, self._prim)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -111,29 +147,39 @@ class PolyZ:
         return other + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return PolyZ()
-        a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return PolyZ(out)
+        if not isinstance(other, PolyZ):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self._prim, other._prim
+        if not a or not b:
+            return POLY_ZERO
+        an, ad, bn, bd = self._num, self._den, other._num, other._den
+        g, h = gcd(an, bd), gcd(bn, ad)
+        # Gauss's lemma: a product of primitive polynomials is primitive.
+        # The primitive part of a constant is (1,).
+        if len(a) == 1:
+            prim = b
+        elif len(b) == 1:
+            prim = a
+        else:
+            prim = _kronecker(a, b)
+        return _poly((an // g) * (bn // h), (ad // h) * (bd // g), prim)
 
     __rmul__ = __mul__
 
     def scale(self, factor) -> PolyZ:
         f = _as_fraction(factor)
-        return PolyZ(tuple(c * f for c in self.coeffs))
+        if not f or not self._prim:
+            return POLY_ZERO
+        n, d = self._num * f.numerator, self._den * f.denominator
+        g = gcd(n, d)
+        return _poly(n // g, d // g, self._prim)
 
     def __pow__(self, exponent: int) -> PolyZ:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial power needs a nonnegative integer")
-        result = PolyZ((1,))
+        result = POLY_ONE
         base = self
         while exponent:
             if exponent & 1:
@@ -143,21 +189,44 @@ class PolyZ:
         return result
 
     def __divmod__(self, other: PolyZ):
+        """Quotient and remainder over Q, by pseudo-division over Z.
+
+        The primitive parts are divided as integer polynomials.  The
+        remainder is multiplied up only when lc(other) fails to divide its
+        current leading coefficient, so an exact division (Gauss's lemma:
+        the quotient of primitive parts is integral) never scales.
+        """
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dn, dd = len(rem) - 1, other.degree
-        if dn < dd:
-            return PolyZ(), self
-        quo = [Fraction(0)] * (dn - dd + 1)
-        inv_lead = 1 / other.leading
-        for k in range(dn - dd, -1, -1):
-            c = rem[k + dd] * inv_lead
-            if c:
-                quo[k] = c
-                for j, oc in enumerate(other.coeffs):
-                    rem[k + j] -= c * oc
-        return PolyZ(quo), PolyZ(rem)
+        a, b = self._prim, other._prim
+        dd = len(b) - 1
+        if len(a) - 1 < dd:
+            return POLY_ZERO, self
+        rem = list(a)
+        quo = [0] * (len(a) - dd)
+        lead = b[-1]
+        scale = 1
+        for k in range(len(a) - 1 - dd, -1, -1):
+            c = rem[k + dd]
+            if not c:
+                continue
+            q, r = divmod(c, lead)
+            if r:
+                m = lead // gcd(c, lead)
+                scale *= m
+                rem = [x * m for x in rem]
+                quo = [x * m for x in quo]
+                q = c * m // lead
+            quo[k] = q
+            for j, bc in enumerate(b):
+                rem[k + j] -= q * bc
+        # scale*a = quo*b + rem, with self = (sn/sd) a and other = (on/od) b.
+        sn, sd, on, od = self._num, self._den, other._num, other._den
+        qn, qd = sn * od, sd * on * scale
+        if qd < 0:
+            qn, qd = -qn, -qd
+        del rem[dd:]
+        return _normal(quo, qn, qd), _normal(rem, sn, sd * scale)
 
     def __mod__(self, other: PolyZ) -> PolyZ:
         return divmod(self, other)[1]
@@ -171,29 +240,37 @@ class PolyZ:
     def monic(self) -> PolyZ:
         if self.is_zero:
             return self
-        return self.scale(1 / self.leading)
+        return _poly(1, self._prim[-1], self._prim)
 
     @staticmethod
     def gcd(a: PolyZ, b: PolyZ) -> PolyZ:
+        """Monic gcd by primitive Euclid: every remainder is kept primitive."""
         while not b.is_zero:
-            a, b = b, (a % b).monic()
+            a, b = b, a % b
         return a.monic()
 
     def evaluate(self, v) -> Fraction:
         v = _as_fraction(v)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
+        vn, vd = v.numerator, v.denominator
+        prim = self._prim
+        if not prim:
+            return Fraction(0)
+        # Horner on vd^deg * p(vn/vd), all in integers.
+        acc, power = prim[-1], 1
+        for c in reversed(prim[:-1]):
+            power *= vd
+            acc = acc * vn + c * power
+        return Fraction(self._num * acc, self._den * power)
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return (self._prim == other._prim and self._num == other._num
+                and self._den == other._den)
 
     def __hash__(self):
-        return hash(("PolyZ", self.coeffs))
+        return hash(("PolyZ", self._num, self._den, self._prim))
 
     def __bool__(self):
         return not self.is_zero
@@ -208,16 +285,83 @@ class PolyZ:
         return f"PolyZ({self})"
 
 
-POLY_ZERO = PolyZ()
-POLY_ONE = PolyZ((1,))
-POLY_Z = PolyZ((0, 1))
+def _poly(num: int, den: int, prim: tuple) -> PolyZ:
+    """A PolyZ from parts that are already canonical."""
+    out = object.__new__(PolyZ)
+    out._num, out._den, out._prim = num, den, prim
+    return out
+
+
+def _const(value) -> PolyZ:
+    """The constant polynomial of an int or Fraction."""
+    if not value:
+        return POLY_ZERO
+    return _poly(value.numerator, value.denominator, _UNIT)
+
+
+def _normal(ints: list, num: int, den: int) -> PolyZ:
+    """The PolyZ (num/den) * ints, for den > 0; ``ints`` is consumed."""
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints or not num:
+        return POLY_ZERO
+    g = gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    if g != 1:
+        ints = [c // g for c in ints]
+        num *= g
+    h = gcd(num, den)
+    return _poly(num // h, den // h, tuple(ints))
+
+
+def _kronecker(a: tuple, b: tuple) -> tuple:
+    """Product of two integer polynomials by Kronecker substitution.
+
+    Each is evaluated at z = 2^w, the two ints are multiplied once, and the
+    product is read back slot by slot from the bottom.  The slot width
+    bounds every product coefficient by 2^(w-1) in absolute value, so a slot
+    read at 2^(w-1) or above is a negative coefficient, which borrows 1 from
+    the slots above it.
+    """
+    w = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+         + min(len(a), len(b)).bit_length() + 1)
+    pa = 0
+    for c in reversed(a):
+        pa = (pa << w) + c
+    if a is b:
+        pb = pa
+    else:
+        pb = 0
+        for c in reversed(b):
+            pb = (pb << w) + c
+    v = pa * pb
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    out = []
+    for _ in range(len(a) + len(b) - 1):
+        c = v & mask
+        v >>= w
+        if c >= half:
+            c -= mask + 1
+            v += 1
+        out.append(c)
+    return tuple(out)
+
+
+_UNIT = (1,)
+
+POLY_ZERO = _poly(0, 1, ())
+POLY_ONE = _poly(1, 1, _UNIT)
+POLY_Z = _poly(1, 1, (0, 1))
 
 
 class Scalar:
     """Element of the fraction field Q(z), always in reduced canonical form.
 
-    The denominator is monic and coprime to the numerator; a pure rational
-    has denominator 1.  Values are immutable.
+    The denominator is monic and coprime to the numerator; a polynomial
+    (in particular a pure rational) has the one ``POLY_ONE`` object as its
+    denominator, so ``is_polynomial`` is an identity test.  Values are
+    immutable.
     """
 
     __slots__ = ("num", "den")
@@ -225,22 +369,22 @@ class Scalar:
     def __init__(self, num=0, den=None):
         num = self._as_poly(num)
         den = POLY_ONE if den is None else self._as_poly(den)
-        if den.is_zero:
-            raise ZeroDivisionError("scalar division by zero")
-        if num.is_zero:
-            num, den = POLY_ZERO, POLY_ONE
-        elif den.degree >= 1:
-            g = PolyZ.gcd(num, den)
-            if g.degree >= 1:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-        if den != POLY_ONE and den.degree == 0:
-            num = num.scale(1 / den.coeffs[0])
-            den = POLY_ONE
-        elif not den.is_zero and den.degree >= 1 and den.leading != 1:
-            inv = 1 / den.leading
-            num = num.scale(inv)
-            den = den.scale(inv)
+        if den is not POLY_ONE:
+            if den.is_zero:
+                raise ZeroDivisionError("scalar division by zero")
+            if num.is_zero:
+                num, den = POLY_ZERO, POLY_ONE
+            else:
+                if den.degree >= 1:
+                    g = PolyZ.gcd(num, den)
+                    if g.degree >= 1:
+                        num = num.exact_div(g)
+                        den = den.exact_div(g)
+                if den.leading != 1:
+                    num = num.scale(1 / den.leading)
+                    den = den.monic()
+                if den.degree == 0:
+                    den = POLY_ONE
         self.num: PolyZ = num
         self.den: PolyZ = den
 
@@ -249,7 +393,7 @@ class Scalar:
         if isinstance(value, PolyZ):
             return value
         if isinstance(value, (int, Fraction)):
-            return PolyZ((value,))
+            return _const(value)
         raise TypeError(f"cannot build Scalar from {type(value).__name__}")
 
     @classmethod
@@ -262,11 +406,11 @@ class Scalar:
 
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return not self.num._prim
 
     @property
     def is_polynomial(self) -> bool:
-        return self.den == POLY_ONE
+        return self.den is POLY_ONE
 
     def as_fraction(self) -> Fraction:
         """The value as a plain rational; raises when z actually occurs."""
@@ -275,11 +419,12 @@ class Scalar:
         return self.num.coefficient(0)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.is_polynomial and other.is_polynomial:
-            return Scalar(self.num + other.num)
+        if not isinstance(other, Scalar):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        if self.den is POLY_ONE and other.den is POLY_ONE:
+            return _polynomial(self.num + other.num)
         return Scalar(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -302,11 +447,12 @@ class Scalar:
         return other + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.is_polynomial and other.is_polynomial:
-            return Scalar(self.num * other.num)
+        if not isinstance(other, Scalar):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        if self.den is POLY_ONE and other.den is POLY_ONE:
+            return _polynomial(self.num * other.num)
         return Scalar(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -349,7 +495,7 @@ class Scalar:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(("Scalar", self.num.coeffs, self.den.coeffs))
+        return hash(("Scalar", self.num, self.den))
 
     def __bool__(self):
         return not self.is_zero
@@ -361,6 +507,13 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self})"
+
+
+def _polynomial(num: PolyZ) -> Scalar:
+    """The Scalar num/1; a polynomial needs no canonicalisation."""
+    out = object.__new__(Scalar)
+    out.num, out.den = num, POLY_ONE
+    return out
 
 
 ZERO = Scalar(0)

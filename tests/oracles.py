@@ -1,6 +1,7 @@
 """Independent reference computations used to freeze expected test values.
 
 Everything here deliberately avoids the library's own algorithms: the
+polynomial kernel is a tuple of Fractions with schoolbook loops, the
 determinants are cofactor expansion and fraction-field elimination, Bell
 numbers come from the binomial recurrence, composition is Horner's rule,
 reversion is Newton iteration, an array acts on a sequence through e.g.f.s,
@@ -23,6 +24,205 @@ from erarray.orthopoly import coeff_array_from_jacobi, invert_lower_triangular
 from erarray.riordan import ProductionMatrix, production_cr
 from erarray.scalars import ONE, ZERO, PolyZ, Scalar, Z
 from erarray.series import Series
+
+
+# The polynomial kernel as a tuple of Fractions, the differential oracle for
+# the integer-packed ``PolyZ``.  It shares no code with the library.
+def _as_fraction(value) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
+
+
+def _format_terms(pairs) -> str:
+    """Render (coefficient, degree) pairs, descending degree, canonical form."""
+    chunks = []
+    for coeff, deg in pairs:
+        negative = coeff < 0
+        mag = -coeff if negative else coeff
+        if deg == 0:
+            body = str(mag)
+        else:
+            var = "z" if deg == 1 else f"z^{deg}"
+            body = var if mag == 1 else f"{mag}*{var}"
+        if not chunks:
+            chunks.append(f"-{body}" if negative else body)
+        else:
+            chunks.append(f" - {body}" if negative else f" + {body}")
+    return "".join(chunks)
+
+
+class FractionPoly:
+    """Dense univariate polynomial in z over Q, ascending coefficients.
+
+    Zero is the empty tuple; otherwise the last coefficient is nonzero.
+    Every coefficient is a ``Fraction``, and multiplication and division
+    are schoolbook loops: the reference for the library's ``PolyZ``.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = [_as_fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+
+    @classmethod
+    def const(cls, value) -> FractionPoly:
+        return cls((_as_fraction(value),))
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def leading(self) -> Fraction:
+        if not self.coeffs:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+    def coefficient(self, k: int) -> Fraction:
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+
+    def _coerce(self, other):
+        if isinstance(other, FractionPoly):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return FractionPoly((other,))
+        return None
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return FractionPoly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> FractionPoly:
+        return FractionPoly(tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        if self.is_zero or other.is_zero:
+            return FractionPoly()
+        a, b = self.coeffs, other.coeffs
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    out[i + j] += ai * bj
+        return FractionPoly(out)
+
+    __rmul__ = __mul__
+
+    def scale(self, factor) -> FractionPoly:
+        f = _as_fraction(factor)
+        return FractionPoly(tuple(c * f for c in self.coeffs))
+
+    def __pow__(self, exponent: int) -> FractionPoly:
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError("polynomial power needs a nonnegative integer")
+        result = FractionPoly((1,))
+        base = self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            base = base * base
+            exponent >>= 1
+        return result
+
+    def __divmod__(self, other: FractionPoly):
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        dn, dd = len(rem) - 1, other.degree
+        if dn < dd:
+            return FractionPoly(), self
+        quo = [Fraction(0)] * (dn - dd + 1)
+        inv_lead = 1 / other.leading
+        for k in range(dn - dd, -1, -1):
+            c = rem[k + dd] * inv_lead
+            if c:
+                quo[k] = c
+                for j, oc in enumerate(other.coeffs):
+                    rem[k + j] -= c * oc
+        return FractionPoly(quo), FractionPoly(rem)
+
+    def __mod__(self, other: FractionPoly) -> FractionPoly:
+        return divmod(self, other)[1]
+
+    def exact_div(self, other: FractionPoly) -> FractionPoly:
+        quo, rem = divmod(self, other)
+        if not rem.is_zero:
+            raise ArithmeticError("inexact polynomial division")
+        return quo
+
+    def monic(self) -> FractionPoly:
+        if self.is_zero:
+            return self
+        return self.scale(1 / self.leading)
+
+    @staticmethod
+    def gcd(a: FractionPoly, b: FractionPoly) -> FractionPoly:
+        while not b.is_zero:
+            a, b = b, (a % b).monic()
+        return a.monic()
+
+    def evaluate(self, v) -> Fraction:
+        v = _as_fraction(v)
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * v + c
+        return acc
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(("FractionPoly", self.coeffs))
+
+    def __bool__(self):
+        return not self.is_zero
+
+    def __str__(self):
+        if self.is_zero:
+            return "0"
+        pairs = [(c, k) for k, c in sorted(enumerate(self.coeffs), reverse=True) if c]
+        return _format_terms(pairs)
+
+    def __repr__(self):
+        return f"FractionPoly({self})"
 
 
 def det_cofactor(rows) -> Scalar:

@@ -179,6 +179,19 @@ class TestInverse:
             a = er_build(*random_pair(rng, n, with_z=True))
             assert er_mul(a, er_inverse(a)).entries == identity(n).entries
 
+    def test_f_reverted_once_per_array(self, monkeypatch):
+        reverted = []
+        revert = Series.revert
+        monkeypatch.setattr(Series, "revert", lambda f: reverted.append(f) or revert(f))
+        a = er_build(*named_pair("thm2", 6))
+        inv = er_inverse(a)
+        production_from_pair(a)
+        production_from_pair(inv)
+        assert reverted == [a.f]
+        # The inverse's cached fbar is a.f, which is the reversion of its f.
+        assert inv.fbar == revert(inv.f)
+        assert er_inverse(inv).entries == a.entries
+
 
 class TestApply:
     def test_bell_row_sums(self):

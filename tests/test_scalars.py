@@ -4,10 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from erarray.scalars import ONE, POLY_ONE, ZERO, PolyZ, Scalar, Z
 
-from oracles import random_fraction
+from oracles import ORACLE_SETTINGS, FractionPoly, random_fraction
 
 
 def poly(*coeffs):
@@ -163,3 +165,192 @@ class TestCanonicalString:
     )
     def test_rendering(self, value, text):
         assert str(value) == text
+
+
+# Differential tests of the integer-packed PolyZ against FractionPoly, the
+# tuple-of-Fractions kernel it replaced.  Coefficient lists are integer
+# polynomials of a chosen sign shape times a rational content, sometimes with
+# a denominator per term as well.
+
+SHAPES = ("random", "negative", "alternating", "sparse", "edge")
+
+
+@st.composite
+def coefficient_lists(draw, shape, max_degree=40, max_bits=200):
+    # One drawn Random builds the list: drawing 41 integers of 200 bits one
+    # by one costs hypothesis far more than the arithmetic under test.
+    rng = draw(st.randoms(use_true_random=False))
+    degree = rng.randint(0, max_degree)
+    bits = rng.randint(1, max_bits)
+    bound = 1 << bits
+    if shape == "edge":
+        # Bit-length boundaries: +-2^k and +-(2^k - 1).
+        ints = [rng.choice((bound, bound - 1, -bound, 1 - bound)) for _ in range(degree + 1)]
+    else:
+        ints = [rng.randint(-bound, bound) for _ in range(degree + 1)]
+    if shape == "negative":
+        ints = [-abs(c) for c in ints]
+    elif shape == "alternating":
+        ints = [abs(c) if k % 2 == 0 else -abs(c) for k, c in enumerate(ints)]
+    elif shape == "sparse":
+        ints = [c if rng.random() < 0.5 else 0 for c in ints]
+    if ints[-1] == 0:
+        ints[-1] = bound
+    content = Fraction(rng.choice((-1, 1)) * rng.randint(1, 1 << 64), rng.randint(1, 1 << 64))
+    coeffs = [content * c for c in ints]
+    if rng.random() < 0.5:
+        coeffs = [c / rng.randint(1, 30) for c in coeffs]
+    return coeffs
+
+
+def assert_same(poly: PolyZ, ref: FractionPoly):
+    """Equal coefficients, and the canonical form of ref's coefficients."""
+    assert isinstance(poly, PolyZ)
+    assert poly.coeffs == ref.coeffs
+    rebuilt = PolyZ(ref.coeffs)
+    assert poly == rebuilt and hash(poly) == hash(rebuilt)
+
+
+class TestAgainstFractionPoly:
+    # Multiplication and division run each shape; the other operations
+    # draw the shape, which keeps the oracle's cost down.
+    @pytest.mark.parametrize("shape", SHAPES)
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_ring_operations(self, shape, data):
+        ca = data.draw(coefficient_lists(shape))
+        cb = data.draw(coefficient_lists(shape))
+        a, b, fa, fb = PolyZ(ca), PolyZ(cb), FractionPoly(ca), FractionPoly(cb)
+        assert_same(a, fa)
+        assert_same(a + b, fa + fb)
+        assert_same(a - b, fa - fb)
+        assert_same(-a, -fa)
+        assert_same(a * b, fa * fb)
+        assert_same(a - a, fa - fa)
+        assert_same(3 - a, 3 - fa)
+        assert_same(a + Fraction(1, 3), fa + Fraction(1, 3))
+        factor = data.draw(st.fractions(max_denominator=1 << 40))
+        assert_same(a.scale(factor), fa.scale(factor))
+        assert_same(a * factor, fa * factor)
+        cc = data.draw(coefficient_lists(shape, max_degree=12))
+        e = data.draw(st.integers(0, 3))
+        assert_same(PolyZ(cc) ** e, FractionPoly(cc) ** e)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_division(self, shape, data):
+        ca = data.draw(coefficient_lists(shape))
+        cb = data.draw(coefficient_lists(shape, max_degree=25))
+        a, b, fa, fb = PolyZ(ca), PolyZ(cb), FractionPoly(ca), FractionPoly(cb)
+        q, r = divmod(a, b)
+        fq, fr = divmod(fa, fb)
+        assert_same(q, fq)
+        assert_same(r, fr)
+        assert_same(a % b, fa % fb)
+        assert_same((a * b).exact_div(b), fa)
+        if fr.is_zero:
+            assert_same(a.exact_div(b), fa.exact_div(fb))
+        else:
+            with pytest.raises(ArithmeticError):
+                a.exact_div(b)
+            with pytest.raises(ArithmeticError):
+                fa.exact_div(fb)
+        with pytest.raises(ZeroDivisionError):
+            divmod(a, PolyZ())
+
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_gcd_and_monic(self, data):
+        shape = data.draw(st.sampled_from(SHAPES))
+        cg = data.draw(coefficient_lists(shape, max_degree=12, max_bits=40))
+        cu = data.draw(coefficient_lists(shape, max_degree=14, max_bits=40))
+        cv = data.draw(coefficient_lists(shape, max_degree=14, max_bits=40))
+        g, fg = PolyZ(cg), FractionPoly(cg)
+        a, fa = g * PolyZ(cu), fg * FractionPoly(cu)
+        b, fb = g * PolyZ(cv), fg * FractionPoly(cv)
+        assert_same(PolyZ.gcd(a, b), FractionPoly.gcd(fa, fb))
+        assert_same(PolyZ.gcd(a, PolyZ()), FractionPoly.gcd(fa, FractionPoly()))
+        assert_same(a.monic(), fa.monic())
+
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_accessors(self, data):
+        shape = data.draw(st.sampled_from(SHAPES))
+        ca = data.draw(coefficient_lists(shape))
+        a, fa = PolyZ(ca), FractionPoly(ca)
+        v = data.draw(st.fractions(max_denominator=1 << 20))
+        assert a.evaluate(v) == fa.evaluate(v)
+        assert a.evaluate(0) == fa.evaluate(0)
+        for k in range(-1, fa.degree + 2):
+            assert a.coefficient(k) == fa.coefficient(k)
+        assert a.leading == fa.leading
+        assert a.degree == fa.degree
+        assert a.coeffs == fa.coeffs
+        assert all(type(c) is Fraction for c in a.coeffs)
+        assert str(a) == str(fa)
+        assert (a.is_zero, bool(a)) == (fa.is_zero, bool(fa))
+
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_equality_and_hash(self, data):
+        shape = data.draw(st.sampled_from(SHAPES))
+        ca = data.draw(coefficient_lists(shape))
+        cb = data.draw(coefficient_lists(shape))
+        a, b, fa, fb = PolyZ(ca), PolyZ(cb), FractionPoly(ca), FractionPoly(cb)
+        assert (a == b) == (fa == fb)
+        round_trip = (a + b) - b
+        assert round_trip == a and hash(round_trip) == hash(a)
+        scaled = a.scale(Fraction(7, 3)).scale(Fraction(3, 7))
+        assert scaled == a and hash(scaled) == hash(a)
+
+
+def test_zero_polynomial_against_oracle():
+    zero, fzero = PolyZ(), FractionPoly()
+    a, fa = PolyZ([Fraction(1, 2), -3]), FractionPoly([Fraction(1, 2), -3])
+    assert_same(zero, fzero)
+    assert_same(zero + a, fzero + fa)
+    assert_same(zero * a, fzero * fa)
+    assert_same(a.scale(0), fa.scale(0))
+    assert_same(divmod(zero, a)[0], divmod(fzero, fa)[0])
+    assert_same(zero.monic(), fzero.monic())
+    assert zero.evaluate(5) == fzero.evaluate(5) == 0
+    assert str(zero) == "0" and zero.degree == -1
+    with pytest.raises(ValueError):
+        zero.leading
+
+
+@pytest.mark.parametrize("bits", [1, 8, 9, 64, 200])
+@pytest.mark.parametrize("length", [1, 2, 7, 8, 41])
+def test_kronecker_slot_extremes(bits, length):
+    # Every coefficient at the largest magnitude of its bit length, so the
+    # middle product coefficient, length * (2^bits - 1)^2, comes as close to
+    # the slot bound as the inputs allow; the signs make every slot borrow,
+    # none borrow, or alternate.
+    top = (1 << bits) - 1
+    rows = ([-top] * length, [top] * length,
+            [top if k % 2 else -top for k in range(length)],
+            [1 << (bits - 1)] * length)
+    for ca in rows:
+        for cb in rows:
+            assert_same(PolyZ(ca) * PolyZ(cb), FractionPoly(ca) * FractionPoly(cb))
+
+
+class TestPolynomialScalars:
+    """Every polynomial Scalar carries the one POLY_ONE object as denominator."""
+
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_results_share_poly_one(self, data):
+        def scalar():
+            cs = data.draw(coefficient_lists("random", max_degree=6, max_bits=30))
+            return Scalar(PolyZ(cs))
+
+        a, b = scalar(), scalar()
+        c = Scalar(data.draw(st.fractions().filter(bool)))
+        results = [a + b, a - b, a * b, -a, a ** 3, a ** 0, a / c, c / c,
+                   (a * b) / b, a + 2, 2 * a, a / 3, c ** -2,
+                   Scalar(a.num, PolyZ([5])), (a / (Z + 1)) * (Z + 1)]
+        for r in results:
+            assert r.is_polynomial and r.den is POLY_ONE
+        assert (a / (Z + 1)).den is not POLY_ONE

@@ -260,8 +260,8 @@ class TestAgainstOracles:
     @ORACLE_SETTINGS
     @given(data=st.data())
     def test_revert_matches_newton_z_lead(self, data):
-        # f'(0) a function of z puts its powers in every denominator, so the
-        # orders stay low.
-        n = data.draw(st.integers(1, 3))
+        # f'(0) a function of z puts its powers in every denominator; the
+        # Newton oracle's cost grows fastest with the order, so it stops at 5.
+        n = data.draw(st.integers(1, 5))
         f = data.draw(series_of(rational_scalars, n, lead=rational_scalars))
         assert f.revert() == revert_newton(f)
