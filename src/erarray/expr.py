@@ -4,17 +4,19 @@ Grammar (whitespace insignificant, no implicit multiplication):
 
     expr     := term (('+'|'-') term)*
     term     := factor (('*'|'/') factor)*
-    factor   := atom ('^' exponent)?
+    factor   := '-' factor | atom ('^' exponent)?
     atom     := rational | 'x' | 'z' | '(' expr ')'
-              | ('exp'|'log'|'ln') '(' expr ')' | '-' atom
+              | ('exp'|'log'|'ln') '(' expr ')'
     exponent := sint | '(' sint ')'
     rational := uint ('/' uint)?
     sint     := '-'? uint
 
 The rational alternative is matched greedily, so ``3/4`` is a literal while
-``3/x`` is a division.  ``ln`` is an alias for ``log``.  Exponents are
-integer literals only (parenthesised negative exponents are accepted since
-``exp(x)^(-1)`` is the natural spelling).
+``3/x`` is a division.  A unary minus applies to the whole power, so
+``-z^2`` is -(z^2), which is how the canonical ``str`` of a Scalar writes
+it.  ``ln`` is an alias for ``log``.  Exponents are integer literals only
+(parenthesised negative exponents are accepted since ``exp(x)^(-1)`` is the
+natural spelling).
 """
 
 from __future__ import annotations
@@ -186,6 +188,11 @@ class _Parser:
         return node
 
     def factor(self):
+        tok = self.peek()
+        if tok[0] == "-":
+            self.advance()
+            child = self.factor()
+            return Neg(child, (tok[2], child.span[1]))
         node = self.atom()
         if self.peek()[0] == "^":
             self.advance()
@@ -213,10 +220,6 @@ class _Parser:
     def atom(self):
         tok = self.peek()
         kind, value, offset = tok
-        if kind == "-":
-            self.advance()
-            child = self.atom()
-            return Neg(child, (offset, child.span[1]))
         if kind == "uint":
             self.advance()
             end = offset + len(value)

@@ -7,18 +7,95 @@ to identical values and re-serializes byte-identically.
 from __future__ import annotations
 
 import json
+import re
+from math import lcm
 
 from .expr import parse_scalar
 from .orthopoly import JacobiParams, MomentSequence
-from .scalars import Scalar
+from .scalars import PolyZ, Scalar
 
 
 def _dump(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def scalar_from_string(text: str) -> Scalar:
-    return parse_scalar(text)
+# -- reading scalars --
+
+#: One term of a canonical polynomial: [-][c[/d]*]z[^k] or [-]c[/d].
+_TERM = re.compile(r"(-?)(?:(\d+)(?:/(\d+))?\*)?z(?:\^(\d+))?|(-?)(\d+)(?:/(\d+))?", re.ASCII)
+
+
+def _read_poly(text: str) -> PolyZ | None:
+    """The polynomial written as ``str(PolyZ)`` writes it, or None.
+
+    Terms are joined by " + " and " - "; their order does not matter, and
+    repeated degrees add up.
+    """
+    coeffs = []  # (numerator, denominator, degree)
+    for piece in text.replace(" - ", " + -").split(" + "):
+        m = _TERM.fullmatch(piece)
+        if m is None:
+            return None
+        sign, num, den, deg, csign, cnum, cden = m.groups()
+        if cnum is not None:
+            sign, num, den, deg = csign, cnum, cden, 0
+        num = int(num) if num is not None else 1
+        den = int(den) if den is not None else 1
+        if not den:
+            return None
+        coeffs.append((-num if sign else num, den, 1 if deg is None else int(deg)))
+    common = lcm(*(den for _, den, _ in coeffs))
+    ints = [0] * (max(deg for _, _, deg in coeffs) + 1)
+    for num, den, deg in coeffs:
+        ints[deg] += num * (common // den)
+    return PolyZ.from_integers(ints, common)
+
+
+def _read_canonical(text: str) -> Scalar | None:
+    """The Scalar written in the canonical ``str(Scalar)`` form, a
+    polynomial or "(num)/(den)", or None when ``text`` is not in that form."""
+    if not text.startswith("("):
+        num = _read_poly(text)
+        return None if num is None else Scalar(num)
+    num, sep, den = text[1:-1].partition(")/(")
+    if not sep or not text.endswith(")"):
+        return None
+    num, den = _read_poly(num), _read_poly(den)
+    if num is None or den is None or den.is_zero:
+        return None
+    return Scalar(num, den)
+
+
+def _read_scalar(text: str) -> Scalar:
+    """Read one scalar: the canonical form directly, anything else through
+    the expression parser."""
+    value = _read_canonical(text)
+    return parse_scalar(text) if value is None else value
+
+
+def _json_kind(value) -> str:
+    return {str: "a string", int: "an integer", float: "a non-integer number",
+            dict: "an object", list: "a list", bool: "a boolean"}.get(type(value), "null")
+
+
+def _read_cell(where: str, cell) -> Scalar:
+    """A JSON cell: a scalar string or an integer; ``where`` names it in
+    errors."""
+    if isinstance(cell, str):
+        try:
+            return _read_scalar(cell)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    if isinstance(cell, int) and not isinstance(cell, bool):
+        return Scalar(cell)
+    raise ValueError(f"{where}: expected a string or an integer, got {_json_kind(cell)}")
+
+
+def _read_list(what: str, label: str, data) -> list[Scalar]:
+    """A JSON list of cells, the i-th named "label i" in errors."""
+    if not isinstance(data, list):
+        raise ValueError(f"{what} must be a list of terms, got {_json_kind(data)}")
+    return [_read_cell(f"{label} {i}", cell) for i, cell in enumerate(data)]
 
 
 # -- triangles (ERArray entries, production matrices, coefficient arrays) --
@@ -39,7 +116,8 @@ def triangle_to_json(entries, lower: bool = True) -> str:
 def triangle_from_json(text: str):
     data = json.loads(text)
     return tuple(
-        tuple(scalar_from_string(cell) for cell in row) for row in data["rows"]
+        tuple(_read_cell(f"row {n} entry {k}", cell) for k, cell in enumerate(row))
+        for n, row in enumerate(data["rows"])
     )
 
 
@@ -85,8 +163,8 @@ def sequence_to_json(terms) -> str:
 
 
 def sequence_from_json(text: str) -> list[Scalar]:
-    data = json.loads(text)
-    return [scalar_from_string(cell) for cell in data]
+    """Read a JSON list whose cells are scalar strings or integers."""
+    return _read_list("a JSON sequence", "term", json.loads(text))
 
 
 def sequence_to_plain(terms) -> str:
@@ -139,16 +217,18 @@ def jacobi_to_json(params: JacobiParams, extra: dict | None = None) -> str:
 
 def jacobi_from_json(text: str) -> JacobiParams:
     data = json.loads(text)
+    if not isinstance(data, dict) or not {"a0", "alpha", "beta"} <= data.keys():
+        raise ValueError('Jacobi JSON must be an object with "a0", "alpha" and "beta"')
     return JacobiParams(
-        alpha=tuple(scalar_from_string(a) for a in data["alpha"]),
-        beta=tuple(scalar_from_string(b) for b in data["beta"]),
-        a0=scalar_from_string(data["a0"]),
+        alpha=tuple(_read_list('"alpha"', "alpha", data["alpha"])),
+        beta=tuple(_read_list('"beta"', "beta", data["beta"])),
+        a0=_read_cell("a0", data["a0"]),
     )
 
 
 def moments_from_file_text(text: str) -> MomentSequence:
-    """Sequence ingestion: JSON list of scalar strings, or b-file lines."""
-    stripped = text.lstrip()
-    if stripped.startswith("["):
+    """Sequence ingestion: a JSON list of scalar strings and integers, or
+    b-file lines.  Text that starts like a JSON document is read as JSON."""
+    if text.lstrip()[:1] in ("[", "{", '"'):
         return MomentSequence(tuple(sequence_from_json(text)))
     return MomentSequence(tuple(sequence_from_bfile(text)))

@@ -3,8 +3,10 @@
 Determinants of polynomial matrices use Bareiss fraction-free elimination,
 which keeps every intermediate value in Q[z] via exact divisions.  Matrices
 with genuine rational-function entries are cleared column-wise to polynomial
-form first (tracking the cleared factor).  The tests check this one route
-against fraction-field Gaussian elimination and cofactor expansion.
+form first (tracking the cleared factor).  The Hankel transform reads all
+its determinants off the pivots of one such elimination.  The tests check
+these routes against fraction-field Gaussian elimination and cofactor
+expansion.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from math import comb
 
 from .orthopoly import JacobiParams, MomentSequence
-from .scalars import ONE, POLY_ONE, ZERO, PolyZ, Scalar
+from .scalars import POLY_ONE, POLY_ZERO, ZERO, PolyZ, Scalar
 
 
 def _terms(seq) -> tuple[Scalar, ...]:
@@ -27,65 +29,100 @@ def _terms(seq) -> tuple[Scalar, ...]:
     return tuple(out)
 
 
+def _square(m):
+    """``m`` itself, after checking that it is square."""
+    for row in m:
+        if len(row) != len(m):
+            raise ValueError("determinant needs a square matrix")
+    return m
+
+
+def _pivots(m, swap_rows: bool):
+    """Yield the pivots of one-step Bareiss elimination of the square PolyZ
+    matrix ``m``, which is eliminated in place.
+
+    Every division by the previous pivot is exact in Q[z], and by
+    Sylvester's identity the k-th pivot is the leading principal k x k minor
+    (Bareiss, Math. Comp. 22, 1968).  A vanishing pivot ends the run with a
+    zero unless ``swap_rows`` is set and some row below has a nonzero entry
+    in the pivot column; that row is swapped up and negated, which keeps
+    the determinant, so the last pivot is the determinant.
+    """
+    size = len(m)
+    prev = POLY_ONE
+    for k in range(size):
+        if m[k][k].is_zero:
+            below = range(k + 1, size) if swap_rows else ()
+            i = next((i for i in below if not m[i][k].is_zero), None)
+            if i is None:
+                yield POLY_ZERO
+                return
+            m[k], m[i] = [-e for e in m[i]], m[k]
+        pivot = m[k][k]
+        yield pivot
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                m[i][j] = (pivot * m[i][j] - m[i][k] * m[k][j]).exact_div(prev)
+            m[i][k] = POLY_ZERO
+        prev = pivot
+
+
 def det_bareiss(rows) -> PolyZ:
     """Fraction-free determinant of a square PolyZ matrix.
 
-    One-step Bareiss: every division by the previous pivot is exact in
-    Q[z].  Vanishing pivots are handled by row swaps (sign tracked); a
-    fully zero pivot column means the determinant is zero.
+    Vanishing pivots are handled by row swaps; a fully zero pivot column
+    means the determinant is zero.
     """
-    m = [list(row) for row in rows]
-    size = len(m)
-    for row in m:
-        if len(row) != size:
-            raise ValueError("determinant needs a square matrix")
-    if size == 0:
-        return POLY_ONE
-    sign = 1
-    prev = POLY_ONE
-    for k in range(size - 1):
-        if m[k][k].is_zero:
-            for i in range(k + 1, size):
-                if not m[i][k].is_zero:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return PolyZ()
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]).exact_div(prev)
-            m[i][k] = PolyZ()
-        prev = m[k][k]
-    det = m[size - 1][size - 1]
-    return -det if sign < 0 else det
+    pivots = list(_pivots(_square([list(row) for row in rows]), swap_rows=True))
+    return pivots[-1] if pivots else POLY_ONE
+
+
+def _clear_columns(m) -> tuple[list[list[PolyZ]], list[PolyZ]]:
+    """Scale each column of a square Scalar matrix by the lcm of its
+    denominators.
+
+    Returns the polynomial matrix and the column factors.  A column of
+    polynomials has the factor ``POLY_ONE`` and keeps its numerators.
+    """
+    _square(m)
+    factors = []
+    for j in range(len(m)):
+        lcm = POLY_ONE
+        for row in m:
+            den = row[j].den
+            if den is not POLY_ONE:
+                lcm = den if lcm is POLY_ONE else lcm * den.exact_div(PolyZ.gcd(lcm, den))
+        factors.append(lcm)
+    rows = [[_cleared(e, f) for e, f in zip(row, factors)] for row in m]
+    return rows, factors
+
+
+def _cleared(e: Scalar, f: PolyZ) -> PolyZ:
+    """The polynomial e * f, for f a multiple of the denominator of e."""
+    if f is POLY_ONE:
+        return e.num
+    return e.num * (f if e.den is POLY_ONE else f.exact_div(e.den))
+
+
+def _times(a: PolyZ, b: PolyZ) -> PolyZ:
+    """a * b for column factors; a product of ones stays the one POLY_ONE."""
+    if b is POLY_ONE:
+        return a
+    return b if a is POLY_ONE else a * b
 
 
 def det_scalar(rows) -> Scalar:
-    """Exact determinant of a square Scalar matrix, input-driven.
+    """Exact determinant of a square Scalar matrix.
 
-    Polynomial entries go straight to Bareiss; otherwise each column is
-    cleared to polynomial form by its denominator lcm and the cleared
-    factor divided back out of the fraction-free result.
+    Each column is cleared to polynomial form by its denominator lcm, and
+    the product of the column factors is divided back out of the
+    fraction-free result.
     """
-    m = [[Scalar._coerce(e) for e in row] for row in rows]
-    size = len(m)
-    if all(e.is_polynomial for row in m for e in row):
-        return Scalar(det_bareiss([[e.num for e in row] for row in m]))
-    cleared = ONE
-    cols = []
-    for j in range(size):
-        lcm = POLY_ONE
-        for i in range(size):
-            den = m[i][j].den
-            lcm = lcm * den.exact_div(PolyZ.gcd(lcm, den))
-        cleared = cleared * Scalar(lcm)
-        cols.append(lcm)
-    poly_rows = [
-        [m[i][j].num * cols[j].exact_div(m[i][j].den) for j in range(size)]
-        for i in range(size)
-    ]
-    return Scalar(det_bareiss(poly_rows)) / cleared
+    poly_rows, factors = _clear_columns([[Scalar._coerce(e) for e in row] for row in rows])
+    cleared = POLY_ONE
+    for f in factors:
+        cleared = _times(cleared, f)
+    return Scalar(det_bareiss(poly_rows), cleared)
 
 
 def hankel_matrix(seq, n: int):
@@ -103,12 +140,25 @@ def hankel_det(seq, n: int) -> Scalar:
 
 
 def hankel_transform(seq, nmax: int) -> list[Scalar]:
-    """The sequence h_0..h_nmax of Hankel determinants."""
+    """The sequence h_0..h_nmax of Hankel determinants.
+
+    One elimination of the (nmax+1) x (nmax+1) Hankel matrix, cleared
+    column-wise to polynomial form, gives them all: its k-th pivot is the
+    leading minor h_k times the first k+1 column factors.  A vanishing
+    pivot makes that h_k zero, and the larger sizes are then computed one
+    by one by ``hankel_det``, whose row swaps get past the zero pivot.
+    """
     terms = _terms(seq)
     needed = 2 * nmax + 1
     if len(terms) < needed:
         raise ValueError(f"need {needed} terms, have {len(terms)}")
-    return [hankel_det(terms, n) for n in range(nmax + 1)]
+    poly_rows, factors = _clear_columns(hankel_matrix(terms, nmax))
+    out = []
+    cleared = POLY_ONE
+    for pivot, f in zip(_pivots(poly_rows, swap_rows=False), factors):
+        cleared = _times(cleared, f)
+        out.append(Scalar(pivot, cleared))
+    return out + [hankel_det(terms, n) for n in range(len(out), nmax + 1)]
 
 
 def hankel_from_betas(params: JacobiParams, nmax: int) -> list[Scalar]:

@@ -181,61 +181,61 @@ class JacobiRecovery:
 
 
 def jacobi_from_moments(moments) -> JacobiRecovery:
-    """Recover (alpha, beta) from raw moments by the exact Stieltjes procedure.
+    """Recover (alpha, beta) from raw moments by the Chebyshev algorithm.
 
-    Builds the monic orthogonal polynomials against the moment functional
-    L(x^k) = a_k, with alpha_n = L(x p_n^2)/L(p_n^2) and
-    beta_n = L(p_n^2)/L(p_{n-1}^2); stops when moments run out or a beta
-    vanishes.
+    Row k of the tableau holds sigma_k(l) = L(p_k x^l) for the moment
+    functional L(x^l) = a_l and the monic orthogonal polynomials p_k, so
+    sigma_0(l) = a_l and
+
+        sigma_k(l) = sigma_{k-1}(l+1) - alpha_{k-1} sigma_{k-1}(l)
+                     - beta_{k-1} sigma_{k-2}(l),
+
+    and with s_k = sigma_k(k) = L(p_k^2),
+
+        alpha_k = sigma_k(k+1)/s_k - sigma_{k-1}(k)/s_{k-1},
+        beta_k = s_k/s_{k-1}
+
+    (Gautschi, "On generating orthogonal polynomials", 1982).  That is
+    O(n^2) ring operations and two divisions per step.  Recovery stops when
+    the moments run out or some s_k, k >= 1, vanishes (``finite_support``).
     """
     terms = moments.terms if isinstance(moments, MomentSequence) else tuple(
         _as_scalar(t) for t in moments
     )
+    if not terms:
+        raise ValueError("jacobi recovery needs at least one moment")
     if terms[0].is_zero:
         raise ValueError("jacobi recovery needs a_0 != 0")
     top = len(terms) - 1
-
-    def functional(u: list[Scalar], v: list[Scalar]) -> Scalar:
-        acc = ZERO
-        for i, ui in enumerate(u):
-            if ui.is_zero:
-                continue
-            for j, vj in enumerate(v):
-                if not vj.is_zero:
-                    acc = acc + ui * vj * terms[i + j]
-        return acc
-
-    def x_shift(u: list[Scalar]) -> list[Scalar]:
-        return [ZERO] + u
-
     alpha: list[Scalar] = []
     beta: list[Scalar] = []
     finite_support = False
+    # Rows k-1 and k of the tableau, indexed by l; only l >= k is used.
     prev: list[Scalar] = []
-    cur: list[Scalar] = [ONE]
-    norms: list[Scalar] = []
-    n = 0
-    while True:
-        if 2 * n > top:
-            break
-        s_n = functional(cur, cur)
-        if n >= 1 and s_n.is_zero:
+    row = list(terms)
+    s_prev = ratio_prev = b = ZERO
+    k = 0
+    while 2 * k <= top:
+        s = row[k]
+        if k >= 1 and s.is_zero:
             finite_support = True
             break
-        if 2 * n + 1 > top:
+        if 2 * k + 1 > top:
             break
-        a_n = functional(x_shift(cur), cur) / s_n
-        if n >= 1:
-            beta.append(s_n / norms[-1])
-        alpha.append(a_n)
-        norms.append(s_n)
-        nxt = [c for c in x_shift(cur)]
-        for k, c in enumerate(cur):
-            nxt[k] = nxt[k] - a_n * c
-        if n >= 1:
-            for k, c in enumerate(prev):
-                nxt[k] = nxt[k] - beta[-1] * c
-        prev, cur = cur, nxt
-        n += 1
+        ratio = row[k + 1] / s
+        a = ratio - ratio_prev if k else ratio
+        alpha.append(a)
+        if k:
+            b = s / s_prev
+            beta.append(b)
+        nxt = [ZERO] * (top - k)
+        for l in range(k + 1, top - k):
+            acc = row[l + 1] - a * row[l]
+            if k >= 1:
+                acc = acc - b * prev[l]
+            nxt[l] = acc
+        prev, row = row, nxt
+        s_prev, ratio_prev = s, ratio
+        k += 1
     params = JacobiParams(tuple(alpha), tuple(beta), a0=terms[0])
     return JacobiRecovery(params=params, depth=len(alpha), finite_support=finite_support)

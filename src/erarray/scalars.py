@@ -65,6 +65,11 @@ class PolyZ:
     def const(cls, value) -> PolyZ:
         return _const(_as_fraction(value))
 
+    @classmethod
+    def from_integers(cls, ints, den: int = 1) -> PolyZ:
+        """The polynomial (ints[0] + ints[1] z + ...) / den, for den > 0."""
+        return _normal(list(ints), 1, den)
+
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """Ascending rational coefficients; empty for zero, last one nonzero."""

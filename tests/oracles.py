@@ -6,7 +6,8 @@ determinants are cofactor expansion and fraction-field elimination, Bell
 numbers come from the binomial recurrence, composition is Horner's rule,
 reversion is Newton iteration, an array acts on a sequence through e.g.f.s,
 production matrices are read off the bivariate generating function, moments
-come from inverting the monic coefficient array, and the random generators
+come from inverting the monic coefficient array, Jacobi data is recovered
+from moments by the Stieltjes procedure, and the random generators
 only build inputs.  Each library call computes one route; the tests compare
 it with these.
 """
@@ -20,7 +21,14 @@ from math import comb, factorial
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from erarray.orthopoly import coeff_array_from_jacobi, invert_lower_triangular
+from erarray.orthopoly import (
+    JacobiParams,
+    JacobiRecovery,
+    MomentSequence,
+    _as_scalar,
+    coeff_array_from_jacobi,
+    invert_lower_triangular,
+)
 from erarray.riordan import ProductionMatrix, production_cr
 from erarray.scalars import ONE, ZERO, PolyZ, Scalar, Z
 from erarray.series import Series
@@ -379,6 +387,67 @@ def moments_by_inverse(params, count: int) -> tuple[Scalar, ...]:
     """Moments a0 (A^-1)[n][0], A the monic coefficient array of the data."""
     inv = invert_lower_triangular(coeff_array_from_jacobi(params, count))
     return tuple(params.a0 * inv[n][0] for n in range(count + 1))
+
+
+def jacobi_by_stieltjes(moments) -> JacobiRecovery:
+    """Recover (alpha, beta) from raw moments by the exact Stieltjes procedure.
+
+    Builds the monic orthogonal polynomials against the moment functional
+    L(x^k) = a_k, with alpha_n = L(x p_n^2)/L(p_n^2) and
+    beta_n = L(p_n^2)/L(p_{n-1}^2); stops when moments run out or a beta
+    vanishes.
+    """
+    terms = moments.terms if isinstance(moments, MomentSequence) else tuple(
+        _as_scalar(t) for t in moments
+    )
+    if terms[0].is_zero:
+        raise ValueError("jacobi recovery needs a_0 != 0")
+    top = len(terms) - 1
+
+    def functional(u: list[Scalar], v: list[Scalar]) -> Scalar:
+        acc = ZERO
+        for i, ui in enumerate(u):
+            if ui.is_zero:
+                continue
+            for j, vj in enumerate(v):
+                if not vj.is_zero:
+                    acc = acc + ui * vj * terms[i + j]
+        return acc
+
+    def x_shift(u: list[Scalar]) -> list[Scalar]:
+        return [ZERO] + u
+
+    alpha: list[Scalar] = []
+    beta: list[Scalar] = []
+    finite_support = False
+    prev: list[Scalar] = []
+    cur: list[Scalar] = [ONE]
+    norms: list[Scalar] = []
+    n = 0
+    while True:
+        if 2 * n > top:
+            break
+        s_n = functional(cur, cur)
+        if n >= 1 and s_n.is_zero:
+            finite_support = True
+            break
+        if 2 * n + 1 > top:
+            break
+        a_n = functional(x_shift(cur), cur) / s_n
+        if n >= 1:
+            beta.append(s_n / norms[-1])
+        alpha.append(a_n)
+        norms.append(s_n)
+        nxt = [c for c in x_shift(cur)]
+        for k, c in enumerate(cur):
+            nxt[k] = nxt[k] - a_n * c
+        if n >= 1:
+            for k, c in enumerate(prev):
+                nxt[k] = nxt[k] - beta[-1] * c
+        prev, cur = cur, nxt
+        n += 1
+    params = JacobiParams(tuple(alpha), tuple(beta), a0=terms[0])
+    return JacobiRecovery(params=params, depth=len(alpha), finite_support=finite_support)
 
 
 def random_scalar(rng: random.Random, with_z: bool = False) -> Scalar:

@@ -170,6 +170,27 @@ class TestSequencesCommands:
         assert data["beta"] == ["1", "4"]
         assert data["finite_support"] is False
 
+    def test_integer_json_moments(self, capsys, tmp_path):
+        seq = tmp_path / "m.json"
+        seq.write_text("[1, 1, 2, 5, 15]")
+        code, out, _ = run(capsys, "hankel", "--in", str(seq))
+        assert code == 0
+        assert out.split() == ["1", "1", "2"]
+        code, out, _ = run(capsys, "jacobi", "--in", str(seq))
+        assert code == 0
+        data = json.loads(out)
+        assert data["alpha"] == ["1", "2"] and data["beta"] == ["1"]
+
+    def test_json_non_term_exit_2(self, capsys, tmp_path):
+        seq = tmp_path / "m.json"
+        for text, message in (("[1, 1.5, 2]", "term 1"), ('["1", {"z": 1}]', "term 1"),
+                              ('"12"', "must be a list")):
+            seq.write_text(text)
+            for command in ("hankel", "jacobi"):
+                code, _, err = run(capsys, command, "--in", str(seq))
+                assert code == 2
+                assert message in err and "Traceback" not in err
+
     def test_jacobi_from_pair(self, capsys):
         code, out, _ = run(capsys, "jacobi", "--name", "thm1", "--order", "4")
         assert code == 0
@@ -190,6 +211,17 @@ class TestSequencesCommands:
         code, out, _ = run(capsys, "moments", "--in", str(jf), "--count", "3")
         assert code == 0
         assert out.strip().splitlines() == ["1", "z", "z^2 + z", "z^3 + 3*z^2 + z"]
+
+    def test_moments_from_jacobi_file_errors(self, capsys, tmp_path):
+        jf = tmp_path / "jacobi.json"
+        jf.write_text(json.dumps({"a0": 1, "alpha": [1, 2], "beta": [1]}))
+        code, out, _ = run(capsys, "moments", "--in", str(jf))
+        assert code == 0
+        assert out.split() == ["1", "1", "2"]
+        for data in ({"a0": 1, "alpha": [1.5], "beta": []}, {"alpha": [1], "beta": []}):
+            jf.write_text(json.dumps(data))
+            code, _, err = run(capsys, "moments", "--in", str(jf))
+            assert code == 2 and "Traceback" not in err
 
     def test_moments_from_pair(self, capsys):
         code, out, _ = run(capsys, "moments", "--name", "thm2", "--order", "3")

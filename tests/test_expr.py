@@ -58,8 +58,11 @@ class TestParse:
             "+", Num(Fraction(1), S), BinOp("*", Num(Fraction(2), S), VarX(S), S), S
         )
 
-    def test_unary_minus_binds_before_power(self):
-        assert parse("-x^2") == Pow(Neg(VarX(S), S), 2, S)
+    def test_power_binds_before_unary_minus(self):
+        assert parse("-x^2") == Neg(Pow(VarX(S), 2, S), S)
+        assert parse("(-x)^2") == Pow(Neg(VarX(S), S), 2, S)
+        assert parse("2*-x^3") == BinOp("*", Num(Fraction(2), S),
+                                         Neg(Pow(VarX(S), 3, S), S), S)
 
     def test_parenthesised_negative_exponent(self):
         assert parse("exp(x)^(-1)") == Pow(Call("exp", VarX(S), S), -1, S)
@@ -86,6 +89,7 @@ class TestRenderRoundTrip:
         "1/2*z - 1",
         "z^3 + 3*z^2 + z",
         "-x^2",
+        "(-x)^2",
         "exp(x)^(-1)",
         "x-(1-x)*(2-x)",
         "3/4*x^2 - x/7",
@@ -194,5 +198,5 @@ class TestEvalScalar:
 
     def test_round_trip_canonical(self):
         for s in (Z**2 - 1, (Z + 2) / (Z**2 - 1), Scalar(Fraction(1, 2)) * Z - 1,
-                  ZERO, -Z):
+                  ZERO, -Z, -Z**2 + 1, (-Z**3) / (Z + 1)):
             assert parse_scalar(str(s)) == s

@@ -4,12 +4,17 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from erarray import formats
+from erarray.expr import parse_scalar
 from erarray.orthopoly import JacobiParams
 from erarray.riordan import er_build, production_from_pair
-from erarray.scalars import ONE, Scalar, Z
+from erarray.scalars import ONE, ZERO, PolyZ, Scalar, Z
 from erarray.sequences import named_pair
+
+from oracles import ORACLE_SETTINGS, poly_scalars, rational_scalars
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +97,111 @@ class TestSequenceFormats:
         assert formats.moments_from_file_text(json_text).terms == (ONE, Z)
         bfile_text = "0 1\n1 3\n"
         assert formats.moments_from_file_text(bfile_text).terms == (ONE, Scalar(3))
+        with pytest.raises(ValueError, match="must be a list"):
+            formats.moments_from_file_text('{"terms": ["1"]}')
+
+    def test_json_integers_are_exact_terms(self):
+        got = formats.sequence_from_json("[1, 1, 2, 5, 15, -3, 12345678901234567890]")
+        assert got == [Scalar(v) for v in (1, 1, 2, 5, 15, -3, 12345678901234567890)]
+        assert formats.sequence_from_json('[1, "z^2 - 1/2"]') == [ONE, Z * Z - Fraction(1, 2)]
+
+    @pytest.mark.parametrize("text, index, kind", [
+        ("[1, 2.5]", 1, "a non-integer number"),
+        ("[1.0]", 0, "a non-integer number"),
+        ('["1", "z", {"a": 1}]', 2, "an object"),
+        ('["1", ["z"]]', 1, "a list"),
+        ("[true]", 0, "a boolean"),
+        ('["1", null]', 1, "null"),
+    ])
+    def test_json_rejects_non_terms(self, text, index, kind):
+        expected = f"term {index}: expected a string or an integer, got {kind}"
+        with pytest.raises(ValueError, match=expected):
+            formats.sequence_from_json(text)
+
+    @pytest.mark.parametrize("text, kind", [
+        ('"12"', "a string"), ("12", "an integer"), ('{"a": "1"}', "an object"),
+        ("null", "null"),
+    ])
+    def test_json_rejects_non_list_document(self, text, kind):
+        with pytest.raises(ValueError, match=f"must be a list of terms, got {kind}"):
+            formats.sequence_from_json(text)
+
+    def test_json_bad_cell_names_its_index(self):
+        with pytest.raises(ValueError, match="term 2: syntax error at offset 3"):
+            formats.sequence_from_json('["1", "z", "z +"]')
+        with pytest.raises(ValueError, match="term 1: .*division by zero"):
+            formats.sequence_from_json('["1", "(1)/(0)"]')
+
+    def test_negative_power_round_trip(self):
+        terms = [-Z * Z, -Z**3 + Z, (-Z**2) / (Z + 1), -ONE]
+        assert formats.sequence_from_json(formats.sequence_to_json(terms)) == terms
+
+
+#: Coefficients up to 2^70 with denominators up to 5, so that the canonical
+#: form carries multi-digit numerators, fractions and gaps between degrees.
+_big_fractions = st.builds(
+    Fraction, st.integers(-(2**70), 2**70), st.integers(1, 5)
+)
+_wide_polys = st.lists(
+    st.one_of(st.just(Fraction(0)), _big_fractions), max_size=13
+).map(PolyZ)
+_wide_scalars = st.one_of(
+    poly_scalars,
+    rational_scalars,
+    _wide_polys.map(Scalar),
+    st.builds(Scalar, _wide_polys, _wide_polys.filter(bool)),
+)
+
+#: Pieces of the term alphabet, joined at random; exponents stay one digit
+#: so that the parser never builds a huge power.
+_pieces = st.sampled_from([
+    "z", "z^2", "z^0", "0", "1", "2", "13", "/", "3/4", "*", "^", "-",
+    " + ", " - ", " ", "(", ")", ")/(", "1/0",
+])
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc)
+
+
+class TestCanonicalReader:
+    @ORACLE_SETTINGS
+    @given(s=_wide_scalars)
+    @example(s=-Z**2)
+    @example(s=ZERO)
+    @example(s=(Z**4 - 1) / (3 * Z**3 + 2))
+    def test_reads_str_without_the_parser(self, s):
+        def refuse(text):
+            raise AssertionError(f"parser fallback taken for {text!r}")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(formats, "parse_scalar", refuse)
+            assert formats._read_scalar(str(s)) == s
+
+    @ORACLE_SETTINGS
+    @given(text=st.lists(_pieces, min_size=1, max_size=10).map("".join))
+    @example(text="-z^2 + 1")
+    @example(text="z + z - 3/4*z^2")
+    @example(text="(z^2)/(2*z)")
+    @example(text="(1)/(0)")
+    @example(text="z - -1")
+    def test_agrees_with_parser(self, text):
+        read = _outcome(formats._read_scalar, text)
+        parsed = _outcome(parse_scalar, text)
+        if isinstance(parsed, type):
+            assert isinstance(read, type)
+        else:
+            assert read == parsed
+
+    def test_non_canonical_cells_use_the_parser(self):
+        assert formats._read_canonical("z*(z + 1)") is None
+        assert formats._read_scalar("z*(z + 1)") == Z * Z + Z
+        assert formats._read_canonical("z+1") is None
+        assert formats._read_scalar("(z)/(1 + z)") == Z / (Z + 1)
+
 
 
 class TestJacobiFormats:
@@ -104,6 +214,17 @@ class TestJacobiFormats:
         text = formats.jacobi_to_json(params)
         assert formats.jacobi_from_json(text) == params
         assert formats.jacobi_to_json(formats.jacobi_from_json(text)) == text
+
+    def test_integer_cells_and_errors(self):
+        text = json.dumps({"a0": 2, "alpha": [1, "z"], "beta": [3]})
+        assert formats.jacobi_from_json(text) == JacobiParams(
+            alpha=(ONE, Z), beta=(Scalar(3),), a0=Scalar(2))
+        with pytest.raises(ValueError, match="beta 0: expected a string or an integer"):
+            formats.jacobi_from_json(json.dumps({"a0": 1, "alpha": [1, 2], "beta": [0.5]}))
+        with pytest.raises(ValueError, match='"alpha" must be a list'):
+            formats.jacobi_from_json(json.dumps({"a0": 1, "alpha": "z", "beta": []}))
+        with pytest.raises(ValueError, match='"a0", "alpha" and "beta"'):
+            formats.jacobi_from_json(json.dumps({"alpha": [], "beta": []}))
 
     def test_extra_fields(self):
         params = JacobiParams(alpha=(ONE,), beta=())

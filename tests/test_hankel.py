@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from erarray.hankel import (
     binomial_transform,
@@ -19,7 +21,15 @@ from erarray.orthopoly import JacobiParams, moments_from_jacobi
 from erarray.scalars import ONE, ZERO, PolyZ, Scalar, Z
 from erarray.sequences import bell_poly
 
-from oracles import bell_numbers, det_cofactor, det_fraction_field, random_scalar
+from oracles import (
+    ORACLE_SETTINGS,
+    bell_numbers,
+    det_cofactor,
+    det_fraction_field,
+    poly_scalars,
+    random_scalar,
+    rational_scalars,
+)
 
 
 def closed_form(base: Scalar, power: int, nmax: int) -> list[Scalar]:
@@ -206,3 +216,59 @@ class TestOracleEquivalence:
         for seq in corpus:
             transformed = binomial_transform(seq)
             assert hankel_transform(seq, 5) == hankel_transform(transformed, 5)
+
+
+def _per_size(terms, nmax):
+    return [det_fraction_field(hankel_matrix(terms, k)) for k in range(nmax + 1)]
+
+
+@st.composite
+def _sequences(draw, scalars):
+    nmax = draw(st.integers(0, 4))
+    return draw(st.lists(scalars, min_size=2 * nmax + 1, max_size=2 * nmax + 1)), nmax
+
+
+@st.composite
+def _singular_sequences(draw):
+    """A sequence whose leading minor h_p vanishes at a drawn p <= nmax.
+
+    h_p is affine in a_{2p}, with slope h_{p-1}, so a_{2p} is solved for;
+    when h_{p-1} = 0 as well, the earlier zero already tests the fallback.
+    """
+    terms, nmax = draw(_sequences(st.one_of(poly_scalars, rational_scalars)))
+    p = draw(st.integers(0, nmax))
+    if p == 0:
+        terms[0] = ZERO
+        return terms, nmax
+    terms[2 * p] = ZERO
+    slope = det_fraction_field(hankel_matrix(terms, p - 1))
+    if not slope.is_zero:
+        terms[2 * p] = -det_fraction_field(hankel_matrix(terms, p)) / slope
+        assert det_fraction_field(hankel_matrix(terms, p)).is_zero
+    return terms, nmax
+
+
+class TestTransformAgainstPerSizeDeterminants:
+    """One elimination gives every h_k that a determinant per size gives."""
+
+    @ORACLE_SETTINGS
+    @given(case=_sequences(poly_scalars))
+    def test_polynomial_sequences(self, case):
+        terms, nmax = case
+        assert hankel_transform(terms, nmax) == _per_size(terms, nmax)
+
+    @ORACLE_SETTINGS
+    @given(case=_sequences(st.one_of(poly_scalars, rational_scalars)))
+    def test_rational_sequences(self, case):
+        terms, nmax = case
+        assert hankel_transform(terms, nmax) == _per_size(terms, nmax)
+
+    @ORACLE_SETTINGS
+    @given(case=_singular_sequences())
+    @example(case=([ONE, ONE, ONE, Z, ONE, Z, Z * Z], 3))
+    @example(case=([ZERO, ONE, ZERO, ONE, Z], 2))
+    def test_vanishing_leading_minor(self, case):
+        terms, nmax = case
+        got = hankel_transform(terms, nmax)
+        assert any(h.is_zero for h in got)
+        assert got == _per_size(terms, nmax)

@@ -4,7 +4,7 @@ import random
 from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from erarray.orthopoly import (
@@ -22,6 +22,7 @@ from erarray.sequences import bell_poly, eulerian_poly, named_pair
 
 from oracles import (
     ORACLE_SETTINGS,
+    jacobi_by_stieltjes,
     matrix_product,
     moments_by_inverse,
     poly_scalars,
@@ -164,6 +165,12 @@ class TestJacobiRecovery:
         with pytest.raises(ValueError, match="a_0"):
             jacobi_from_moments(MomentSequence((ZERO, ONE)))
 
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError, match="at least one moment"):
+            jacobi_from_moments([])
+        with pytest.raises(ValueError, match="at least one moment"):
+            jacobi_from_moments(iter(()))
+
     def test_round_trip_random(self):
         rng = random.Random(20260808)
         for _ in range(15):
@@ -252,3 +259,49 @@ class TestAgainstOracles:
         got = moments_from_jacobi(params, count).terms
         assert got == moments_by_inverse(params, count)
         assert got == jfraction_expand(params, count).coeffs
+
+
+def _recover(route, moments):
+    try:
+        rec = route(moments)
+    except ValueError:
+        return ValueError
+    return rec.params, rec.depth, rec.finite_support
+
+
+#: Raw moments: up to 13 over a small alphabet, so that some s_k vanishes
+#: part-way, or up to 7 general Q(z) entries (random rational moments grow
+#: too fast for the Stieltjes oracle beyond that).
+_raw_moments = st.one_of(
+    st.lists(st.sampled_from([ZERO, ONE, -ONE, Scalar(2), Z]), min_size=1, max_size=13),
+    st.lists(_entries, min_size=1, max_size=7),
+)
+
+
+class TestRecoveryAgainstStieltjes:
+    """The Chebyshev algorithm equals the Stieltjes procedure it replaced."""
+
+    @ORACLE_SETTINGS
+    @given(case=jacobi_cases())
+    def test_moments_of_jacobi_data(self, case):
+        params, count = case
+        moments = moments_from_jacobi(params, count).terms
+        assert _recover(jacobi_from_moments, moments) == \
+            _recover(jacobi_by_stieltjes, moments)
+
+    @ORACLE_SETTINGS
+    @given(terms=_raw_moments)
+    @example(terms=[ONE, ONE, ONE, ONE, ONE])
+    @example(terms=[Scalar(2), ONE, Z, Z, Z * Z, ONE, ZERO])
+    @example(terms=[ONE, ZERO, ONE, ZERO, ONE, ZERO, ONE, ONE, ZERO])
+    def test_raw_sequences(self, terms):
+        assert _recover(jacobi_from_moments, terms) == _recover(jacobi_by_stieltjes, terms)
+
+    def test_raw_sequences_reach_finite_support(self):
+        # s_1 = 0 for constant moments; s_2 = 0 for the two-point measure
+        # with moments 1, 0, 1, 0, 1, ...
+        for terms, depth in (([ONE] * 5, 1), ([ONE, ZERO] * 3 + [ONE], 2)):
+            rec = jacobi_from_moments(terms)
+            assert rec.finite_support and rec.depth == depth
+            assert _recover(jacobi_from_moments, terms) == \
+                _recover(jacobi_by_stieltjes, terms)
