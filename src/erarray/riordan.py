@@ -1,27 +1,32 @@
 """Exponential Riordan arrays to finite order.
 
 An array [g, f] is the lower-triangular matrix whose column k has exponential
-generating function g(x) f(x)^k / k!.  The group law and inverses are
-computed on the defining series (exact, O(order^2) coefficient work); each
-call computes one route, and matrix-level identities are left to
-``erarray.checks`` and the test suite to recompute independently.
+generating function g(x) f(x)^k / k!.  The group law is computed on the
+defining series (exact, O(order^2) coefficient work); each call computes one
+route, and matrix-level identities are left to ``erarray.checks`` and the
+test suite to recompute independently.
 
-Production matrices are computed two independent ways: from the defining
-pair through the c/r series, and directly from the shifted-array relation.
-Both leave the final row zeroed: at finite truncation the information for it
-sits past the horizon, so callers compare rows 0..order-1 only.
+The production series c and r (c o f = g'/g, r o f = f') come from two
+lower-triangular solves against the array's own rows, whose right-hand sides
+are read off the defining pair; each array solves once.  They give the
+production matrix, the reversion fbar = integral of 1/r and the inverse
+[exp(-integral of c/r)/g(0), fbar], so nothing here reverts a series.  The
+production matrix is also computed directly from the shifted-array relation
+DA = AP, which uses the array alone.  Both leave the final row zeroed: at
+finite truncation the information for it sits past the horizon, so callers
+compare rows 0..order-1 only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial
+from math import comb, factorial
 
 # invert_lower_triangular is not called here; the import is kept because
 # perfbench/selftest.py checks that the tracer also wraps this bound copy.
 from .orthopoly import JacobiParams, invert_lower_triangular  # noqa: F401
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, dot
 from .series import Series, _compose_powers, _degree, _powers
 
 
@@ -49,8 +54,41 @@ class ERArray:
 
     @cached_property
     def fbar(self) -> Series:
-        """The compositional inverse of f, reverted once per array."""
-        return self.f.revert()
+        """The compositional inverse of f, as the integral of 1/r.
+
+        r o f = f', so fbar' = 1/(f' o fbar) = 1/r; r is exact to order-1,
+        which makes fbar exact to the full order.
+        """
+        r = production_cr(self)[1]
+        return (Series.one(r.order) / r).integral()
+
+    @cached_property
+    def _gamma_rho(self) -> tuple[tuple[Scalar, ...], tuple[Scalar, ...]]:
+        """gamma_j = j! c_j and rho_j = j! r_j for j < order, solved once.
+
+        g (c o f) = g' and g (r o f) = g f'.  Since m! [x^m] g f^j = j! A[m][j],
+        reading off m! [x^m] gives the lower-triangular systems
+        sum_j A[m][j] gamma_j = m! [x^m] g' and
+        sum_j A[m][j] rho_j = m! [x^m] (g f') for m < order.
+        """
+        n = self.order
+        if n < 1:
+            raise ValueError("production data needs order >= 1")
+        dg = self.g.derivative().coeffs
+        gdf = (self.g.truncate(n - 1) * self.f.derivative()).coeffs
+        # The negated solutions, so each row is one dot product.
+        neg_gamma: list[Scalar] = []
+        neg_rho: list[Scalar] = []
+        for m in range(n):
+            row = self.entries[m]
+            js = [j for j in range(m) if not row[j].is_zero]
+            fm = Scalar(factorial(m))
+            diag = -row[m]
+            neg_gamma.append(dot([(dg[m], fm)] + [(row[j], neg_gamma[j]) for j in js])
+                             / diag)
+            neg_rho.append(dot([(gdf[m], fm)] + [(row[j], neg_rho[j]) for j in js])
+                           / diag)
+        return tuple(-v for v in neg_gamma), tuple(-v for v in neg_rho)
 
     def column(self, k: int) -> tuple[Scalar, ...]:
         return tuple(self.entries[n][k] for n in range(self.order + 1))
@@ -125,11 +163,15 @@ def er_mul(a: ERArray, b: ERArray) -> ERArray:
 
 
 def er_inverse(a: ERArray) -> ERArray:
-    """Group inverse [1/(g o fbar), fbar] with fbar the reversion of f."""
+    """Group inverse [1/(g o fbar), fbar], with no reversion.
+
+    (log g o fbar)' = (g'/g o fbar) fbar' = c/r and fbar' = 1/r, so
+    1/(g o fbar) = exp(-integral of c/r)/g(0).
+    """
+    c = production_cr(a)[0]
     fbar = a.fbar
-    inv = er_build(Series.one(a.order) / a.g.compose(fbar), fbar)
-    inv.__dict__["fbar"] = a.f  # the reversion of fbar is f: seed the cache
-    return inv
+    log_ratio = (c * fbar.derivative()).integral()
+    return er_build((-log_ratio).exp() / a.g.coeffs[0], fbar)
 
 
 def er_power(a: ERArray, m: int) -> ERArray:
@@ -161,34 +203,33 @@ def er_apply(a: ERArray, u) -> tuple[Scalar, ...]:
 def production_cr(a: ERArray) -> tuple[Series, Series]:
     """The c and r series of the production matrix, both exact to order-1.
 
-    r o f = f' and c o f = g'/g, so r = f' o fbar and c = (g'/g) o fbar.
+    c o f = g'/g and r o f = f'; their coefficients are the array's cached
+    triangular solves divided by j!.
     """
-    n = a.order
-    if n < 1:
-        raise ValueError("production data needs order >= 1")
-    fbar = a.fbar.truncate(n - 1)
-    fprime = a.f.derivative()
-    log_g_prime = a.g.derivative() / a.g.truncate(n - 1)
-    powers = _powers(fbar, max(_degree(fprime), _degree(log_g_prime)))
-    return _compose_powers(log_g_prime, powers), _compose_powers(fprime, powers)
+    gamma, rho = a._gamma_rho
+    return (Series(v / factorial(j) for j, v in enumerate(gamma)),
+            Series(v / factorial(j) for j, v in enumerate(rho)))
 
 
 def production_from_pair(a: ERArray) -> ProductionMatrix:
     """Production matrix from the defining pair.
 
-    Entry (i, j) is (i!/j!) (c_{i-j} + j r_{i-j+1}) with c_{-1} = 0, for
-    rows 0..order-1; the final row is zeroed.
+    Entry (i, j) is (i!/j!) (c_{i-j} + j r_{i-j+1}) with c_{-1} = 0, that is
+    C(i, j) gamma_{i-j} + C(i, j-1) rho_{i-j+1} in the array's cached
+    gamma_k = k! c_k and rho_k = k! r_k, for rows 0..order-1; the final row
+    is zeroed.
     """
     n = a.order
-    c, r = production_cr(a)
+    gamma, rho = a._gamma_rho
     rows = []
     for i in range(n):
-        fi = factorial(i)
+        binom = [Scalar(comb(i, j)) for j in range(i + 1)]
         row = [ZERO] * (n + 1)
-        for j in range(min(i + 1, n) + 1):
-            ci = c.coeffs[i - j] if i - j >= 0 else ZERO
-            term = ci + (j * r.coeffs[i - j + 1] if j >= 1 else ZERO)
-            row[j] = term * Scalar(fi) / factorial(j)
+        for j in range(i + 2):
+            pairs = [(binom[j], gamma[i - j])] if j <= i else []
+            if j:
+                pairs.append((binom[j - 1], rho[i - j + 1]))
+            row[j] = dot(pairs)
         rows.append(tuple(row))
     rows.append(tuple([ZERO] * (n + 1)))
     return ProductionMatrix(entries=tuple(rows))

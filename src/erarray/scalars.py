@@ -175,9 +175,15 @@ class PolyZ:
 
     def scale(self, factor) -> PolyZ:
         f = _as_fraction(factor)
-        if not f or not self._prim:
+        return self._times(f.numerator, f.denominator)
+
+    def _times(self, n: int, d: int) -> PolyZ:
+        """The polynomial times n/d, for ints n and d != 0."""
+        if not n or not self._prim:
             return POLY_ZERO
-        n, d = self._num * f.numerator, self._den * f.denominator
+        n, d = self._num * n, self._den * d
+        if d < 0:
+            n, d = -n, -d
         g = gcd(n, d)
         return _poly(n // g, d // g, self._prim)
 
@@ -435,9 +441,7 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self) -> Scalar:
-        out = object.__new__(Scalar)
-        out.num, out.den = -self.num, self.den
-        return out
+        return _canonical(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -453,21 +457,38 @@ class Scalar:
 
     def __mul__(self, other):
         if not isinstance(other, Scalar):
+            if isinstance(other, int):
+                # An integer scales the numerator's content.
+                return _canonical(self.num._times(other, 1), self.den) if other else ZERO
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
         if self.den is POLY_ONE and other.den is POLY_ONE:
             return _polynomial(self.num * other.num)
+        # A rational constant times a rational function needs no gcd.
+        for a, b in ((self, other), (other, self)):
+            c = a.num
+            if a.den is POLY_ONE and len(c._prim) == 1:
+                return _canonical(b.num._times(c._num, c._den), b.den)
         return Scalar(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, int):
+            if not other:
+                raise ZeroDivisionError("scalar division by zero")
+            return _canonical(self.num._times(1, other), self.den)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("scalar division by zero")
+        o = other.num
+        if other.den is POLY_ONE and len(o._prim) == 1:
+            # A rational constant only scales the numerator's content; the
+            # denominator stays monic and coprime to it.
+            return _canonical(self.num._times(o._den, o._num), self.den)
         return Scalar(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
@@ -514,11 +535,82 @@ class Scalar:
         return f"Scalar({self})"
 
 
+def _canonical(num: PolyZ, den: PolyZ) -> Scalar:
+    """The Scalar num/den from parts that are already in canonical form."""
+    out = object.__new__(Scalar)
+    out.num, out.den = num, den
+    return out
+
+
 def _polynomial(num: PolyZ) -> Scalar:
     """The Scalar num/1; a polynomial needs no canonicalisation."""
-    out = object.__new__(Scalar)
-    out.num, out.den = num, POLY_ONE
-    return out
+    return _canonical(num, POLY_ONE)
+
+
+def dot(pairs) -> Scalar:
+    """The exact sum of x*y over an iterable of (x, y) Scalar pairs.
+
+    Products of two polynomials are fused: their integer coefficients are
+    added over a running common denominator (the constant products into one
+    int, the others into one vector), and the sum is normalised once at the
+    end, so no Scalar is built per term.  A pair with a rational-function
+    factor is multiplied as Scalars; those products are summed over the lcm
+    of their denominators and reduced once, with the polynomial part, at the
+    end.  Pairs with a zero factor are skipped.
+    """
+    one = POLY_ONE
+    den, const, vec = 1, 0, []
+    rnum = rden = None
+    for x, y in pairs:
+        xn, yn = x.num, y.num
+        xp, yp = xn._prim, yn._prim
+        if not xp or not yp:
+            continue
+        if x.den is not one or y.den is not one:
+            term = x * y
+            tn, td = term.num, term.den
+            if rden is None:
+                rnum, rden = tn, td
+            elif td == rden:
+                rnum = rnum + tn
+            else:
+                # Over lcm(rden, td): one gcd of the denominators only.
+                g = PolyZ.gcd(rden, td)
+                rt, tr = td.exact_div(g), rden.exact_div(g)
+                rnum, rden = rnum * rt + tn * tr, rden * rt
+            continue
+        d = xn._den * yn._den
+        if den % d:
+            m = d // gcd(den, d)
+            const *= m
+            vec = [c * m for c in vec]
+            den *= m
+        c = xn._num * yn._num * (den // d)
+        # The primitive part of a constant is (1,).
+        if len(xp) == 1:
+            if len(yp) == 1:
+                const += c
+                continue
+            prim = yp
+        elif len(yp) == 1:
+            prim = xp
+        else:
+            prim = _kronecker(xp, yp)
+        if len(prim) > len(vec):
+            vec += [0] * (len(prim) - len(vec))
+        for i, v in enumerate(prim):
+            vec[i] += c * v
+    if vec:
+        vec[0] += const
+        total = _polynomial(_normal(vec, 1, den))
+    elif const:
+        g = gcd(const, den)
+        total = _polynomial(_poly(const // g, den // g, _UNIT))
+    else:
+        total = ZERO
+    if rden is None:
+        return total
+    return Scalar(rnum + total.num * rden, rden)
 
 
 ZERO = Scalar(0)

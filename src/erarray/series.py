@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, dot
 
 
 def _as_scalar(value) -> Scalar:
@@ -123,14 +123,15 @@ class Series:
         self._check_order(other)
         n = self.order
         a, b = self.coeffs, other.coeffs
-        out = []
-        for k in range(n + 1):
-            acc = ZERO
-            for j in range(k + 1):
-                if not a[j].is_zero and not b[k - j].is_zero:
-                    acc = acc + a[j] * b[k - j]
-            out.append(acc)
-        return Series(out)
+        ib = _support(b)
+        terms = [[] for _ in range(n + 1)]
+        for i in _support(a):
+            ai = a[i]
+            for j in ib:
+                if i + j > n:
+                    break
+                terms[i + j].append((ai, b[j]))
+        return Series(dot(t) for t in terms)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -199,11 +200,7 @@ class Series:
         inv_f1_pow = inv_f1
         for m in range(2, n + 1):
             inv_f1_pow = inv_f1_pow * inv_f1
-            acc = ZERO
-            for k in range(1, m):
-                c = fpow[k].coeffs[m]
-                if not b[k].is_zero and not c.is_zero:
-                    acc = acc + b[k] * c
+            acc = dot([(b[k], fpow[k].coeffs[m]) for k in range(1, m)])
             b.append(-acc * inv_f1_pow)
         return Series(b)
 
@@ -212,14 +209,10 @@ class Series:
         if not self.coeffs[0].is_zero:
             raise ValueError("series exp needs zero constant term")
         n = self.order
-        a = self.coeffs
+        ja = [(j, self.coeffs[j] * j) for j in _support(self.coeffs)]
         e = [ONE]
         for m in range(1, n + 1):
-            acc = ZERO
-            for j in range(1, m + 1):
-                if not a[j].is_zero:
-                    acc = acc + (j * a[j]) * e[m - j]
-            e.append(acc / m)
+            e.append(dot([(c, e[m - j]) for j, c in ja if j <= m]) / m)
         return Series(e)
 
     def log(self) -> Series:
@@ -252,6 +245,10 @@ class Series:
         if order <= out.order:
             return out.truncate(order)
         return Series(out.coeffs + (ZERO,) * (order - out.order))
+
+    def integral(self) -> Series:
+        """Term-wise antiderivative with zero constant term, one order up."""
+        return Series([ZERO] + [c / (k + 1) for k, c in enumerate(self.coeffs)])
 
     def eval_z(self, v) -> Series:
         """Specialize every coefficient at z = v (errors on a pole)."""
@@ -313,16 +310,18 @@ def divide(a: Series, b: Series) -> Series:
             raise ValueError("series division needs unit or common factor")
         a = Series(a.coeffs[bv:])
         b = Series(b.coeffs[bv:])
-    n = a.order
+    # q_k = (a_k - sum_{i>=1} q_{k-i} b_i) / b_0, one dot product per term.
     binv = ONE / b.coeffs[0]
+    nb = [(i, -b.coeffs[i] * binv) for i in _support(b.coeffs) if i]
     q: list[Scalar] = []
-    for k in range(n + 1):
-        acc = a.coeffs[k]
-        for j in range(k):
-            if not q[j].is_zero and not b.coeffs[k - j].is_zero:
-                acc = acc - q[j] * b.coeffs[k - j]
-        q.append(acc * binv)
+    for k, ak in enumerate(a.coeffs):
+        q.append(dot([(ak, binv)] + [(q[k - i], c) for i, c in nb if i <= k]))
     return Series(q)
+
+
+def _support(coeffs) -> list[int]:
+    """Indices of the nonzero coefficients, ascending."""
+    return [k for k, c in enumerate(coeffs) if not c.is_zero]
 
 
 def _degree(a: Series) -> int:
@@ -351,12 +350,6 @@ def _compose_powers(outer: Series, powers: list[Series]) -> Series:
     """
     a = outer.coeffs
     top = len(powers) - 1
-    out = []
-    for m in range(outer.order + 1):
-        acc = ZERO
-        for k in range(min(m, top) + 1):
-            c = powers[k].coeffs[m]
-            if not a[k].is_zero and not c.is_zero:
-                acc = acc + a[k] * c
-        out.append(acc)
-    return Series(out)
+    ka = [k for k in _support(a) if k <= top]
+    return Series(dot([(a[k], powers[k].coeffs[m]) for k in ka if k <= m])
+                  for m in range(outer.order + 1))

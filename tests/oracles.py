@@ -5,7 +5,8 @@ polynomial kernel is a tuple of Fractions with schoolbook loops, the
 determinants are cofactor expansion and fraction-field elimination, Bell
 numbers come from the binomial recurrence, composition is Horner's rule,
 reversion is Newton iteration, an array acts on a sequence through e.g.f.s,
-production matrices are read off the bivariate generating function, moments
+the production series and the inverse array compose with the reversion of
+f, production matrices are read off the bivariate generating function, moments
 come from inverting the monic coefficient array, Jacobi data is recovered
 from moments by the Stieltjes procedure, and the random generators
 only build inputs.  Each library call computes one route; the tests compare
@@ -29,7 +30,7 @@ from erarray.orthopoly import (
     coeff_array_from_jacobi,
     invert_lower_triangular,
 )
-from erarray.riordan import ProductionMatrix, production_cr
+from erarray.riordan import ERArray, ProductionMatrix, er_build
 from erarray.scalars import ONE, ZERO, PolyZ, Scalar, Z
 from erarray.series import Series
 
@@ -351,19 +352,33 @@ def apply_egf(a, u) -> tuple[Scalar, ...]:
     return tuple(image.coeffs[r] * factorial(r) for r in range(n + 1))
 
 
+def production_cr_by_reversion(a: ERArray) -> tuple[Series, Series]:
+    """c = (g'/g) o fbar and r = f' o fbar, with fbar the reversion of f."""
+    n = a.order
+    fbar = a.f.revert().truncate(n - 1)
+    return (a.g.derivative() / a.g.truncate(n - 1)).compose(fbar), \
+        a.f.derivative().compose(fbar)
+
+
+def er_inverse_by_reversion(a: ERArray) -> ERArray:
+    """The group inverse [1/(g o fbar), fbar], with fbar the reversion of f."""
+    fbar = a.f.revert()
+    return er_build(Series.one(a.order) / a.g.compose(fbar), fbar)
+
+
 def production_bivariate_gf(a, orders: int | None = None) -> ProductionMatrix:
     """Production matrix read off the bivariate generating function.
 
     phi(t, w) = e^{tw} (c(w) + t r(w)) expands as sum p_{n,k} t^k w^n / n!;
     the t^k coefficient is w^k c(w)/k! + w^{k-1} r(w)/(k-1)!, computed here
-    with series products.
+    with series products from c and r by reversion.
     """
     n = a.order
     if orders is None:
         orders = n
     if orders > n:
         raise ValueError(f"requested orders {orders} beyond array order {n}")
-    c, r = production_cr(a)
+    c, r = production_cr_by_reversion(a)
     m = n - 1
     rows = [[ZERO] * (orders + 1) for _ in range(orders + 1)]
 
@@ -491,6 +506,11 @@ _linear = st.lists(_fractions, min_size=1, max_size=2).map(PolyZ)
 #: Rational functions of z: a linear polynomial over a nonzero one.
 rational_scalars = st.builds(
     Scalar, _linear, _linear.filter(lambda p: not p.is_zero)
+)
+#: Rational functions with one denominator factor, (linear)/(1 + z)^k for
+#: k in 0..1: their sums stay small, as in the paper's thm2 pair.
+one_factor_rationals = st.builds(
+    lambda p, k: Scalar(p, PolyZ([1, 1]) ** k), _linear, st.integers(0, 1)
 )
 #: Nonzero rationals for f'(0), often not 1.
 rational_leads = _fractions.filter(bool).map(Scalar)

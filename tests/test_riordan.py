@@ -29,9 +29,12 @@ from oracles import (
     apply_egf,
     bell_numbers,
     compose_horner,
+    er_inverse_by_reversion,
     matrix_product,
+    one_factor_rationals,
     poly_scalars,
     production_bivariate_gf,
+    production_cr_by_reversion,
     random_pair,
     rational_leads,
     rational_scalars,
@@ -179,18 +182,18 @@ class TestInverse:
             a = er_build(*random_pair(rng, n, with_z=True))
             assert er_mul(a, er_inverse(a)).entries == identity(n).entries
 
-    def test_f_reverted_once_per_array(self, monkeypatch):
-        reverted = []
-        revert = Series.revert
-        monkeypatch.setattr(Series, "revert", lambda f: reverted.append(f) or revert(f))
+    def test_never_reverts(self, monkeypatch):
+        calls = []
+        for name in ("revert", "compose"):
+            monkeypatch.setattr(Series, name, lambda *args, name=name: calls.append(name))
         a = er_build(*named_pair("thm2", 6))
         inv = er_inverse(a)
         production_from_pair(a)
         production_from_pair(inv)
-        assert reverted == [a.f]
-        # The inverse's cached fbar is a.f, which is the reversion of its f.
-        assert inv.fbar == revert(inv.f)
+        # fbar of the inverse is the integral of its 1/r, which is f again.
+        assert inv.fbar == a.f
         assert er_inverse(inv).entries == a.entries
+        assert calls == []
 
 
 class TestApply:
@@ -430,8 +433,31 @@ def draw_pair(data, n):
             Series(f[:df + 1] + (ZERO,) * (n - df)))
 
 
+def draw_general_pair(data, n, scalars, lead):
+    """A valid pair over ``scalars`` with any nonzero g(0) and f'(0) from lead."""
+    g = data.draw(series_of(scalars, n)).coeffs
+    g0 = data.draw(scalars.filter(lambda c: not c.is_zero))
+    f = data.draw(series_of(scalars, n, lead=lead))
+    return Series((g0,) + g[1:]), f
+
+
+# Pairs up to order 12 have z-polynomial coefficients or rational functions
+# with one denominator factor.  General rational functions of z stop at order
+# 8 and a z-dependent f'(0) at order 4: their denominators multiply up, and
+# single order-12 cases took 10-80 s in both routes.
+PAIR_KINDS = pytest.mark.parametrize(
+    "scalars, lead, max_order",
+    [(poly_scalars, rational_leads, 12), (one_factor_rationals, rational_leads, 12),
+     (rational_scalars, rational_leads, 8), (poly_scalars, poly_scalars, 4),
+     (rational_scalars, rational_scalars, 4)],
+    ids=["polynomial", "one-factor-rational", "rational", "polynomial-z-lead",
+         "rational-z-lead"],
+)
+
+
 class TestAgainstOracles:
-    """Shared powers tables give what separate Horner/Newton calls give."""
+    """Shared powers tables give what separate Horner/Newton calls give, and
+    the triangular solves give what composing with the reversion gives."""
 
     @ORACLE_SETTINGS
     @given(data=st.data())
@@ -450,3 +476,14 @@ class TestAgainstOracles:
         c = compose_horner(g.derivative() / g.truncate(n - 1), fbar)
         r = compose_horner(f.derivative(), fbar)
         assert production_cr(er_build(g, f)) == (c, r)
+
+    @PAIR_KINDS
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_solves_match_reversion(self, scalars, lead, max_order, data):
+        n = data.draw(st.integers(1, max_order))
+        a = er_build(*draw_general_pair(data, n, scalars, lead))
+        assert production_cr(a) == production_cr_by_reversion(a)
+        assert production_from_pair(a).entries == production_bivariate_gf(a).entries
+        assert a.fbar == a.f.revert()
+        assert er_inverse(a) == er_inverse_by_reversion(a)

@@ -4,12 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from erarray.scalars import ONE, POLY_ONE, ZERO, PolyZ, Scalar, Z
+from erarray.scalars import ONE, POLY_ONE, ZERO, PolyZ, Scalar, Z, dot
 
-from oracles import ORACLE_SETTINGS, FractionPoly, random_fraction
+from oracles import ORACLE_SETTINGS, FractionPoly, random_fraction, rational_scalars
 
 
 def poly(*coeffs):
@@ -354,3 +354,45 @@ class TestPolynomialScalars:
         for r in results:
             assert r.is_polynomial and r.den is POLY_ONE
         assert (a / (Z + 1)).den is not POLY_ONE
+
+
+# Factors for the dot kernel: zero, constants whose denominators are often
+# coprime, so the running common denominator must grow, z-polynomials with a
+# negative content, and rational functions of z.
+_coprime_fractions = st.builds(
+    Fraction, st.integers(-60, 60), st.sampled_from((1, 2, 3, 4, 5, 7, 9, 11, 16, 25)))
+_negative_content_polys = st.builds(
+    lambda cs, k: Scalar(PolyZ([-abs(c) * k for c in cs])),
+    st.lists(_coprime_fractions, min_size=1, max_size=5),
+    _coprime_fractions.filter(bool))
+dot_factors = st.one_of(
+    st.just(ZERO),
+    _coprime_fractions.map(Scalar),
+    _negative_content_polys,
+    st.lists(_coprime_fractions, min_size=1, max_size=5).map(lambda cs: Scalar(PolyZ(cs))),
+    rational_scalars,
+)
+
+
+class TestDot:
+    """The fused dot product equals the plain sum(x*y) loop exactly."""
+
+    def test_empty_and_zero_factors(self):
+        assert dot([]) == ZERO
+        assert dot([(ZERO, Z + 1), (Z / (Z + 1), ZERO)]) == ZERO
+
+    def test_constants_with_coprime_denominators(self):
+        pairs = [(Scalar(Fraction(1, 2)), Scalar(Fraction(1, 3))),
+                 (Scalar(Fraction(-1, 5)), Scalar(7)),
+                 (Scalar(Fraction(3, 4)), Scalar(Fraction(2, 9)))]
+        assert dot(pairs) == Scalar(Fraction(1, 6) - Fraction(7, 5) + Fraction(1, 6))
+
+    @settings(ORACLE_SETTINGS, max_examples=300)
+    @given(pairs=st.lists(st.tuples(dot_factors, dot_factors), max_size=8))
+    def test_matches_plain_sum(self, pairs):
+        got = dot(pairs)
+        assert got == sum((x * y for x, y in pairs), ZERO)
+        # The result is canonical: polynomials share POLY_ONE, and building
+        # it again from its parts changes nothing.
+        assert (got.den == POLY_ONE) == (got.den is POLY_ONE)
+        assert Scalar(got.num, got.den) == got
