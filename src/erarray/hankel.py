@@ -1,11 +1,15 @@
 """Hankel matrices, exact determinants and the Hankel transform.
 
-Determinants of polynomial matrices use Bareiss fraction-free elimination,
-which keeps every intermediate value in Q[z] via exact divisions.  Matrices
-with genuine rational-function entries are cleared column-wise to polynomial
-form first (tracking the cleared factor).  The Hankel transform reads all
-its determinants off the pivots of one such elimination.  The tests check
-these routes against fraction-field Gaussian elimination and cofactor
+The Hankel transform reads h_k = s_0 s_1 ... s_k off the Chebyshev tableau
+of the sequence (``orthopoly._chebyshev``), s_k = L(p_k^2) for the monic
+orthogonal polynomials p_k of the moment functional, so it needs O(n^2)
+ring operations and no determinant.  After the first zero s_k the larger
+determinants come one by one from ``hankel_det``.  Determinants use Bareiss
+fraction-free elimination, which keeps every intermediate value in Q[z] via
+exact divisions; matrices with genuine rational-function entries are
+cleared column-wise to polynomial form first (tracking the cleared factor).
+The tests check these routes against one-elimination and per-size
+determinant oracles, fraction-field Gaussian elimination and cofactor
 expansion.
 """
 
@@ -13,8 +17,8 @@ from __future__ import annotations
 
 from math import comb
 
-from .orthopoly import JacobiParams, MomentSequence
-from .scalars import POLY_ONE, POLY_ZERO, ZERO, PolyZ, Scalar
+from .orthopoly import JacobiParams, MomentSequence, _chebyshev
+from .scalars import ONE, POLY_ONE, POLY_ZERO, ZERO, PolyZ, Scalar, _lcm
 
 
 def _terms(seq) -> tuple[Scalar, ...]:
@@ -37,23 +41,21 @@ def _square(m):
     return m
 
 
-def _pivots(m, swap_rows: bool):
+def _pivots(m):
     """Yield the pivots of one-step Bareiss elimination of the square PolyZ
     matrix ``m``, which is eliminated in place.
 
-    Every division by the previous pivot is exact in Q[z], and by
-    Sylvester's identity the k-th pivot is the leading principal k x k minor
-    (Bareiss, Math. Comp. 22, 1968).  A vanishing pivot ends the run with a
-    zero unless ``swap_rows`` is set and some row below has a nonzero entry
-    in the pivot column; that row is swapped up and negated, which keeps
-    the determinant, so the last pivot is the determinant.
+    Every division by the previous pivot is exact in Q[z] (Bareiss, Math.
+    Comp. 22, 1968).  A vanishing pivot is passed by swapping up, negated,
+    a row below with a nonzero entry in the pivot column, which keeps the
+    determinant, so the last pivot is the determinant; when there is no
+    such row the run ends with a zero.
     """
     size = len(m)
     prev = POLY_ONE
     for k in range(size):
         if m[k][k].is_zero:
-            below = range(k + 1, size) if swap_rows else ()
-            i = next((i for i in below if not m[i][k].is_zero), None)
+            i = next((i for i in range(k + 1, size) if not m[i][k].is_zero), None)
             if i is None:
                 yield POLY_ZERO
                 return
@@ -73,7 +75,7 @@ def det_bareiss(rows) -> PolyZ:
     Vanishing pivots are handled by row swaps; a fully zero pivot column
     means the determinant is zero.
     """
-    pivots = list(_pivots(_square([list(row) for row in rows]), swap_rows=True))
+    pivots = list(_pivots(_square([list(row) for row in rows])))
     return pivots[-1] if pivots else POLY_ONE
 
 
@@ -85,14 +87,7 @@ def _clear_columns(m) -> tuple[list[list[PolyZ]], list[PolyZ]]:
     polynomials has the factor ``POLY_ONE`` and keeps its numerators.
     """
     _square(m)
-    factors = []
-    for j in range(len(m)):
-        lcm = POLY_ONE
-        for row in m:
-            den = row[j].den
-            if den is not POLY_ONE:
-                lcm = den if lcm is POLY_ONE else lcm * den.exact_div(PolyZ.gcd(lcm, den))
-        factors.append(lcm)
+    factors = [_lcm(row[j].den for row in m) for j in range(len(m))]
     rows = [[_cleared(e, f) for e, f in zip(row, factors)] for row in m]
     return rows, factors
 
@@ -142,22 +137,21 @@ def hankel_det(seq, n: int) -> Scalar:
 def hankel_transform(seq, nmax: int) -> list[Scalar]:
     """The sequence h_0..h_nmax of Hankel determinants.
 
-    One elimination of the (nmax+1) x (nmax+1) Hankel matrix, cleared
-    column-wise to polynomial form, gives them all: its k-th pivot is the
-    leading minor h_k times the first k+1 column factors.  A vanishing
-    pivot makes that h_k zero, and the larger sizes are then computed one
-    by one by ``hankel_det``, whose row swaps get past the zero pivot.
+    h_k is the running product s_0 s_1 ... s_k of the diagonal of the
+    Chebyshev tableau of a_0..a_{2 nmax}.  A zero s_k makes h_k zero and
+    ends the tableau; the larger sizes are then computed one by one by
+    ``hankel_det``, whose row swaps get past the zero pivot.
     """
     terms = _terms(seq)
     needed = 2 * nmax + 1
     if len(terms) < needed:
         raise ValueError(f"need {needed} terms, have {len(terms)}")
-    poly_rows, factors = _clear_columns(hankel_matrix(terms, nmax))
+    terms = terms[:needed]
     out = []
-    cleared = POLY_ONE
-    for pivot, f in zip(_pivots(poly_rows, swap_rows=False), factors):
-        cleared = _times(cleared, f)
-        out.append(Scalar(pivot, cleared))
+    h = ONE
+    for s, _, _ in _chebyshev(terms):
+        h = h * s
+        out.append(h)
     return out + [hankel_det(terms, n) for n in range(len(out), nmax + 1)]
 
 

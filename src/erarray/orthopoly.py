@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, POLY_ONE, POLY_ZERO, ZERO, PolyZ, Scalar, _lcm
 from .series import Series
 
 
@@ -141,29 +141,44 @@ def moments_from_jacobi(params: JacobiParams, count: int) -> MomentSequence:
     superdiagonal:  A[m][k] = A[m-1][k-1] + alpha_k A[m-1][k]
     + beta_{k+1} A[m-1][k+1], and a_m = a0 A[m][0].  Only the entries
     k <= min(m, count - m), which still reach column 0 by row count, are
-    kept: O(count^2) ring operations and no division.  The tests compare it
-    with the inverse of the monic coefficient array and with
-    ``jfraction_expand``.
+    kept: O(count^2) ring operations and no division.  The rows are kept in
+    Q[z]: with d the lcm of the denominators of the alphas and betas used,
+    row m holds d^m A[m], so each step multiplies polynomials only and each
+    moment is canonicalised once.  The tests compare it with the inverse of
+    the monic coefficient array and with ``jfraction_expand``.
     """
     if count > params.depth:
         raise ValueError(
             f"insufficient parameters: count {count} > depth {params.depth}"
         )
-    alpha, beta = params.alpha, params.beta
-    row = [ONE]
-    terms = [params.a0]
+    half = count // 2
+    alpha, beta = params.alpha[:half + 1], params.beta[:half]
+    d = _lcm(x.den for x in alpha + beta)
+    alpha, beta = _over(alpha, d), _over(beta, d)
+    a0 = params.a0
+    row = [POLY_ONE]
+    terms = [a0]
+    dm = a0.den
     for m in range(1, count + 1):
+        up = row if d is POLY_ONE else [d * p for p in row]
         nxt = []
         for k in range(min(m, count - m) + 1):
-            acc = row[k - 1] if k >= 1 else ZERO
+            acc = up[k - 1] if k else POLY_ZERO
             if k < len(row):
                 acc = acc + alpha[k] * row[k]
             if k + 1 < len(row):
                 acc = acc + beta[k] * row[k + 1]
             nxt.append(acc)
         row = nxt
-        terms.append(params.a0 * row[0])
+        if d is not POLY_ONE:
+            dm = dm * d
+        terms.append(Scalar(a0.num * row[0], dm))
     return MomentSequence(tuple(terms))
+
+
+def _over(xs, d: PolyZ) -> tuple[PolyZ, ...]:
+    """The numerators x * d of Scalars xs whose denominators divide d."""
+    return tuple(x.num if d is POLY_ONE else x.num * d.exact_div(x.den) for x in xs)
 
 
 @dataclass(frozen=True)
@@ -183,6 +198,33 @@ class JacobiRecovery:
 def jacobi_from_moments(moments) -> JacobiRecovery:
     """Recover (alpha, beta) from raw moments by the Chebyshev algorithm.
 
+    The walk is ``_chebyshev``.  Recovery stops when the moments run out or
+    some s_k, k >= 1, vanishes (``finite_support``).
+    """
+    terms = moments.terms if isinstance(moments, MomentSequence) else tuple(
+        _as_scalar(t) for t in moments
+    )
+    if not terms:
+        raise ValueError("jacobi recovery needs at least one moment")
+    if terms[0].is_zero:
+        raise ValueError("jacobi recovery needs a_0 != 0")
+    alpha: list[Scalar] = []
+    beta: list[Scalar] = []
+    finite_support = False
+    for s, a, b in _chebyshev(terms):
+        if a is None:
+            finite_support = s.is_zero
+            break
+        alpha.append(a)
+        if b is not None:
+            beta.append(b)
+    params = JacobiParams(tuple(alpha), tuple(beta), a0=terms[0])
+    return JacobiRecovery(params=params, depth=len(alpha), finite_support=finite_support)
+
+
+def _chebyshev(terms):
+    """Walk the Chebyshev tableau of the moments ``terms``.
+
     Row k of the tableau holds sigma_k(l) = L(p_k x^l) for the moment
     functional L(x^l) = a_l and the monic orthogonal polynomials p_k, so
     sigma_0(l) = a_l and
@@ -196,46 +238,34 @@ def jacobi_from_moments(moments) -> JacobiRecovery:
         beta_k = s_k/s_{k-1}
 
     (Gautschi, "On generating orthogonal polynomials", 1982).  That is
-    O(n^2) ring operations and two divisions per step.  Recovery stops when
-    the moments run out or some s_k, k >= 1, vanishes (``finite_support``).
+    O(n^2) ring operations and two divisions per step.
+
+    Yields (s_k, alpha_k, beta_k) for k = 0, 1, ... while 2k <= top, the
+    last index of ``terms``; beta_0 is None.  The walk ends with a zero s_k
+    or with the s_k whose alpha_k the moments no longer reach; that last
+    triple has alpha_k and beta_k None.  So the running products of the
+    s_k are the Hankel determinants h_k = s_0 s_1 ... s_k.
     """
-    terms = moments.terms if isinstance(moments, MomentSequence) else tuple(
-        _as_scalar(t) for t in moments
-    )
-    if not terms:
-        raise ValueError("jacobi recovery needs at least one moment")
-    if terms[0].is_zero:
-        raise ValueError("jacobi recovery needs a_0 != 0")
     top = len(terms) - 1
-    alpha: list[Scalar] = []
-    beta: list[Scalar] = []
-    finite_support = False
     # Rows k-1 and k of the tableau, indexed by l; only l >= k is used.
     prev: list[Scalar] = []
     row = list(terms)
-    s_prev = ratio_prev = b = ZERO
-    k = 0
-    while 2 * k <= top:
+    s_prev = ratio_prev = b = None
+    for k in range(top // 2 + 1):
         s = row[k]
-        if k >= 1 and s.is_zero:
-            finite_support = True
-            break
-        if 2 * k + 1 > top:
-            break
+        if s.is_zero or 2 * k + 1 > top:
+            yield s, None, None
+            return
         ratio = row[k + 1] / s
         a = ratio - ratio_prev if k else ratio
-        alpha.append(a)
         if k:
             b = s / s_prev
-            beta.append(b)
+        yield s, a, b
         nxt = [ZERO] * (top - k)
         for l in range(k + 1, top - k):
             acc = row[l + 1] - a * row[l]
-            if k >= 1:
+            if k:
                 acc = acc - b * prev[l]
             nxt[l] = acc
         prev, row = row, nxt
         s_prev, ratio_prev = s, ratio
-        k += 1
-    params = JacobiParams(tuple(alpha), tuple(beta), a0=terms[0])
-    return JacobiRecovery(params=params, depth=len(alpha), finite_support=finite_support)

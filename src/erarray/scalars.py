@@ -255,10 +255,19 @@ class PolyZ:
 
     @staticmethod
     def gcd(a: PolyZ, b: PolyZ) -> PolyZ:
-        """Monic gcd by primitive Euclid: every remainder is kept primitive."""
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic()
+        """Monic gcd, by the heuristic gcd of the primitive parts.
+
+        When every evaluation point of ``_heuristic_gcd`` fails, the gcd
+        comes from primitive Euclid (``_euclid_gcd``).
+        """
+        if not a._prim:
+            return b.monic()
+        if not b._prim:
+            return a.monic()
+        g = _heuristic_gcd(a._prim, b._prim)
+        if g is None:
+            return _euclid_gcd(a, b)
+        return _poly(1, g[-1], g)
 
     def evaluate(self, v) -> Fraction:
         v = _as_fraction(v)
@@ -330,33 +339,123 @@ def _kronecker(a: tuple, b: tuple) -> tuple:
     """Product of two integer polynomials by Kronecker substitution.
 
     Each is evaluated at z = 2^w, the two ints are multiplied once, and the
-    product is read back slot by slot from the bottom.  The slot width
-    bounds every product coefficient by 2^(w-1) in absolute value, so a slot
-    read at 2^(w-1) or above is a negative coefficient, which borrows 1 from
-    the slots above it.
+    product is read back by ``_unpack``.  The slot width bounds every
+    product coefficient by 2^(w-1) in absolute value, so the digits are the
+    coefficients.
     """
     w = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
          + min(len(a), len(b)).bit_length() + 1)
-    pa = 0
+    pa = _pack(a, w)
+    return tuple(_unpack(pa * (pa if a is b else _pack(b, w)), w))
+
+
+def _pack(a, w: int) -> int:
+    """The integer polynomial ``a`` evaluated at z = 2^w."""
+    v = 0
     for c in reversed(a):
-        pa = (pa << w) + c
-    if a is b:
-        pb = pa
-    else:
-        pb = 0
-        for c in reversed(b):
-            pb = (pb << w) + c
-    v = pa * pb
+        v = (v << w) + c
+    return v
+
+
+def _unpack(v: int, w: int) -> list:
+    """The digits of ``v`` in base 2^w, each in [-2^(w-1), 2^(w-1)), lowest
+    first: a slot read at 2^(w-1) or above is a negative digit, which
+    borrows 1 from the slots above it."""
     mask, half = (1 << w) - 1, 1 << (w - 1)
     out = []
-    for _ in range(len(a) + len(b) - 1):
+    while v:
         c = v & mask
         v >>= w
         if c >= half:
             c -= mask + 1
             v += 1
         out.append(c)
-    return tuple(out)
+    return out
+
+
+#: Evaluation points the heuristic gcd tries (the first and up to six
+#: growing ones) before it falls back to primitive Euclid.
+_HEURISTIC_POINTS = 7
+
+
+def _heuristic_gcd(a: tuple, b: tuple):
+    """The primitive gcd of two primitive integer polynomials, or None.
+
+    GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989): at an
+    integer xi >= 2 min(|a|, |b|) + 2 (max norms), the symmetric xi-adic
+    digits of the integer gcd of a(xi) and b(xi) form a candidate whose
+    primitive part, if it divides both a and b, is their gcd.  Here xi is a
+    power of two, so evaluation packs and the digits unpack as in
+    ``_kronecker``, and it is wide enough for both inputs and, as a rule,
+    their cofactors: then ``_divides`` proves each division from the slot
+    bounds alone.  A candidate that fails the proof makes xi grow; None
+    comes back after ``_HEURISTIC_POINTS`` points.
+    """
+    if len(a) == 1 or len(b) == 1:
+        return _UNIT
+    # 2^w > 2 max(|a|, |b|) + 2, with a few bits to spare for the
+    # cofactors; no root of a or b is that large, so neither value is 0.
+    w = (max(max(map(abs, a)), max(map(abs, b))).bit_length()
+         + max(len(a), len(b)).bit_length() + 3)
+    for _ in range(_HEURISTIC_POINTS):
+        va, vb = _pack(a, w), _pack(b, w)
+        g = gcd(va, vb)
+        # b(xi) | a(xi) makes b itself the candidate (and vice versa), and
+        # it divides itself.
+        if g == vb:
+            if _divides(b, a, va // g, w):
+                return b
+        elif g == va:
+            if _divides(a, b, vb // g, w):
+                return a
+        else:
+            h = _unpack(g, w)
+            c = gcd(*h)
+            if c != 1:
+                h = [x // c for x in h]
+            if len(h) == 1:
+                return _UNIT
+            hv = _pack(h, w)
+            if _divides(h, a, va // hv, w) and _divides(h, b, vb // hv, w):
+                return tuple(h)
+        w += w // 4 + 2
+    return None
+
+
+def _divides(h: list, a: tuple, cofactor: int, w: int) -> bool:
+    """Whether h divides a, given cofactor = a(2^w)/h(2^w), an integer, and
+    a width w with every coefficient of a below 2^(w-1) in absolute value.
+
+    The digits q of ``cofactor`` satisfy h(2^w) q(2^w) = a(2^w).  When the
+    coefficients of h*q lie below 2^(w-1) as well, both sides are read off
+    the same digits, so h*q = a; the bound |(h*q)_k| <= min(len h, len q)
+    |h| |q| proves it without a product.  Otherwise one Kronecker product
+    decides.
+    """
+    q = _unpack(cofactor, w)
+    if len(q) + len(h) - 1 != len(a):
+        return False
+    if (max(map(abs, h)).bit_length() + max(map(abs, q)).bit_length()
+            + min(len(h), len(q)).bit_length() < w):
+        return True
+    return _kronecker(h, q) == a
+
+
+def _lcm(dens) -> PolyZ:
+    """The lcm of monic PolyZ denominators; ``POLY_ONE`` itself when every
+    one is ``POLY_ONE`` (or there are none)."""
+    out = POLY_ONE
+    for den in dens:
+        if den is not POLY_ONE:
+            out = den if out is POLY_ONE else out * den.exact_div(PolyZ.gcd(out, den))
+    return out
+
+
+def _euclid_gcd(a: PolyZ, b: PolyZ) -> PolyZ:
+    """Monic gcd by primitive Euclid: every remainder is kept primitive."""
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic()
 
 
 _UNIT = (1,)

@@ -91,19 +91,19 @@ class Series:
         if other is None:
             return NotImplemented
         self._check_order(other)
-        return Series(a + b for a, b in zip(self.coeffs, other.coeffs))
+        return _series(a + b for a, b in zip(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
     def __neg__(self) -> Series:
-        return Series(-c for c in self.coeffs)
+        return _series(-c for c in self.coeffs)
 
     def __sub__(self, other):
         other = self._lift(other)
         if other is None:
             return NotImplemented
         self._check_order(other)
-        return Series(a - b for a, b in zip(self.coeffs, other.coeffs))
+        return _series(a - b for a, b in zip(self.coeffs, other.coeffs))
 
     def __rsub__(self, other):
         other = self._lift(other)
@@ -113,7 +113,7 @@ class Series:
 
     def scale(self, factor) -> Series:
         f = _as_scalar(factor)
-        return Series(f * c for c in self.coeffs)
+        return _series(f * c for c in self.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -131,7 +131,7 @@ class Series:
                 if i + j > n:
                     break
                 terms[i + j].append((ai, b[j]))
-        return Series(dot(t) for t in terms)
+        return _series(dot(t) for t in terms)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -202,7 +202,7 @@ class Series:
             inv_f1_pow = inv_f1_pow * inv_f1
             acc = dot([(b[k], fpow[k].coeffs[m]) for k in range(1, m)])
             b.append(-acc * inv_f1_pow)
-        return Series(b)
+        return _series(b)
 
     def exp(self) -> Series:
         """Formal exponential via E' = a'E; needs zero constant term."""
@@ -213,7 +213,7 @@ class Series:
         e = [ONE]
         for m in range(1, n + 1):
             e.append(dot([(c, e[m - j]) for j, c in ja if j <= m]) / m)
-        return Series(e)
+        return _series(e)
 
     def log(self) -> Series:
         """Formal logarithm via L' = a'/a; needs unit constant term."""
@@ -248,7 +248,7 @@ class Series:
 
     def integral(self) -> Series:
         """Term-wise antiderivative with zero constant term, one order up."""
-        return Series([ZERO] + [c / (k + 1) for k, c in enumerate(self.coeffs)])
+        return _series([ZERO] + [c / (k + 1) for k, c in enumerate(self.coeffs)])
 
     def eval_z(self, v) -> Series:
         """Specialize every coefficient at z = v (errors on a pole)."""
@@ -292,6 +292,13 @@ class Series:
         return f"Series({self})"
 
 
+def _series(coeffs) -> Series:
+    """A Series from nonempty Scalar coefficients, taken as they are."""
+    out = object.__new__(Series)
+    out.coeffs = tuple(coeffs)
+    return out
+
+
 def divide(a: Series, b: Series) -> Series:
     """Truncated quotient a/b.
 
@@ -308,15 +315,15 @@ def divide(a: Series, b: Series) -> Series:
         av = a.valuation()
         if av is not None and av < bv:
             raise ValueError("series division needs unit or common factor")
-        a = Series(a.coeffs[bv:])
-        b = Series(b.coeffs[bv:])
+        a = _series(a.coeffs[bv:])
+        b = _series(b.coeffs[bv:])
     # q_k = (a_k - sum_{i>=1} q_{k-i} b_i) / b_0, one dot product per term.
     binv = ONE / b.coeffs[0]
     nb = [(i, -b.coeffs[i] * binv) for i in _support(b.coeffs) if i]
     q: list[Scalar] = []
     for k, ak in enumerate(a.coeffs):
         q.append(dot([(ak, binv)] + [(q[k - i], c) for i, c in nb if i <= k]))
-    return Series(q)
+    return _series(q)
 
 
 def _support(coeffs) -> list[int]:
@@ -351,5 +358,5 @@ def _compose_powers(outer: Series, powers: list[Series]) -> Series:
     a = outer.coeffs
     top = len(powers) - 1
     ka = [k for k in _support(a) if k <= top]
-    return Series(dot([(a[k], powers[k].coeffs[m]) for k in ka if k <= m])
-                  for m in range(outer.order + 1))
+    return _series(dot([(a[k], powers[k].coeffs[m]) for k in ka if k <= m])
+                   for m in range(outer.order + 1))

@@ -2,15 +2,16 @@
 
 Everything here deliberately avoids the library's own algorithms: the
 polynomial kernel is a tuple of Fractions with schoolbook loops, the
-determinants are cofactor expansion and fraction-field elimination, Bell
-numbers come from the binomial recurrence, composition is Horner's rule,
-reversion is Newton iteration, an array acts on a sequence through e.g.f.s,
-the production series and the inverse array compose with the reversion of
-f, production matrices are read off the bivariate generating function, moments
-come from inverting the monic coefficient array, Jacobi data is recovered
-from moments by the Stieltjes procedure, and the random generators
-only build inputs.  Each library call computes one route; the tests compare
-it with these.
+determinants are cofactor expansion and fraction-field elimination, the
+Hankel transform is one fraction-free elimination of the largest Hankel
+matrix, Bell numbers come from the binomial recurrence, composition is
+Horner's rule, reversion is Newton iteration, an array acts on a sequence
+through e.g.f.s, the production series and the inverse array compose with
+the reversion of f, production matrices are read off the bivariate
+generating function, moments come from inverting the monic coefficient
+array, Jacobi data is recovered from moments by the Stieltjes procedure,
+and the random generators only build inputs.  Each library call computes
+one route; the tests compare it with these.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from math import comb, factorial
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from erarray.hankel import _clear_columns, hankel_matrix
 from erarray.orthopoly import (
     JacobiParams,
     JacobiRecovery,
@@ -31,7 +33,7 @@ from erarray.orthopoly import (
     invert_lower_triangular,
 )
 from erarray.riordan import ERArray, ProductionMatrix, er_build
-from erarray.scalars import ONE, ZERO, PolyZ, Scalar, Z
+from erarray.scalars import ONE, POLY_ONE, ZERO, PolyZ, Scalar, Z
 from erarray.series import Series
 
 
@@ -282,6 +284,33 @@ def det_fraction_field(rows) -> Scalar:
             for j in range(k + 1, size):
                 m[i][j] = m[i][j] - factor * m[k][j]
     return det
+
+
+def hankel_transform_by_elimination(seq, nmax: int) -> list[Scalar]:
+    """h_0..h_nmax off the pivots of one fraction-free elimination.
+
+    The largest Hankel matrix is cleared column-wise to polynomial form; by
+    Sylvester's identity the k-th pivot of one-step Bareiss elimination
+    without row swaps is the leading minor h_k times the first k+1 column
+    factors.  After a zero pivot the larger sizes are per-size
+    ``det_fraction_field`` determinants.
+    """
+    terms = tuple(_as_scalar(t) for t in seq)
+    rows, factors = _clear_columns(hankel_matrix(terms, nmax))
+    out = []
+    cleared = prev = POLY_ONE
+    for k in range(nmax + 1):
+        cleared = cleared * factors[k]
+        pivot = rows[k][k]
+        out.append(Scalar(pivot, cleared))
+        if pivot.is_zero:
+            break
+        for i in range(k + 1, nmax + 1):
+            for j in range(k + 1, nmax + 1):
+                rows[i][j] = (pivot * rows[i][j] - rows[i][k] * rows[k][j]).exact_div(prev)
+        prev = pivot
+    return out + [det_fraction_field(hankel_matrix(terms, n))
+                  for n in range(len(out), nmax + 1)]
 
 
 def matrix_product(a_rows, b_rows):

@@ -26,6 +26,7 @@ from oracles import (
     bell_numbers,
     det_cofactor,
     det_fraction_field,
+    hankel_transform_by_elimination,
     poly_scalars,
     random_scalar,
     rational_scalars,
@@ -249,7 +250,7 @@ def _singular_sequences(draw):
 
 
 class TestTransformAgainstPerSizeDeterminants:
-    """One elimination gives every h_k that a determinant per size gives."""
+    """The tableau gives every h_k that a determinant per size gives."""
 
     @ORACLE_SETTINGS
     @given(case=_sequences(poly_scalars))
@@ -272,3 +273,32 @@ class TestTransformAgainstPerSizeDeterminants:
         got = hankel_transform(terms, nmax)
         assert any(h.is_zero for h in got)
         assert got == _per_size(terms, nmax)
+
+
+class TestTransformAgainstElimination:
+    """The tableau gives every h_k that one fraction-free elimination of the
+    largest Hankel matrix gives."""
+
+    @ORACLE_SETTINGS
+    @given(case=_sequences(poly_scalars))
+    def test_polynomial_sequences(self, case):
+        terms, nmax = case
+        assert hankel_transform(terms, nmax) == hankel_transform_by_elimination(terms, nmax)
+
+    @ORACLE_SETTINGS
+    @given(case=_sequences(st.one_of(poly_scalars, rational_scalars)))
+    def test_rational_sequences(self, case):
+        terms, nmax = case
+        assert hankel_transform(terms, nmax) == hankel_transform_by_elimination(terms, nmax)
+
+    @ORACLE_SETTINGS
+    @given(case=_singular_sequences())
+    @example(case=([ONE, ONE, ONE, Z, ONE, Z, Z * Z], 3))
+    @example(case=([ZERO, ONE, ZERO, ONE, Z], 2))
+    def test_vanishing_leading_minor(self, case):
+        terms, nmax = case
+        assert hankel_transform(terms, nmax) == hankel_transform_by_elimination(terms, nmax)
+
+    def test_longer_input_reads_its_prefix(self):
+        terms = [Scalar(b) for b in bell_numbers(12)]
+        assert hankel_transform(terms, 3) == hankel_transform(terms[:7], 3)

@@ -441,15 +441,15 @@ def draw_general_pair(data, n, scalars, lead):
     return Series((g0,) + g[1:]), f
 
 
-# Pairs up to order 12 have z-polynomial coefficients or rational functions
-# with one denominator factor.  General rational functions of z stop at order
-# 8 and a z-dependent f'(0) at order 4: their denominators multiply up, and
-# single order-12 cases took 10-80 s in both routes.
+# Pairs with z-polynomial coefficients, rational functions with one
+# denominator factor, or general rational functions of z reach order 12; a
+# z-dependent f'(0) stops at order 8, where its denominators have multiplied
+# up the most.
 PAIR_KINDS = pytest.mark.parametrize(
     "scalars, lead, max_order",
     [(poly_scalars, rational_leads, 12), (one_factor_rationals, rational_leads, 12),
-     (rational_scalars, rational_leads, 8), (poly_scalars, poly_scalars, 4),
-     (rational_scalars, rational_scalars, 4)],
+     (rational_scalars, rational_leads, 12), (poly_scalars, poly_scalars, 8),
+     (rational_scalars, rational_scalars, 8)],
     ids=["polynomial", "one-factor-rational", "rational", "polynomial-z-lead",
          "rational-z-lead"],
 )

@@ -4,10 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from erarray.scalars import ONE, POLY_ONE, ZERO, PolyZ, Scalar, Z, dot
+from erarray import scalars
+from erarray.scalars import ONE, POLY_ONE, ZERO, PolyZ, Scalar, Z, _euclid_gcd, dot
 
 from oracles import ORACLE_SETTINGS, FractionPoly, random_fraction, rational_scalars
 
@@ -303,6 +304,67 @@ class TestAgainstFractionPoly:
         assert round_trip == a and hash(round_trip) == hash(a)
         scaled = a.scale(Fraction(7, 3)).scale(Fraction(3, 7))
         assert scaled == a and hash(scaled) == hash(a)
+
+
+# Inputs for the heuristic gcd: a common factor of degree <= 12 times two
+# cofactors, each with small or 40-bit integer coefficients (the empty list
+# is zero, one coefficient a constant), under rational contents of either
+# sign.
+_gcd_ints = st.one_of(st.integers(-3, 3), st.integers(-(1 << 40), 1 << 40))
+_gcd_polys = st.lists(_gcd_ints, max_size=13).map(PolyZ)
+_gcd_contents = st.builds(Fraction, st.integers(-(1 << 20), 1 << 20).filter(bool),
+                          st.integers(1, 1 << 20))
+
+
+@st.composite
+def gcd_pairs(draw):
+    g = draw(_gcd_polys)
+    return tuple(g * draw(_gcd_polys) * draw(_gcd_contents) for _ in range(2))
+
+
+#: At its first evaluation point the heuristic reads the wrong candidate
+#: 361 z + 1562 off the integer gcd; the next point gives the gcd z - 7.
+FIRST_CANDIDATE_FAILS = (poly(-56, -27, -37, 6), poly(42, -13, -20, 3))
+#: At its first evaluation point b(xi) divides a(xi), so b = (z - 1)(z + 4)
+#: itself is the candidate; it fails, and the next point gives z - 1.
+FIRST_SHORTCUT_FAILS = (poly(0, -3, 2, -3, 1, 3), poly(-4, 3, 1))
+
+
+class TestHeuristicGcd:
+    """The heuristic gcd equals the primitive Euclid gcd it falls back to."""
+
+    @settings(ORACLE_SETTINGS, max_examples=200)
+    @given(pair=gcd_pairs())
+    @example(pair=FIRST_CANDIDATE_FAILS)
+    @example(pair=FIRST_SHORTCUT_FAILS)
+    def test_matches_euclid(self, pair):
+        a, b = pair
+        got = PolyZ.gcd(a, b)
+        assert got == _euclid_gcd(a, b)
+        assert PolyZ.gcd(b, a) == got
+        assert got.is_zero or got.leading == 1
+
+    def test_pinned_examples_fail_the_first_proof(self, monkeypatch):
+        proofs = []
+        divides = scalars._divides
+        monkeypatch.setattr(scalars, "_divides",
+                            lambda *args: proofs.append(divides(*args)) or proofs[-1])
+        for pair, gcd in ((FIRST_CANDIDATE_FAILS, poly(-7, 1)),
+                          (FIRST_SHORTCUT_FAILS, poly(-1, 1))):
+            proofs.clear()
+            assert PolyZ.gcd(*pair) == gcd
+            assert proofs[0] is False and proofs[-1] is True
+
+    def test_falls_back_to_euclid(self, monkeypatch):
+        # With no evaluation point to try, the heuristic gives up at once.
+        calls = []
+        euclid = scalars._euclid_gcd
+        monkeypatch.setattr(scalars, "_HEURISTIC_POINTS", 0)
+        monkeypatch.setattr(scalars, "_euclid_gcd",
+                            lambda a, b: calls.append(1) or euclid(a, b))
+        assert PolyZ.gcd(*FIRST_CANDIDATE_FAILS) == poly(-7, 1)
+        assert PolyZ.gcd(*FIRST_SHORTCUT_FAILS) == poly(-1, 1)
+        assert len(calls) == 2
 
 
 def test_zero_polynomial_against_oracle():
