@@ -25,7 +25,7 @@ from .riordan import (
     production_direct,
     production_from_pair,
 )
-from .scalars import ONE, ZERO, Scalar, Z
+from .scalars import ONE, ZERO, PolyZ, Scalar, Z
 from .sequences import bell_poly, eulerian_poly, named_pair, stirling2
 from .series import Series
 
@@ -167,14 +167,14 @@ def thm1(order: int):
         er_inverse(a).entries == er_build((x * (-Z)).exp(), (one + x).log()).entries,
         "",
     )
+    # Entry (r, k) is the polynomial with coefficient S(r, j) C(j, k) at
+    # z^(j-k); each S(r, j) is computed once.
+    s2 = [[stirling2(r, j) for j in range(r + 1)] for r in range(n + 1)]
     yield (
         "thm1: factorization L(n,k) = sum_j S(n,j) C(j,k) z^(j-k)",
         all(
-            a.entries[r][k] == sum(
-                (Scalar(stirling2(r, j) * comb(j, k)) * Z ** (j - k)
-                 for j in range(k, r + 1)),
-                ZERO,
-            )
+            a.entries[r][k] == Scalar(PolyZ.from_integers(
+                [s2[r][j] * comb(j, k) for j in range(k, r + 1)]))
             for r in range(n + 1) for k in range(r + 1)
         ),
         "",

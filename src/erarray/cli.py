@@ -53,7 +53,12 @@ class RunConfig:
 
 
 def _config(args) -> RunConfig:
-    z_value = Fraction(args.z) if getattr(args, "z", None) else None
+    z_value = None
+    if getattr(args, "z", None):
+        try:
+            z_value = Fraction(args.z)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"--z needs a rational P/Q, got {args.z!r}") from None
     return RunConfig(order=args.order, fmt=args.fmt, z_value=z_value)
 
 
@@ -188,6 +193,8 @@ def cmd_moments(args) -> int:
     a = _resolve_pair(args, cfg)
     terms = a.moments()
     if args.count is not None:
+        if args.count < 0:
+            raise ValueError(f"count must be >= 0, got {args.count}")
         if args.count > a.order:
             raise ValueError(f"count {args.count} exceeds order {a.order}")
         terms = terms[: args.count + 1]

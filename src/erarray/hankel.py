@@ -142,6 +142,8 @@ def hankel_transform(seq, nmax: int) -> list[Scalar]:
     ends the tableau; the larger sizes are then computed one by one by
     ``hankel_det``, whose row swaps get past the zero pivot.
     """
+    if nmax < 0:
+        raise ValueError(f"nmax must be >= 0, got {nmax}")
     terms = _terms(seq)
     needed = 2 * nmax + 1
     if len(terms) < needed:

@@ -147,6 +147,8 @@ def moments_from_jacobi(params: JacobiParams, count: int) -> MomentSequence:
     moment is canonicalised once.  The tests compare it with the inverse of
     the monic coefficient array and with ``jfraction_expand``.
     """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     if count > params.depth:
         raise ValueError(
             f"insufficient parameters: count {count} > depth {params.depth}"

@@ -1,8 +1,10 @@
 """Exponential Riordan arrays to finite order.
 
 An array [g, f] is the lower-triangular matrix whose column k has exponential
-generating function g(x) f(x)^k / k!.  The group law is computed on the
-defining series (exact, O(order^2) coefficient work); each call computes one
+generating function g(x) f(x)^k / k!.  The group law is read off the left
+factor's rows by the fundamental theorem of Riordan arrays,
+m! [x^m] g (u o f) = sum_k A[m][k] k! u_k: two matrix-vector products and
+one series division, O(order^2) coefficient work.  Each call computes one
 route, and matrix-level identities are left to ``erarray.checks`` and the
 test suite to recompute independently.
 
@@ -27,7 +29,7 @@ from math import comb, factorial
 # perfbench/selftest.py checks that the tracer also wraps this bound copy.
 from .orthopoly import JacobiParams, invert_lower_triangular  # noqa: F401
 from .scalars import ONE, ZERO, Scalar, dot
-from .series import Series, _compose_powers, _degree, _powers
+from .series import Series, _series
 
 
 def _as_scalar(value) -> Scalar:
@@ -154,12 +156,30 @@ def identity(order: int) -> ERArray:
     return er_build(Series.one(order), Series.x(order))
 
 
+def _rows_times(a: ERArray, vec) -> list[Scalar]:
+    """The matrix-vector product of the array with ``vec``, one dot per row."""
+    return [dot(zip(row[:m + 1], vec)) for m, row in enumerate(a.entries)]
+
+
+def _left_image(a: ERArray, u: Series) -> Series:
+    """a.g (u o a.f), read off the rows of ``a``.
+
+    By the fundamental theorem of Riordan arrays,
+    m! [x^m] a.g (u o a.f) = sum_k A[m][k] k! u_k.
+    """
+    vec = [c * factorial(k) for k, c in enumerate(u.coeffs)]
+    return _series(v / factorial(m) for m, v in enumerate(_rows_times(a, vec)))
+
+
 def er_mul(a: ERArray, b: ERArray) -> ERArray:
-    """Group law: [g, f] * [h, l] = [g (h o f), l o f]."""
+    """Group law: [g, f] * [h, l] = [g (h o f), l o f], from the rows of a.
+
+    g (h o f) is one matrix-vector product; l o f is g (l o f), another,
+    divided by g.
+    """
     if a.order != b.order:
         raise ValueError(f"series order mismatch: {a.order} != {b.order}")
-    powers = _powers(a.f, max(_degree(b.g), _degree(b.f)))
-    return er_build(a.g * _compose_powers(b.g, powers), _compose_powers(b.f, powers))
+    return er_build(_left_image(a, b.g), _left_image(a, b.f) / a.g)
 
 
 def er_inverse(a: ERArray) -> ERArray:
@@ -175,13 +195,17 @@ def er_inverse(a: ERArray) -> ERArray:
 
 
 def er_power(a: ERArray, m: int) -> ERArray:
-    """m-th group power (m may be negative)."""
+    """m-th group power (m may be negative).
+
+    The pair of a^m comes from m left multiplications of [1, x] by a (or
+    by its inverse), each read off the same rows, and is built once.
+    """
     if m < 0:
         return er_power(er_inverse(a), -m)
-    acc = identity(a.order)
+    g, f = Series.one(a.order), Series.x(a.order)
     for _ in range(m):
-        acc = er_mul(acc, a)
-    return acc
+        g, f = _left_image(a, g), _left_image(a, f) / a.g
+    return er_build(g, f)
 
 
 def er_apply(a: ERArray, u) -> tuple[Scalar, ...]:
@@ -194,10 +218,7 @@ def er_apply(a: ERArray, u) -> tuple[Scalar, ...]:
     vec = [_as_scalar(t) for t in u]
     if len(vec) != n + 1:
         raise ValueError(f"sequence length mismatch: need {n + 1}, got {len(vec)}")
-    return tuple(
-        sum((a.entries[r][k] * vec[k] for k in range(r + 1)), ZERO)
-        for r in range(n + 1)
-    )
+    return tuple(_rows_times(a, vec))
 
 
 def production_cr(a: ERArray) -> tuple[Series, Series]:
@@ -249,13 +270,11 @@ def production_direct(a: ERArray) -> ProductionMatrix:
     for i in range(n):
         if ent[i][i].is_zero:
             raise ZeroDivisionError(f"singular diagonal entry at ({i}, {i})")
-        b = list(ent[i + 1])
-        for k in range(i):
-            coeff = ent[i][k]
-            if not coeff.is_zero:
-                b = [bj - coeff * pj for bj, pj in zip(b, rows[k])]
         inv = ONE / ent[i][i]
-        rows.append(tuple(bj * inv for bj in b))
+        # P[i][j] = (A[i+1][j] - sum_{k<i} A[i][k] P[k][j]) / A[i][i].
+        terms = [(rows[k], -ent[i][k] * inv) for k in range(i) if not ent[i][k].is_zero]
+        rows.append(tuple(dot([(bj, inv)] + [(row[j], c) for row, c in terms])
+                          for j, bj in enumerate(ent[i + 1])))
     rows.append(tuple([ZERO] * (n + 1)))
     return ProductionMatrix(entries=tuple(rows))
 

@@ -24,17 +24,26 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
+def _ratio(n: int, d: int) -> str:
+    """n/d in lowest terms, for d > 0, as ``str`` of the Fraction reads it."""
+    g = gcd(n, d)
+    if g != d:
+        return f"{n // g}/{d // g}"
+    return str(n // d)
+
+
 def _format_terms(pairs) -> str:
-    """Render (coefficient, degree) pairs, descending degree, canonical form."""
+    """Render (coefficient text, degree) pairs, descending degree, canonical
+    form; each text is a nonzero rational as ``_ratio`` writes it."""
     chunks = []
     for coeff, deg in pairs:
-        negative = coeff < 0
-        mag = -coeff if negative else coeff
+        negative = coeff[0] == "-"
+        mag = coeff[1:] if negative else coeff
         if deg == 0:
-            body = str(mag)
+            body = mag
         else:
             var = "z" if deg == 1 else f"z^{deg}"
-            body = var if mag == 1 else f"{mag}*{var}"
+            body = var if mag == "1" else f"{mag}*{var}"
         if not chunks:
             chunks.append(f"-{body}" if negative else body)
         else:
@@ -296,10 +305,14 @@ class PolyZ:
         return not self.is_zero
 
     def __str__(self):
-        if self.is_zero:
-            return "0"
-        pairs = [(c, k) for k, c in sorted(enumerate(self.coeffs), reverse=True) if c]
-        return _format_terms(pairs)
+        n, d, prim = self._num, self._den, self._prim
+        if len(prim) <= 1:
+            # A constant's content is the value, already in lowest terms.
+            if d == 1:
+                return str(n)
+            return f"{n}/{d}"
+        return _format_terms((_ratio(n * c, d), k)
+                             for k, c in reversed(list(enumerate(prim))) if c)
 
     def __repr__(self):
         return f"PolyZ({self})"

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .scalars import ONE, PolyZ, Z
+from .scalars import PolyZ, Scalar, Z
 from .series import Series
 
 
@@ -77,6 +77,9 @@ def eulerian_triangle(nmax: int) -> IntTriangle:
     )
 
 
+_ONE_MINUS_Z = PolyZ([1, -1])
+
+
 def _exp_x(order: int) -> Series:
     return Series.x(order).exp()
 
@@ -91,13 +94,20 @@ def _pair_thm1(order: int) -> tuple[Series, Series]:
     return (f * Z).exp(), f
 
 
+def _over_one_minus_z(s: Series) -> Series:
+    """s / (1 - z), for s whose every coefficient is a multiple of 1 - z."""
+    return Series(Scalar(c.num.exact_div(_ONE_MINUS_Z)) for c in s.coeffs)
+
+
 def _pair_thm2(order: int) -> tuple[Series, Series]:
+    # g = e^{zx}(1 - z)/(e^{zx} - z e^x) and f = (e^x - e^{zx})/(e^{zx} - z e^x).
+    # Every coefficient of e^{zx} - z e^x and of e^x - e^{zx} vanishes at
+    # z = 1; dividing both by 1 - z first leaves a denominator with unit
+    # constant term, so both quotients run over Q[z].
     ex = _exp_x(order)
     ezx = (Series.x(order) * Z).exp()
-    den = ezx - ex * Z
-    g = (ezx * (ONE - Z)) / den
-    f = (ex - ezx) / den
-    return g, f
+    den = _over_one_minus_z(ezx - ex * Z)
+    return ezx / den, _over_one_minus_z(ex - ezx) / den
 
 
 def _pair_stirling2(order: int) -> tuple[Series, Series]:

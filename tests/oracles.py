@@ -5,13 +5,15 @@ polynomial kernel is a tuple of Fractions with schoolbook loops, the
 determinants are cofactor expansion and fraction-field elimination, the
 Hankel transform is one fraction-free elimination of the largest Hankel
 matrix, Bell numbers come from the binomial recurrence, composition is
-Horner's rule, reversion is Newton iteration, an array acts on a sequence
-through e.g.f.s, the production series and the inverse array compose with
-the reversion of f, production matrices are read off the bivariate
-generating function, moments come from inverting the monic coefficient
-array, Jacobi data is recovered from moments by the Stieltjes procedure,
-and the random generators only build inputs.  Each library call computes
-one route; the tests compare it with these.
+Horner's rule, the group law composes through a table of the powers of f,
+the thm2 pair is divided as rational functions, reversion is Newton
+iteration, an array acts on a sequence through e.g.f.s, the production
+series and the inverse array compose with the reversion of f, production
+matrices are read off the bivariate generating function, moments come from
+inverting the monic coefficient array, Jacobi data is recovered from
+moments by the Stieltjes procedure, and the random generators only build
+inputs.  Each library call computes one route; the tests compare it with
+these.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from erarray.orthopoly import (
 )
 from erarray.riordan import ERArray, ProductionMatrix, er_build
 from erarray.scalars import ONE, POLY_ONE, ZERO, PolyZ, Scalar, Z
-from erarray.series import Series
+from erarray.series import Series, _compose_powers, _degree, _powers
 
 
 # The polynomial kernel as a tuple of Fractions, the differential oracle for
@@ -393,6 +395,25 @@ def er_inverse_by_reversion(a: ERArray) -> ERArray:
     """The group inverse [1/(g o fbar), fbar], with fbar the reversion of f."""
     fbar = a.f.revert()
     return er_build(Series.one(a.order) / a.g.compose(fbar), fbar)
+
+
+def er_mul_by_powers(a: ERArray, b: ERArray) -> ERArray:
+    """Group law: [g, f] * [h, l] = [g (h o f), l o f]."""
+    if a.order != b.order:
+        raise ValueError(f"series order mismatch: {a.order} != {b.order}")
+    powers = _powers(a.f, max(_degree(b.g), _degree(b.f)))
+    return er_build(a.g * _compose_powers(b.g, powers), _compose_powers(b.f, powers))
+
+
+def pair_thm2_by_quotient(order: int) -> tuple[Series, Series]:
+    """The thm2 pair as the paper writes it, divided as rational functions:
+    g = e^{zx}(1 - z)/(e^{zx} - z e^x), f = (e^x - e^{zx})/(e^{zx} - z e^x)."""
+    ex = Series.x(order).exp()
+    ezx = (Series.x(order) * Z).exp()
+    den = ezx - ex * Z
+    g = (ezx * (ONE - Z)) / den
+    f = (ex - ezx) / den
+    return g, f
 
 
 def production_bivariate_gf(a, orders: int | None = None) -> ProductionMatrix:

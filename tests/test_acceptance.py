@@ -14,6 +14,7 @@ from math import comb, factorial
 
 import pytest
 
+from erarray import checks
 from erarray.checks import SUITES
 from erarray.hankel import binomial_transform, hankel_from_betas, hankel_transform
 from erarray.orthopoly import JacobiParams, jacobi_from_moments, moments_from_jacobi
@@ -134,6 +135,15 @@ def test_criterion_08_row_sum_hankel(suite):
 def test_criterion_09_inverses_and_factorization(suite):
     ok = holds(suite, "thm1: inverse array", "thm2: inverse array", "thm1: factorization")
     report(9, "inverse propositions and the factorization identity hold to order 12", ok)
+
+
+def test_factorization_row_reads_the_stirling_numbers(monkeypatch):
+    # One wrong S(r, j) must fail the factorization row and no other.
+    real = checks.stirling2
+    monkeypatch.setattr(checks, "stirling2",
+                        lambda r, j: real(r, j) + ((r, j) == (5, 3)))
+    failed = [name for name, ok, _ in SUITES["thm1"](6) if not ok]
+    assert failed == ["thm1: factorization L(n,k) = sum_j S(n,j) C(j,k) z^(j-k)"]
 
 
 def test_criterion_10_z1_reduction(suite):

@@ -69,6 +69,13 @@ class TestArray:
         assert rows[0] == ["pole at z = 1"]
         assert rows[1] == ["0", "pole at z = 1"]
 
+    def test_bad_z_names_the_option(self, capsys):
+        for value in ("1/0", "half"):
+            code, _, err = run(capsys, "array", "--name", "thm1", "--order", "3",
+                               "--z", value)
+            assert code == 2
+            assert err == f"error: --z needs a rational P/Q, got {value!r}\n"
+
     def test_z_specialization_no_pole(self, capsys):
         code, out, _ = run(
             capsys, "array", "--g", "1/(1-z*x)", "--f", "x", "--order", "2",
@@ -155,6 +162,11 @@ class TestSequencesCommands:
         assert code == 2
         assert "need 3 terms" in err
 
+    def test_hankel_negative_nmax(self, capsys):
+        code, out, err = run(capsys, "hankel", "1", "1", "2", "5", "--nmax", "-1")
+        assert (code, out) == (2, "")
+        assert "nmax must be >= 0, got -1" in err
+
     def test_binom_inline(self, capsys):
         code, out, _ = run(capsys, "binom", "1", "0", "0", "0")
         assert code == 0
@@ -222,6 +234,14 @@ class TestSequencesCommands:
             jf.write_text(json.dumps(data))
             code, _, err = run(capsys, "moments", "--in", str(jf))
             assert code == 2 and "Traceback" not in err
+
+    def test_moments_negative_count(self, capsys, tmp_path):
+        jf = tmp_path / "jacobi.json"
+        jf.write_text(json.dumps({"a0": 1, "alpha": [1, 2], "beta": [1]}))
+        for source in (("--in", str(jf)), ("--name", "thm2", "--order", "3")):
+            code, out, err = run(capsys, "moments", *source, "--count", "-1")
+            assert (code, out) == (2, "")
+            assert "count must be >= 0, got -1" in err
 
     def test_moments_from_pair(self, capsys):
         code, out, _ = run(capsys, "moments", "--name", "thm2", "--order", "3")

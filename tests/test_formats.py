@@ -173,6 +173,9 @@ class TestCanonicalReader:
     @example(s=-Z**2)
     @example(s=ZERO)
     @example(s=(Z**4 - 1) / (3 * Z**3 + 2))
+    @example(s=Scalar(-(3**200)))
+    @example(s=Scalar(Fraction(2**127 - 1, -(3**90))))
+    @example(s=(Z * Fraction(7**60, 6) - Fraction(1, 10**40)) / (Z + Fraction(5, 3**50)))
     def test_reads_str_without_the_parser(self, s):
         def refuse(text):
             raise AssertionError(f"parser fallback taken for {text!r}")

@@ -124,6 +124,10 @@ class TestHankelTransform:
         with pytest.raises(ValueError, match="need 3 terms"):
             hankel_transform([ONE], 1)
 
+    def test_negative_nmax(self):
+        with pytest.raises(ValueError, match="nmax must be >= 0, got -1"):
+            hankel_transform([Scalar(v) for v in (1, 1, 2, 5)], -1)
+
 
 class TestBetaProduct:
     def test_thm1_level_three(self):

@@ -108,6 +108,10 @@ class TestMoments:
         with pytest.raises(ValueError, match="insufficient"):
             moments_from_jacobi(thm1_params(3), 4)
 
+    def test_negative_count(self):
+        with pytest.raises(ValueError, match="count must be >= 0, got -1"):
+            moments_from_jacobi(thm1_params(3), -1)
+
     def test_nonunit_a0_scales(self):
         params = JacobiParams(
             alpha=laguerre_params(4).alpha,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from erarray import riordan, series
 from erarray.orthopoly import invert_lower_triangular
 from erarray.riordan import (
     er_apply,
@@ -30,6 +31,7 @@ from oracles import (
     bell_numbers,
     compose_horner,
     er_inverse_by_reversion,
+    er_mul_by_powers,
     matrix_product,
     one_factor_rationals,
     poly_scalars,
@@ -146,6 +148,23 @@ class TestGroupLaw:
     def test_order_mismatch(self):
         with pytest.raises(ValueError, match="order mismatch"):
             er_mul(identity(4), identity(5))
+
+    def test_never_composes(self, monkeypatch):
+        # The group law reads the left factor's rows; no powers table of f.
+        a = er_build(*named_pair("thm2", 6))
+        b = er_build(*named_pair("charlier", 6))
+        expected = er_mul_by_powers(a, b)
+        calls = []
+        monkeypatch.setattr(Series, "compose", lambda *args: calls.append("compose"))
+        # A copy of _powers imported by name into riordan would bypass the
+        # patch of series._powers, so any such copy is patched too.
+        for module in (series, riordan):
+            monkeypatch.setattr(module, "_powers", lambda *args: calls.append("_powers"),
+                                raising=False)
+        assert er_mul(a, b) == expected
+        er_power(a, 3)
+        er_power(b, -2)
+        assert calls == []
 
 
 class TestInverse:
@@ -423,8 +442,8 @@ class TestStructuralIdentities:
 def draw_pair(data, n):
     """A valid pair with z-polynomial coefficients and rational f'(0).
 
-    g and f are cut to random degrees, so that the two series composed over
-    one shared powers table need tables of different lengths.
+    g and f are cut to random degrees, so that short and sparse series are
+    drawn as well as dense ones.
     """
     g = data.draw(series_of(poly_scalars, n)).coeffs
     f = data.draw(series_of(poly_scalars, n, lead=rational_leads)).coeffs
@@ -456,8 +475,9 @@ PAIR_KINDS = pytest.mark.parametrize(
 
 
 class TestAgainstOracles:
-    """Shared powers tables give what separate Horner/Newton calls give, and
-    the triangular solves give what composing with the reversion gives."""
+    """The group law read off the rows gives what Horner composition and a
+    powers table give, and the triangular solves give what composing with
+    the reversion gives."""
 
     @ORACLE_SETTINGS
     @given(data=st.data())
@@ -487,3 +507,25 @@ class TestAgainstOracles:
         assert production_from_pair(a).entries == production_bivariate_gf(a).entries
         assert a.fbar == a.f.revert()
         assert er_inverse(a) == er_inverse_by_reversion(a)
+
+    @PAIR_KINDS
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_mul_matches_powers_table(self, scalars, lead, max_order, data):
+        n = data.draw(st.integers(1, max_order))
+        a = er_build(*draw_general_pair(data, n, scalars, lead))
+        b = er_build(*draw_general_pair(data, n, scalars, lead))
+        assert er_mul(a, b) == er_mul_by_powers(a, b)
+
+    @PAIR_KINDS
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_power_matches_repeated_products(self, scalars, lead, max_order, data):
+        n = data.draw(st.integers(1, max_order))
+        m = data.draw(st.integers(-2, 4))
+        a = er_build(*draw_general_pair(data, n, scalars, lead))
+        factor = a if m >= 0 else er_inverse(a)
+        expected = identity(n)
+        for _ in range(abs(m)):
+            expected = er_mul_by_powers(expected, factor)
+        assert er_power(a, m) == expected

@@ -162,6 +162,11 @@ class TestCanonicalString:
             (Scalar(Fraction(-3, 4)), "-3/4"),
             (Z / (Z + 1), "(z)/(z + 1)"),
             ((Z + 2) / (Z**2 - 1), "(z + 2)/(z^2 - 1)"),
+            (Scalar(10**30), "1" + "0" * 30),
+            (Scalar(-(2**64)), "-18446744073709551616"),
+            (Scalar(Fraction(-(10**25), 3**20)), f"-{10**25}/{3**20}"),
+            (Z * Fraction(4, 6) - Fraction(10**20, 4), f"2/3*z - {10**20 // 4}"),
+            (Scalar(PolyZ([Fraction(-1, 2), 0, 0, Fraction(3, 1)])), "3*z^3 - 1/2"),
         ],
     )
     def test_rendering(self, value, text):

@@ -17,6 +17,8 @@ from erarray.sequences import (
 )
 from erarray.series import Series
 
+from oracles import pair_thm2_by_quotient
+
 STIRLING_ROWS = [
     (1,),
     (0, 1),
@@ -117,6 +119,10 @@ class TestNamedPairs:
 
     def test_thm2_z1_alias(self):
         assert named_pair("thm2_z1", 6) == named_pair("laguerre", 6)
+
+    @pytest.mark.parametrize("order", range(1, 17))
+    def test_thm2_matches_quotient(self, order):
+        assert named_pair("thm2", order) == pair_thm2_by_quotient(order)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown named pair"):
