@@ -122,6 +122,8 @@ def det_scalar(rows) -> Scalar:
 
 def hankel_matrix(seq, n: int):
     """The (n+1) x (n+1) matrix with entry (i, j) = a_{i+j}."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     terms = _terms(seq)
     needed = 2 * n + 1
     if len(terms) < needed:
@@ -164,6 +166,8 @@ def hankel_from_betas(params: JacobiParams, nmax: int) -> list[Scalar]:
     validated against brute-force determinants in the test suite; for
     a0 = 1 the two conventions coincide.
     """
+    if nmax < 0:
+        raise ValueError(f"nmax must be >= 0, got {nmax}")
     if nmax > len(params.beta):
         raise ValueError(
             f"need {nmax} betas, have {len(params.beta)}"

@@ -120,6 +120,8 @@ def jfraction_expand(params: JacobiParams, order: int) -> Series:
     wraps 1 - alpha_j x - beta_{j+1} x^2 / (next level).
     """
     depth = params.depth
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     if order > depth:
         raise ValueError(f"insufficient parameters: order {order} > depth {depth}")
     if depth == 0:

@@ -6,6 +6,12 @@ monic), so equality is a structural comparison and no floating point is ever
 involved.  Its numerator and denominator are ``PolyZ`` values: a rational
 content times a primitive integer polynomial, whose arithmetic runs on
 Python ints.
+
+The polynomial gcd is heuristic (GCDHEU) and returns the cofactors it
+proved, so ``_cofactors`` is the one place where a gcd is followed by a
+division, and only when the heuristic falls back to Euclid.  ``Scalar``
+sums and products follow Henrici's rules and keep every gcd on the small
+operands.
 """
 
 from __future__ import annotations
@@ -264,7 +270,8 @@ class PolyZ:
 
     @staticmethod
     def gcd(a: PolyZ, b: PolyZ) -> PolyZ:
-        """Monic gcd, by the heuristic gcd of the primitive parts.
+        """Monic gcd, by the heuristic gcd of the primitive parts
+        (``_cofactors``).
 
         When every evaluation point of ``_heuristic_gcd`` fails, the gcd
         comes from primitive Euclid (``_euclid_gcd``).
@@ -273,10 +280,7 @@ class PolyZ:
             return b.monic()
         if not b._prim:
             return a.monic()
-        g = _heuristic_gcd(a._prim, b._prim)
-        if g is None:
-            return _euclid_gcd(a, b)
-        return _poly(1, g[-1], g)
+        return _cofactors(a, b)[2]
 
     def evaluate(self, v) -> Fraction:
         v = _as_fraction(v)
@@ -392,7 +396,8 @@ _HEURISTIC_POINTS = 7
 
 
 def _heuristic_gcd(a: tuple, b: tuple):
-    """The primitive gcd of two primitive integer polynomials, or None.
+    """(h, a/h, b/h) for h the primitive gcd of two primitive integer
+    polynomials, or None.
 
     GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989): at an
     integer xi >= 2 min(|a|, |b|) + 2 (max norms), the symmetric xi-adic
@@ -401,11 +406,12 @@ def _heuristic_gcd(a: tuple, b: tuple):
     power of two, so evaluation packs and the digits unpack as in
     ``_kronecker``, and it is wide enough for both inputs and, as a rule,
     their cofactors: then ``_divides`` proves each division from the slot
-    bounds alone.  A candidate that fails the proof makes xi grow; None
-    comes back after ``_HEURISTIC_POINTS`` points.
+    bounds alone, and the cofactors are the digits it proved.  A candidate
+    that fails the proof makes xi grow; None comes back after
+    ``_HEURISTIC_POINTS`` points.  A unit gcd is the ``_UNIT`` object.
     """
     if len(a) == 1 or len(b) == 1:
-        return _UNIT
+        return _UNIT, a, b
     # 2^w > 2 max(|a|, |b|) + 2, with a few bits to spare for the
     # cofactors; no root of a or b is that large, so neither value is 0.
     w = (max(max(map(abs, a)), max(map(abs, b))).bit_length()
@@ -416,42 +422,77 @@ def _heuristic_gcd(a: tuple, b: tuple):
         # b(xi) | a(xi) makes b itself the candidate (and vice versa), and
         # it divides itself.
         if g == vb:
-            if _divides(b, a, va // g, w):
-                return b
+            qa = _divides(b, a, va // g, w)
+            if qa is not None:
+                return b, qa, _UNIT
         elif g == va:
-            if _divides(a, b, vb // g, w):
-                return a
+            qb = _divides(a, b, vb // g, w)
+            if qb is not None:
+                return a, _UNIT, qb
         else:
             h = _unpack(g, w)
             c = gcd(*h)
             if c != 1:
                 h = [x // c for x in h]
             if len(h) == 1:
-                return _UNIT
+                return _UNIT, a, b
             hv = _pack(h, w)
-            if _divides(h, a, va // hv, w) and _divides(h, b, vb // hv, w):
-                return tuple(h)
+            qa = _divides(h, a, va // hv, w)
+            if qa is not None:
+                qb = _divides(h, b, vb // hv, w)
+                if qb is not None:
+                    return tuple(h), qa, qb
         w += w // 4 + 2
     return None
 
 
-def _divides(h: list, a: tuple, cofactor: int, w: int) -> bool:
-    """Whether h divides a, given cofactor = a(2^w)/h(2^w), an integer, and
-    a width w with every coefficient of a below 2^(w-1) in absolute value.
+def _divides(h, a: tuple, cofactor: int, w: int):
+    """The quotient a/h if h divides a, else None, given cofactor =
+    a(2^w)/h(2^w), an integer, and a width w with every coefficient of a
+    below 2^(w-1) in absolute value.
 
     The digits q of ``cofactor`` satisfy h(2^w) q(2^w) = a(2^w).  When the
     coefficients of h*q lie below 2^(w-1) as well, both sides are read off
-    the same digits, so h*q = a; the bound |(h*q)_k| <= min(len h, len q)
-    |h| |q| proves it without a product.  Otherwise one Kronecker product
-    decides.
+    the same digits, so h*q = a and q is the quotient; the bound
+    |(h*q)_k| <= min(len h, len q) |h| |q| proves it without a product.
+    Otherwise one Kronecker product decides.
     """
     q = _unpack(cofactor, w)
     if len(q) + len(h) - 1 != len(a):
-        return False
+        return None
+    q = tuple(q)
     if (max(map(abs, h)).bit_length() + max(map(abs, q)).bit_length()
             + min(len(h), len(q)).bit_length() < w):
-        return True
-    return _kronecker(h, q) == a
+        return q
+    return q if _kronecker(h, q) == a else None
+
+
+def _cofactors(a: PolyZ, b: PolyZ) -> tuple[PolyZ, PolyZ, PolyZ]:
+    """(a/h, b/h, h) for nonzero a and b, with h their monic gcd.
+
+    The quotients are the cofactors ``_heuristic_gcd`` proved; only when
+    every evaluation point fails do primitive Euclid and two exact
+    divisions give them.  This is the one place where a gcd is followed by
+    a division.  A unit gcd gives a and b themselves and ``POLY_ONE``.
+    """
+    found = _heuristic_gcd(a._prim, b._prim)
+    if found is None:
+        h = _euclid_gcd(a, b)
+        if not h.degree:
+            return a, b, POLY_ONE
+        return a.exact_div(h), b.exact_div(h), h
+    h, qa, qb = found
+    if h is _UNIT:
+        return a, b, POLY_ONE
+    # a = (n/d) h qa with h primitive, so a over the monic h/lead is
+    # (n lead/d) qa; qa is primitive with a positive leading coefficient.
+    lead = h[-1]
+    out = []
+    for p, q in ((a, qa), (b, qb)):
+        n, d = p._num * lead, p._den
+        g = gcd(n, d)
+        out.append(_poly(n // g, d // g, q))
+    return out[0], out[1], _poly(1, lead, h)
 
 
 def _lcm(dens) -> PolyZ:
@@ -460,7 +501,7 @@ def _lcm(dens) -> PolyZ:
     out = POLY_ONE
     for den in dens:
         if den is not POLY_ONE:
-            out = den if out is POLY_ONE else out * den.exact_div(PolyZ.gcd(out, den))
+            out = den if out is POLY_ONE else out * _cofactors(out, den)[1]
     return out
 
 
@@ -485,6 +526,12 @@ class Scalar:
     (in particular a pure rational) has the one ``POLY_ONE`` object as its
     denominator, so ``is_polynomial`` is an identity test.  Values are
     immutable.
+
+    The constructor reduces num/den by their gcd.  Arithmetic keeps the
+    operands' canonical form instead (Henrici; Knuth, TAOCP vol. 2,
+    4.5.1): a sum over coprime denominators is already canonical and
+    otherwise cancels only against g = gcd of the denominators, and a
+    product cross-cancels each numerator with the other denominator.
     """
 
     __slots__ = ("num", "den")
@@ -499,10 +546,7 @@ class Scalar:
                 num, den = POLY_ZERO, POLY_ONE
             else:
                 if den.degree >= 1:
-                    g = PolyZ.gcd(num, den)
-                    if g.degree >= 1:
-                        num = num.exact_div(g)
-                        den = den.exact_div(g)
+                    num, den, _ = _cofactors(num, den)
                 if den.leading != 1:
                     num = num.scale(1 / den.leading)
                     den = den.monic()
@@ -548,7 +592,7 @@ class Scalar:
                 return NotImplemented
         if self.den is POLY_ONE and other.den is POLY_ONE:
             return _polynomial(self.num + other.num)
-        return Scalar(self.num * other.den + other.num * self.den, self.den * other.den)
+        return _sum(self.num, self.den, other.num, other.den)
 
     __radd__ = __add__
 
@@ -582,7 +626,9 @@ class Scalar:
             c = a.num
             if a.den is POLY_ONE and len(c._prim) == 1:
                 return _canonical(b.num._times(c._num, c._den), b.den)
-        return Scalar(self.num * other.num, self.den * other.den)
+        if not self.num._prim or not other.num._prim:
+            return ZERO
+        return _product(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -601,7 +647,9 @@ class Scalar:
             # A rational constant only scales the numerator's content; the
             # denominator stays monic and coprime to it.
             return _canonical(self.num._times(o._den, o._num), self.den)
-        return Scalar(self.num * other.den, self.den * other.num)
+        if not self.num._prim:
+            return ZERO
+        return _product(self.num, self.den, *_inverse(other))
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -612,11 +660,14 @@ class Scalar:
     def __pow__(self, exponent: int) -> Scalar:
         if not isinstance(exponent, int):
             raise ValueError("scalar power needs an integer exponent")
+        num, den = self.num, self.den
         if exponent < 0:
             if self.is_zero:
                 raise ZeroDivisionError("scalar division by zero")
-            return Scalar(self.den ** (-exponent), self.num ** (-exponent))
-        return Scalar(self.num**exponent, self.den**exponent)
+            num, den = _inverse(self)
+            exponent = -exponent
+        # Powers of coprime polynomials are coprime, and of a monic one monic.
+        return _reduced(num**exponent, den**exponent)
 
     def eval_z(self, v) -> Fraction:
         """Specialize z to a rational value; the denominator must not vanish."""
@@ -659,6 +710,54 @@ def _polynomial(num: PolyZ) -> Scalar:
     return _canonical(num, POLY_ONE)
 
 
+def _reduced(num: PolyZ, den: PolyZ) -> Scalar:
+    """The Scalar num/den from coprime parts with den monic; a constant den
+    becomes the one ``POLY_ONE``."""
+    return _canonical(num, den if len(den._prim) > 1 else POLY_ONE)
+
+
+def _inverse(s: Scalar) -> tuple[PolyZ, PolyZ]:
+    """The coprime numerator and monic denominator of 1/s, for s != 0."""
+    n = s.num
+    prim = n._prim
+    num = s.den._times(n._den, n._num * prim[-1])
+    return num, POLY_ONE if len(prim) == 1 else _poly(1, prim[-1], prim)
+
+
+# Henrici's rules (Knuth, TAOCP vol. 2, 4.5.1) for canonical fractions: each
+# gcd is taken of the small operands, and no full product is canonicalised.
+
+def _sum(an: PolyZ, ad: PolyZ, bn: PolyZ, bd: PolyZ) -> Scalar:
+    """an/ad + bn/bd, for canonical fractions not both polynomials.
+
+    With g = gcd(ad, bd) the sum is t / ((ad/g) bd), t = an (bd/g) +
+    bn (ad/g).  For g = 1 that is canonical; otherwise only gcd(t, g) can
+    cancel.
+    """
+    if ad is POLY_ONE:
+        return _canonical(an * bd + bn, bd)
+    if bd is POLY_ONE:
+        return _canonical(an + bn * ad, ad)
+    ra, rb, g = _cofactors(ad, bd)
+    t = an * rb + bn * ra
+    if g is POLY_ONE:
+        return _canonical(t, ad * bd)
+    if not t._prim:
+        return ZERO
+    t, g, _ = _cofactors(t, g)
+    return _reduced(t, ra * rb * g)
+
+
+def _product(an: PolyZ, ad: PolyZ, bn: PolyZ, bd: PolyZ) -> Scalar:
+    """(an/ad)(bn/bd), for canonical fractions with nonzero numerators:
+    an is cross-cancelled with bd and bn with ad."""
+    if ad is not POLY_ONE:
+        bn, ad, _ = _cofactors(bn, ad)
+    if bd is not POLY_ONE:
+        an, bd, _ = _cofactors(an, bd)
+    return _reduced(an * bn, ad * bd)
+
+
 def dot(pairs) -> Scalar:
     """The exact sum of x*y over an iterable of (x, y) Scalar pairs.
 
@@ -687,8 +786,7 @@ def dot(pairs) -> Scalar:
                 rnum = rnum + tn
             else:
                 # Over lcm(rden, td): one gcd of the denominators only.
-                g = PolyZ.gcd(rden, td)
-                rt, tr = td.exact_div(g), rden.exact_div(g)
+                tr, rt, _ = _cofactors(rden, td)
                 rnum, rden = rnum * rt + tn * tr, rden * rt
             continue
         d = xn._den * yn._den

@@ -12,8 +12,9 @@ series and the inverse array compose with the reversion of f, production
 matrices are read off the bivariate generating function, moments come from
 inverting the monic coefficient array, Jacobi data is recovered from
 moments by the Stieltjes procedure, and the random generators only build
-inputs.  Each library call computes one route; the tests compare it with
-these.
+inputs.  Scalar sums and products canonicalise the full cross product by
+the Euclid gcd.  Each library call computes one route; the tests compare it
+with these.
 """
 
 from __future__ import annotations
@@ -236,6 +237,35 @@ class FractionPoly:
 
     def __repr__(self):
         return f"FractionPoly({self})"
+
+
+def scalar_by_product(op: str, x: Scalar, y: Scalar) -> Scalar:
+    """x op y, for op one of + - * /, as the full sum or product over the
+    product of the denominators, canonicalised once by the Euclid gcd of
+    ``FractionPoly`` and two exact divisions: the differential oracle for
+    Henrici's rules in ``Scalar``."""
+    xn, xd, yn, yd = (FractionPoly(p.coeffs) for p in (x.num, x.den, y.num, y.den))
+    if op == "+":
+        num, den = xn * yd + yn * xd, xd * yd
+    elif op == "-":
+        num, den = xn * yd - yn * xd, xd * yd
+    elif op == "*":
+        num, den = xn * yn, xd * yd
+    elif op == "/":
+        if yn.is_zero:
+            raise ZeroDivisionError("scalar division by zero")
+        num, den = xn * yd, xd * yn
+    else:
+        raise ValueError(f"unknown operation {op!r}")
+    if num.is_zero:
+        return ZERO
+    g = FractionPoly.gcd(num, den)
+    num, den = num.exact_div(g), den.exact_div(g)
+    num, den = num.scale(1 / den.leading), den.monic()
+    canonical = object.__new__(Scalar)
+    canonical.num = PolyZ(num.coeffs)
+    canonical.den = POLY_ONE if den.degree == 0 else PolyZ(den.coeffs)
+    return canonical
 
 
 def det_cofactor(rows) -> Scalar:

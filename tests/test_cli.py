@@ -4,6 +4,8 @@ import json
 
 from erarray import checks
 from erarray.cli import main
+from erarray.formats import jacobi_from_json
+from erarray.hankel import hankel_from_betas
 
 
 def run(capsys, *argv):
@@ -242,6 +244,30 @@ class TestSequencesCommands:
             code, out, err = run(capsys, "moments", *source, "--count", "-1")
             assert (code, out) == (2, "")
             assert "count must be >= 0, got -1" in err
+
+    def test_rational_round_trip(self, capsys, tmp_path):
+        # Jacobi data over Q(z): moments --in, then hankel --in and
+        # jacobi --in on the moments they wrote.
+        alpha = ["z + 1", "2*z", "z + 3", "1", "z", "2", "3*z + 1"]
+        beta = ["(2*z + 1)/(z + 1)", "(z + 3)/(z + 2)", "(3*z + 1)/(z + 1)",
+                "z/(z + 2)", "(z + 3)/(z + 1)", "(2*z + 3)/(z + 2)"]
+        jf = tmp_path / "jacobi.json"
+        jf.write_text(json.dumps({"a0": "1", "alpha": alpha, "beta": beta}))
+        code, out, _ = run(capsys, "moments", "--in", str(jf), "--format", "json")
+        assert code == 0
+        moments = json.loads(out)
+        assert len(moments) == 8 and "/(z^" in moments[-1]
+        seq = tmp_path / "moments.json"
+        seq.write_text(out)
+        code, out, _ = run(capsys, "hankel", "--in", str(seq), "--format", "json")
+        assert code == 0
+        params = jacobi_from_json(jf.read_text())
+        assert json.loads(out) == [str(h) for h in hankel_from_betas(params, 3)]
+        code, out, _ = run(capsys, "jacobi", "--in", str(seq))
+        assert code == 0
+        data = json.loads(out)
+        assert data["alpha"] == alpha[:4] and data["beta"] == beta[:3]
+        assert data["depth"] == 4 and data["finite_support"] is False
 
     def test_moments_from_pair(self, capsys):
         code, out, _ = run(capsys, "moments", "--name", "thm2", "--order", "3")

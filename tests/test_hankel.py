@@ -58,6 +58,10 @@ class TestDeterminants:
         with pytest.raises(ValueError, match="need 3 terms"):
             hankel_det([ONE], 1)
 
+    def test_negative_size(self):
+        with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+            hankel_det([ONE, ONE, ONE], -1)
+
     def test_bareiss_row_swap(self):
         rows = [[PolyZ(), PolyZ((1,))], [PolyZ((1,)), PolyZ()]]
         assert det_bareiss(rows) == PolyZ((-1,))
@@ -162,6 +166,11 @@ class TestBetaProduct:
         params = JacobiParams(alpha=(ONE, ONE), beta=(ONE,))
         with pytest.raises(ValueError, match="betas"):
             hankel_from_betas(params, 2)
+
+    def test_negative_nmax(self):
+        params = JacobiParams(alpha=(ONE, ONE), beta=(ONE,))
+        with pytest.raises(ValueError, match="nmax must be >= 0, got -1"):
+            hankel_from_betas(params, -1)
 
 
 class TestBinomialTransform:

@@ -141,6 +141,10 @@ class TestJFraction:
         assert jfraction_expand(params, 5).coeffs == \
             moments_from_jacobi(params, 5).terms
 
+    def test_negative_order(self):
+        with pytest.raises(ValueError, match="order must be >= 0, got -1"):
+            jfraction_expand(thm1_params(3), -1)
+
 
 class TestJacobiRecovery:
     def test_bell_polynomial_moments(self):

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 from erarray import scalars
 from erarray.scalars import ONE, POLY_ONE, ZERO, PolyZ, Scalar, Z, _euclid_gcd, dot
 
-from oracles import ORACLE_SETTINGS, FractionPoly, random_fraction, rational_scalars
+from oracles import (
+    ORACLE_SETTINGS,
+    FractionPoly,
+    random_fraction,
+    rational_scalars,
+    scalar_by_product,
+)
 
 
 def poly(*coeffs):
@@ -350,15 +356,29 @@ class TestHeuristicGcd:
         assert got.is_zero or got.leading == 1
 
     def test_pinned_examples_fail_the_first_proof(self, monkeypatch):
+        # A failed proof gives None, a passed one the cofactor it proved;
+        # the last proof is of b, so it gives b/gcd.
         proofs = []
         divides = scalars._divides
         monkeypatch.setattr(scalars, "_divides",
                             lambda *args: proofs.append(divides(*args)) or proofs[-1])
-        for pair, gcd in ((FIRST_CANDIDATE_FAILS, poly(-7, 1)),
-                          (FIRST_SHORTCUT_FAILS, poly(-1, 1))):
+        for pair, gcd, cofactor in ((FIRST_CANDIDATE_FAILS, poly(-7, 1), (-6, 1, 3)),
+                                    (FIRST_SHORTCUT_FAILS, poly(-1, 1), (4, 1))):
             proofs.clear()
             assert PolyZ.gcd(*pair) == gcd
-            assert proofs[0] is False and proofs[-1] is True
+            assert proofs[0] is None and proofs[-1] == cofactor
+
+    @settings(ORACLE_SETTINGS, max_examples=200)
+    @given(pair=gcd_pairs())
+    @example(pair=FIRST_CANDIDATE_FAILS)
+    @example(pair=FIRST_SHORTCUT_FAILS)
+    def test_cofactors(self, pair):
+        a, b = pair
+        if a.is_zero or b.is_zero:
+            return
+        qa, qb, h = scalars._cofactors(a, b)
+        assert h * qa == a and h * qb == b
+        assert h == _euclid_gcd(a, b)
 
     def test_falls_back_to_euclid(self, monkeypatch):
         # With no evaluation point to try, the heuristic gives up at once.
@@ -401,6 +421,77 @@ def test_kronecker_slot_extremes(bits, length):
     for ca in rows:
         for cb in rows:
             assert_same(PolyZ(ca) * PolyZ(cb), FractionPoly(ca) * FractionPoly(cb))
+
+
+# Rational functions for the differential tests of Henrici's rules: the
+# denominators are products of up to two factors from a small pool, so that
+# equal, coprime and partly shared denominators all occur, and a numerator
+# sometimes carries a pool factor that a sum or product can cancel.
+_FACTORS = (poly(1, 1), poly(2, 1), poly(-1, 2), poly(1, 0, 1), poly(-2, 1, 1))
+_OPS = (("+", lambda x, y: x + y), ("-", lambda x, y: x - y),
+        ("*", lambda x, y: x * y), ("/", lambda x, y: x / y))
+
+
+def _pool_scalar(rng: random.Random) -> Scalar:
+    den = PolyZ([random_fraction(rng) or 1])
+    for _ in range(rng.randint(0, 2)):
+        den = den * rng.choice(_FACTORS)
+    num = PolyZ([random_fraction(rng) for _ in range(rng.randint(0, 3))])
+    if rng.random() < 0.3:
+        num = num * rng.choice(_FACTORS)
+    return Scalar(num, den)
+
+
+pool_scalars = st.randoms(use_true_random=False).map(_pool_scalar)
+
+
+def assert_ops_match_oracle(x: Scalar, y: Scalar):
+    for op, fn in _OPS:
+        if op == "/" and y.is_zero:
+            continue
+        got = fn(x, y)
+        assert got == scalar_by_product(op, x, y)
+        # Canonical: a monic denominator, the one POLY_ONE when constant.
+        assert got.den.leading == 1
+        assert (got.den is POLY_ONE) == (got.den.degree == 0)
+
+
+def assert_henrici(x: Scalar, y: Scalar):
+    # x + (y - x) and x * (y / x) cancel x's denominator factor by factor,
+    # in the sum's gcd(t, g) and in the product's cross gcds; powers keep
+    # the canonical parts coprime without a gcd.
+    assert_ops_match_oracle(x, y)
+    assert_ops_match_oracle(x, y - x)
+    assert x ** 2 == scalar_by_product("*", x, x)
+    if not x.is_zero:
+        assert_ops_match_oracle(x, y / x)
+        assert x ** -1 == scalar_by_product("/", ONE, x)
+
+
+class TestHenrici:
+    """Scalar + - * / equal the full product canonicalised by Euclid."""
+
+    @settings(ORACLE_SETTINGS, max_examples=200)
+    @given(x=pool_scalars, y=pool_scalars)
+    @example(x=ONE / FIRST_CANDIDATE_FAILS[0], y=Z / FIRST_CANDIDATE_FAILS[1])
+    @example(x=Z / FIRST_SHORTCUT_FAILS[0], y=ONE / FIRST_SHORTCUT_FAILS[1])
+    def test_matches_product_route(self, x, y):
+        assert_henrici(x, y)
+
+    def test_euclid_fallback(self, monkeypatch):
+        # With no evaluation point to try, every nontrivial gcd goes through
+        # primitive Euclid and the exact divisions of ``_cofactors``.
+        calls = []
+        euclid = scalars._euclid_gcd
+        monkeypatch.setattr(scalars, "_HEURISTIC_POINTS", 0)
+        monkeypatch.setattr(scalars, "_euclid_gcd",
+                            lambda a, b: calls.append(1) or euclid(a, b))
+        rng = random.Random(20261018)
+        values = [_pool_scalar(rng) for _ in range(16)]
+        for x in values[:8]:
+            for y in values[8:]:
+                assert_henrici(x, y)
+        assert calls
 
 
 class TestPolynomialScalars:
