@@ -30,7 +30,6 @@ from .orthopoly import (
     JacobiParams,
     JacobiRecovery,
     MomentSequence,
-    coeff_array_from_jacobi,
     invert_lower_triangular,
     jacobi_from_moments,
     jfraction_expand,
@@ -88,7 +87,6 @@ __all__ = [
     "NAMED_PAIR_NAMES",
     "bell_poly",
     "binomial_transform",
-    "coeff_array_from_jacobi",
     "det_bareiss",
     "det_scalar",
     "divide",

@@ -7,7 +7,9 @@ there is nothing to add).  ``erarray verify`` prints these rows and the
 acceptance tests assert them.  Where a row compares two routes (the
 production matrix from the pair and from DA = AP, the Hankel determinants
 and the beta product, an array and its closed form), the second route is
-computed here, not inside the library call.
+computed here, not inside the library call.  An array is compared with
+its closed form through the defining pairs, which at full order is the same
+condition as equal entries.
 """
 
 from __future__ import annotations
@@ -93,6 +95,16 @@ def _signed_laguerre(r: int, k: int) -> int:
     return (-1) ** (r - k) * _laguerre(r, k)
 
 
+def _pair(a) -> tuple:
+    """The defining pair (g, f) of an array.
+
+    At full order, two arrays have equal entries exactly when their pairs
+    are equal: column 0 is g, column 1 is g f, and g(0) != 0.  So an array
+    is compared with a closed form [g, f] without building the second array.
+    """
+    return a.g, a.f
+
+
 def _at_one(entry) -> Scalar:
     return Scalar(entry.eval_z(1))
 
@@ -164,7 +176,7 @@ def thm1(order: int):
     x, one = Series.x(n), Series.one(n)
     yield (
         "thm1: inverse array is [exp(-z x), log(1+x)]",
-        er_inverse(a).entries == er_build((x * (-Z)).exp(), (one + x).log()).entries,
+        _pair(er_inverse(a)) == ((x * (-Z)).exp(), (one + x).log()),
         "",
     )
     # Entry (r, k) is the polynomial with coefficient S(r, j) C(j, k) at
@@ -214,8 +226,8 @@ def thm2(order: int):
     inv = er_inverse(a)
     yield (
         "thm2: inverse array is [1/(1+zx), log((1+zx)/(1+x))/(z-1)]",
-        inv.entries == er_build(one / (one + x * Z), fbar).entries
-        and er_mul(a, inv).entries == er_build(one, x).entries,
+        _pair(inv) == (one / (one + x * Z), fbar)
+        and _pair(er_mul(a, inv)) == (one, x),
         "",
     )
     yield (
@@ -239,7 +251,7 @@ def examples(order: int):
     yield "examples: [e^x, x] realizes Pascal's triangle", _lower_is(binomial, comb), ""
     yield (
         "examples: [e^x, x]^3 = [e^{3x}, x]",
-        er_power(binomial, 3).entries == er_build((x * 3).exp(), x).entries,
+        _pair(er_power(binomial, 3)) == ((x * 3).exp(), x),
         "",
     )
 
@@ -266,7 +278,7 @@ def examples(order: int):
     )
     yield (
         "examples: inverse of [1/(1-x), x] is [1-x, x]",
-        er_inverse(lah).entries == er_build(one - x, x).entries,
+        _pair(er_inverse(lah)) == (one - x, x),
         "",
     )
 
@@ -285,7 +297,7 @@ def examples(order: int):
     )
     yield (
         "examples: inverse of [1, x/(1-x)] is [1, x/(1+x)]",
-        er_inverse(sol).entries == er_build(one, x / (one + x)).entries,
+        _pair(er_inverse(sol)) == (one, x / (one + x)),
         "",
     )
     yield (
@@ -333,7 +345,7 @@ def examples(order: int):
     emx = (x * (-1)).exp()
     yield (
         "examples: inverse of the Charlier array is [e^{-(1-e^{-x})}, 1-e^{-x}]",
-        inv_charlier.entries == er_build(((one - emx) * (-1)).exp(), one - emx).entries,
+        _pair(inv_charlier) == (((one - emx) * (-1)).exp(), one - emx),
         "",
     )
     yield _equal(

@@ -1,15 +1,16 @@
 """Orthogonal-polynomial machinery over Q(z).
 
-Connects three-term recurrence data (Jacobi parameters) with monic
-coefficient arrays, moment sequences and J-fraction expansions, plus the
-exact recovery of recurrence coefficients from raw moments.
+Connects three-term recurrence data (Jacobi parameters) with moment
+sequences and J-fraction expansions, plus the exact recovery of recurrence
+coefficients from raw moments.  ``invert_lower_triangular`` is one
+``scalars.solve_lower`` against the identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .scalars import ONE, POLY_ONE, POLY_ZERO, ZERO, PolyZ, Scalar, _lcm
+from .scalars import ONE, POLY_ONE, POLY_ZERO, ZERO, PolyZ, Scalar, _lcm, solve_lower
 from .series import Series
 
 
@@ -66,51 +67,12 @@ class MomentSequence:
         return self.terms[k]
 
 
-def coeff_array_from_jacobi(params: JacobiParams, order: int):
-    """Rows 0..order of coefficients of the monic polynomials p_n(x).
-
-    p_{n+1}(x) = (x - alpha_n) p_n(x) - beta_n p_{n-1}(x), p_0 = 1.
-    """
-    if order > params.depth:
-        raise ValueError(
-            f"insufficient parameters: order {order} needs {order} alphas, "
-            f"have {params.depth}"
-        )
-    size = order + 1
-    rows = [[ZERO] * size for _ in range(size)]
-    rows[0][0] = ONE
-    prev: list[Scalar] = []
-    cur = [ONE]
-    for n in range(order):
-        shifted = [ZERO] + cur
-        nxt = [shifted[k] - params.alpha[n] * (cur[k] if k < len(cur) else ZERO)
-               for k in range(n + 2)]
-        if n >= 1:
-            for k in range(len(prev)):
-                nxt[k] = nxt[k] - params.beta[n - 1] * prev[k]
-        prev, cur = cur, nxt
-        for k in range(n + 2):
-            rows[n + 1][k] = cur[k]
-    return tuple(tuple(r) for r in rows)
-
-
 def invert_lower_triangular(rows):
-    """Exact inverse of a lower-triangular Scalar matrix by forward substitution."""
+    """Exact inverse of a lower-triangular Scalar matrix: one forward
+    substitution against the identity."""
     size = len(rows)
-    inv = [[ZERO] * size for _ in range(size)]
-    for j in range(size):
-        for i in range(j, size):
-            if i == j:
-                acc = ONE
-            else:
-                acc = ZERO
-                for k in range(j, i):
-                    if not rows[i][k].is_zero and not inv[k][j].is_zero:
-                        acc = acc - rows[i][k] * inv[k][j]
-            if rows[i][i].is_zero:
-                raise ZeroDivisionError(f"singular diagonal entry at ({i}, {i})")
-            inv[i][j] = acc / rows[i][i]
-    return tuple(tuple(r) for r in inv)
+    unit = [tuple(ONE if k == m else ZERO for k in range(size)) for m in range(size)]
+    return tuple(solve_lower(rows, unit))
 
 
 def jfraction_expand(params: JacobiParams, order: int) -> Series:
@@ -158,7 +120,8 @@ def moments_from_jacobi(params: JacobiParams, count: int) -> MomentSequence:
     half = count // 2
     alpha, beta = params.alpha[:half + 1], params.beta[:half]
     d = _lcm(x.den for x in alpha + beta)
-    alpha, beta = _over(alpha, d), _over(beta, d)
+    nums = _over(alpha + beta, d)
+    alpha, beta = nums[:len(alpha)], nums[len(alpha):]
     a0 = params.a0
     row = [POLY_ONE]
     terms = [a0]
@@ -181,8 +144,21 @@ def moments_from_jacobi(params: JacobiParams, count: int) -> MomentSequence:
 
 
 def _over(xs, d: PolyZ) -> tuple[PolyZ, ...]:
-    """The numerators x * d of Scalars xs whose denominators divide d."""
-    return tuple(x.num if d is POLY_ONE else x.num * d.exact_div(x.den) for x in xs)
+    """The numerators x * d of Scalars xs whose denominators divide d.
+
+    d is divided once by each distinct denominator, and not at all when it
+    is ``POLY_ONE``.
+    """
+    if d is POLY_ONE:
+        return tuple(x.num for x in xs)
+    quotients = {POLY_ONE: d}
+    out = []
+    for x in xs:
+        q = quotients.get(x.den)
+        if q is None:
+            q = quotients[x.den] = d.exact_div(x.den)
+        out.append(x.num * q)
+    return tuple(out)
 
 
 @dataclass(frozen=True)

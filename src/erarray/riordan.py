@@ -8,9 +8,9 @@ one series division, O(order^2) coefficient work.  Each call computes one
 route, and matrix-level identities are left to ``erarray.checks`` and the
 test suite to recompute independently.
 
-The production series c and r (c o f = g'/g, r o f = f') come from two
-lower-triangular solves against the array's own rows, whose right-hand sides
-are read off the defining pair; each array solves once.  They give the
+The production series c and r (c o f = g'/g, r o f = f') come from one
+lower-triangular solve against the array's own rows, with two right-hand
+sides read off the defining pair; each array solves once.  They give the
 production matrix, the reversion fbar = integral of 1/r and the inverse
 [exp(-integral of c/r)/g(0), fbar], so nothing here reverts a series.  The
 production matrix is also computed directly from the shifted-array relation
@@ -28,7 +28,7 @@ from math import comb, factorial
 # invert_lower_triangular is not called here; the import is kept because
 # perfbench/selftest.py checks that the tracer also wraps this bound copy.
 from .orthopoly import JacobiParams, invert_lower_triangular  # noqa: F401
-from .scalars import ONE, ZERO, Scalar, dot
+from .scalars import ONE, ZERO, Scalar, dot, solve_lower
 from .series import Series, _series
 
 
@@ -71,26 +71,16 @@ class ERArray:
         g (c o f) = g' and g (r o f) = g f'.  Since m! [x^m] g f^j = j! A[m][j],
         reading off m! [x^m] gives the lower-triangular systems
         sum_j A[m][j] gamma_j = m! [x^m] g' and
-        sum_j A[m][j] rho_j = m! [x^m] (g f') for m < order.
+        sum_j A[m][j] rho_j = m! [x^m] (g f') for m < order,
+        one ``solve_lower`` with two right-hand sides.
         """
         n = self.order
         if n < 1:
             raise ValueError("production data needs order >= 1")
         dg = self.g.derivative().coeffs
         gdf = (self.g.truncate(n - 1) * self.f.derivative()).coeffs
-        # The negated solutions, so each row is one dot product.
-        neg_gamma: list[Scalar] = []
-        neg_rho: list[Scalar] = []
-        for m in range(n):
-            row = self.entries[m]
-            js = [j for j in range(m) if not row[j].is_zero]
-            fm = Scalar(factorial(m))
-            diag = -row[m]
-            neg_gamma.append(dot([(dg[m], fm)] + [(row[j], neg_gamma[j]) for j in js])
-                             / diag)
-            neg_rho.append(dot([(gdf[m], fm)] + [(row[j], neg_rho[j]) for j in js])
-                           / diag)
-        return tuple(-v for v in neg_gamma), tuple(-v for v in neg_rho)
+        rhs = [(dg[m] * factorial(m), gdf[m] * factorial(m)) for m in range(n)]
+        return tuple(zip(*solve_lower(self.entries, rhs)))
 
     def column(self, k: int) -> tuple[Scalar, ...]:
         return tuple(self.entries[n][k] for n in range(self.order + 1))
@@ -259,22 +249,14 @@ def production_from_pair(a: ERArray) -> ProductionMatrix:
 def production_direct(a: ERArray) -> ProductionMatrix:
     """Production matrix from DA = AP by forward substitution on the rows.
 
-    Row i of P solves A[0..i] against row i+1 of A, so rows 0..order-1 come
-    out exactly; the final row would need row order+1 of A and is zeroed.
+    Row i of P solves A[0..i] against row i+1 of A, so rows 0..order-1 are
+    one ``solve_lower`` against the shifted rows and come out exactly; the
+    final row would need row order+1 of A and is zeroed.
     """
     n = a.order
     if n < 1:
         raise ValueError("production data needs order >= 1")
-    ent = a.entries
-    rows: list[tuple[Scalar, ...]] = []
-    for i in range(n):
-        if ent[i][i].is_zero:
-            raise ZeroDivisionError(f"singular diagonal entry at ({i}, {i})")
-        inv = ONE / ent[i][i]
-        # P[i][j] = (A[i+1][j] - sum_{k<i} A[i][k] P[k][j]) / A[i][i].
-        terms = [(rows[k], -ent[i][k] * inv) for k in range(i) if not ent[i][k].is_zero]
-        rows.append(tuple(dot([(bj, inv)] + [(row[j], c) for row, c in terms])
-                          for j, bj in enumerate(ent[i + 1])))
+    rows = solve_lower(a.entries, a.entries[1:])
     rows.append(tuple([ZERO] * (n + 1)))
     return ProductionMatrix(entries=tuple(rows))
 

@@ -12,6 +12,11 @@ proved, so ``_cofactors`` is the one place where a gcd is followed by a
 division, and only when the heuristic falls back to Euclid.  ``Scalar``
 sums and products follow Henrici's rules and keep every gcd on the small
 operands.
+
+Two exact kernels sit on top: ``dot``, the fused sum of products that
+series products and matrix-vector products run on, and ``solve_lower``,
+the one forward substitution, which the production data, the production
+matrix, triangular inverses and series reversion all call.
 """
 
 from __future__ import annotations
@@ -821,6 +826,26 @@ def dot(pairs) -> Scalar:
     if rden is None:
         return total
     return Scalar(rnum + total.num * rden, rden)
+
+
+def solve_lower(rows, rhs) -> list[tuple[Scalar, ...]]:
+    """x_0 .. x_{len(rhs)-1} with sum_{j<=m} rows[m][j] x_j = rhs[m], exactly.
+
+    Forward substitution against a lower-triangular matrix; entries above
+    the diagonal are not read.  rhs[m] holds one entry per right-hand side
+    and so does x_m.  Each row forms -rows[m][j]/rows[m][m] once for its
+    nonzero subdiagonal entries, then each entry of x_m is one ``dot``.
+    """
+    x: list[tuple[Scalar, ...]] = []
+    for m, b in enumerate(rhs):
+        row = rows[m]
+        if row[m].is_zero:
+            raise ZeroDivisionError(f"singular diagonal entry at ({m}, {m})")
+        inv = ONE / row[m]
+        terms = [(x[j], -row[j] * inv) for j in range(m) if not row[j].is_zero]
+        x.append(tuple(dot([(bk, inv)] + [(xj[k], c) for xj, c in terms])
+                       for k, bk in enumerate(b)))
+    return x
 
 
 ZERO = Scalar(0)

@@ -3,14 +3,15 @@
 A series carries exactly ``order + 1`` coefficients; absent higher terms are
 truncated, never assumed zero.  All operations preserve the truncation order
 except where noted (valuation-cancelling division, derivative), and every
-computation is exact.
+computation is exact.  Coefficient sums run on the exact kernels of
+``scalars``: ``dot``, and ``solve_lower`` for reversion.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import ONE, ZERO, Scalar, dot
+from .scalars import ONE, ZERO, Scalar, dot, solve_lower
 
 
 def _as_scalar(value) -> Scalar:
@@ -184,25 +185,22 @@ class Series:
         """Compositional inverse by Lagrange inversion in matrix form.
 
         Needs f(0) = 0 and f'(0) != 0.  With the powers f^k tabled once
-        (order - 2 series products), x = sum_k b_k f^k is solved row by row
-        as an O(order^2) triangular system: b_1 = 1/f_1 and
-        b_m = -(sum_{k<m} b_k [x^m] f^k) / f_1^m.  The solve is exact, so the
-        result g satisfies f(g) = x to the full order; the tests check that
-        round trip and compare with Newton reversion.
+        (order - 2 series products), x = sum_k b_k f^k is one triangular
+        solve, row m reading sum_{k<=m} b_k [x^m] f^k = [m = 1], with the
+        diagonal [x^m] f^m = f_1^m.  The solve is exact, so the result g
+        satisfies f(g) = x to the full order; the tests check that round
+        trip and compare with Newton reversion.
         """
         n = self.order
         f = self.coeffs
         if n < 1 or not f[0].is_zero or f[1].is_zero:
             raise ValueError("not revertible")
         fpow = _powers(self, n - 1)
-        inv_f1 = ONE / f[1]
-        b = [ZERO, inv_f1]
-        inv_f1_pow = inv_f1
-        for m in range(2, n + 1):
-            inv_f1_pow = inv_f1_pow * inv_f1
-            acc = dot([(b[k], fpow[k].coeffs[m]) for k in range(1, m)])
-            b.append(-acc * inv_f1_pow)
-        return _series(b)
+        # Row i is m = i + 1, unknown i is b_{i+1}.
+        rows = [[fpow[k].coeffs[m] for k in range(1, m)] + [f[1] ** m]
+                for m in range(1, n + 1)]
+        unit = [(ONE,)] + [(ZERO,)] * (n - 1)
+        return _series([ZERO] + [x[0] for x in solve_lower(rows, unit)])
 
     def exp(self) -> Series:
         """Formal exponential via E' = a'E; needs zero constant term."""
@@ -222,29 +220,15 @@ class Series:
         n = self.order
         if n == 0:
             return Series.zero(0)
-        q = self.derivative() / self.truncate(n - 1)
-        out = [ZERO]
-        for m in range(1, n + 1):
-            out.append(q.coeffs[m - 1] / m)
-        return Series(out)
+        return (self.derivative() / self.truncate(n - 1)).integral()
 
-    def derivative(self, order: int | None = None) -> Series:
-        """Term-wise d/dx; the natural result order is one less than the input.
-
-        An explicit ``order`` truncates or zero-extends the result; the
-        extended top coefficients are fabricated zeros, so extension is only
-        sound for polynomial content.
-        """
+    def derivative(self) -> Series:
+        """Term-wise d/dx; the result order is one less than the input's
+        (the zero series at order 0)."""
         n = self.order
         if n == 0:
-            out = Series.zero(0)
-        else:
-            out = Series((k + 1) * self.coeffs[k + 1] for k in range(n))
-        if order is None:
-            return out
-        if order <= out.order:
-            return out.truncate(order)
-        return Series(out.coeffs + (ZERO,) * (order - out.order))
+            return Series.zero(0)
+        return Series((k + 1) * self.coeffs[k + 1] for k in range(n))
 
     def integral(self) -> Series:
         """Term-wise antiderivative with zero constant term, one order up."""

@@ -9,12 +9,13 @@ Horner's rule, the group law composes through a table of the powers of f,
 the thm2 pair is divided as rational functions, reversion is Newton
 iteration, an array acts on a sequence through e.g.f.s, the production
 series and the inverse array compose with the reversion of f, production
-matrices are read off the bivariate generating function, moments come from
-inverting the monic coefficient array, Jacobi data is recovered from
-moments by the Stieltjes procedure, and the random generators only build
-inputs.  Scalar sums and products canonicalise the full cross product by
-the Euclid gcd.  Each library call computes one route; the tests compare it
-with these.
+matrices are read off the bivariate generating function, triangular
+matrices are inverted column by column, moments come from inverting the
+monic coefficient array of the three-term recurrence, Jacobi data is
+recovered from moments by the Stieltjes procedure, and the random
+generators only build inputs.  Scalar sums and products canonicalise the
+full cross product by the Euclid gcd.  Each library call computes one
+route; the tests compare it with these.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from erarray.orthopoly import (
     JacobiRecovery,
     MomentSequence,
     _as_scalar,
-    coeff_array_from_jacobi,
-    invert_lower_triangular,
 )
 from erarray.riordan import ERArray, ProductionMatrix, er_build
 from erarray.scalars import ONE, POLY_ONE, ZERO, PolyZ, Scalar, Z
@@ -478,9 +477,57 @@ def production_bivariate_gf(a, orders: int | None = None) -> ProductionMatrix:
     return ProductionMatrix(entries=tuple(tuple(row) for row in rows))
 
 
+def coeff_array_from_jacobi(params: JacobiParams, order: int):
+    """Rows 0..order of coefficients of the monic polynomials p_n(x).
+
+    p_{n+1}(x) = (x - alpha_n) p_n(x) - beta_n p_{n-1}(x), p_0 = 1.
+    """
+    if order > params.depth:
+        raise ValueError(
+            f"insufficient parameters: order {order} needs {order} alphas, "
+            f"have {params.depth}"
+        )
+    size = order + 1
+    rows = [[ZERO] * size for _ in range(size)]
+    rows[0][0] = ONE
+    prev: list[Scalar] = []
+    cur = [ONE]
+    for n in range(order):
+        shifted = [ZERO] + cur
+        nxt = [shifted[k] - params.alpha[n] * (cur[k] if k < len(cur) else ZERO)
+               for k in range(n + 2)]
+        if n >= 1:
+            for k in range(len(prev)):
+                nxt[k] = nxt[k] - params.beta[n - 1] * prev[k]
+        prev, cur = cur, nxt
+        for k in range(n + 2):
+            rows[n + 1][k] = cur[k]
+    return tuple(tuple(r) for r in rows)
+
+
+def invert_lower_by_columns(rows):
+    """Exact inverse of a lower-triangular Scalar matrix, column by column,
+    one Scalar operation at a time: the reference for ``solve_lower``."""
+    size = len(rows)
+    inv = [[ZERO] * size for _ in range(size)]
+    for j in range(size):
+        for i in range(j, size):
+            if i == j:
+                acc = ONE
+            else:
+                acc = ZERO
+                for k in range(j, i):
+                    if not rows[i][k].is_zero and not inv[k][j].is_zero:
+                        acc = acc - rows[i][k] * inv[k][j]
+            if rows[i][i].is_zero:
+                raise ZeroDivisionError(f"singular diagonal entry at ({i}, {i})")
+            inv[i][j] = acc / rows[i][i]
+    return tuple(tuple(r) for r in inv)
+
+
 def moments_by_inverse(params, count: int) -> tuple[Scalar, ...]:
     """Moments a0 (A^-1)[n][0], A the monic coefficient array of the data."""
-    inv = invert_lower_triangular(coeff_array_from_jacobi(params, count))
+    inv = invert_lower_by_columns(coeff_array_from_jacobi(params, count))
     return tuple(params.a0 * inv[n][0] for n in range(count + 1))
 
 

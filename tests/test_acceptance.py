@@ -26,7 +26,7 @@ from erarray.riordan import (
     identity,
     production_from_pair,
 )
-from erarray.scalars import ONE, ZERO, Scalar
+from erarray.scalars import ONE, ZERO, Scalar, Z
 from erarray.sequences import bell_poly, eulerian, eulerian_poly, named_pair
 from erarray.series import Series
 
@@ -144,6 +144,23 @@ def test_factorization_row_reads_the_stirling_numbers(monkeypatch):
                         lambda r, j: real(r, j) + ((r, j) == (5, 3)))
     failed = [name for name, ok, _ in SUITES["thm1"](6) if not ok]
     assert failed == ["thm1: factorization L(n,k) = sum_j S(n,j) C(j,k) z^(j-k)"]
+
+
+@pytest.mark.parametrize("target, delta", [("thm1", ONE), ("thm2", Z - 1)])
+def test_inverse_row_reads_the_last_coefficient(monkeypatch, target, delta):
+    # An inverse whose f is off in its last coefficient only must fail the
+    # inverse row and no other.  For thm2 the error vanishes at z = 1, where
+    # the signed Laguerre row reads the same inverse.
+    real = checks.er_inverse
+
+    def off(a):
+        inv = real(a)
+        f = inv.f.coeffs
+        return er_build(inv.g, Series(f[:-1] + (f[-1] + delta,)))
+
+    monkeypatch.setattr(checks, "er_inverse", off)
+    failed = [name for name, ok, _ in SUITES[target](6) if not ok]
+    assert len(failed) == 1 and failed[0].startswith(f"{target}: inverse array is")
 
 
 def test_criterion_10_z1_reduction(suite):

@@ -11,7 +11,6 @@ from erarray.expr import parse_scalar
 from erarray.orthopoly import (
     JacobiParams,
     MomentSequence,
-    coeff_array_from_jacobi,
     invert_lower_triangular,
     jacobi_from_moments,
     jfraction_expand,
@@ -23,6 +22,7 @@ from erarray.sequences import bell_poly, eulerian_poly, named_pair
 
 from oracles import (
     ORACLE_SETTINGS,
+    coeff_array_from_jacobi,
     jacobi_by_stieltjes,
     matrix_product,
     moments_by_inverse,

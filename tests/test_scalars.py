@@ -8,11 +8,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from erarray import scalars
-from erarray.scalars import ONE, POLY_ONE, ZERO, PolyZ, Scalar, Z, _euclid_gcd, dot
+from erarray.orthopoly import invert_lower_triangular
+from erarray.scalars import (
+    ONE,
+    POLY_ONE,
+    ZERO,
+    PolyZ,
+    Scalar,
+    Z,
+    _euclid_gcd,
+    dot,
+    solve_lower,
+)
 
 from oracles import (
     ORACLE_SETTINGS,
     FractionPoly,
+    invert_lower_by_columns,
+    poly_scalars,
     random_fraction,
     rational_scalars,
     scalar_by_product,
@@ -554,3 +567,55 @@ class TestDot:
         # it again from its parts changes nothing.
         assert (got.den == POLY_ONE) == (got.den is POLY_ONE)
         assert Scalar(got.num, got.den) == got
+
+
+_solve_entries = st.one_of(poly_scalars, rational_scalars)
+
+
+@st.composite
+def lower_systems(draw):
+    """A lower-triangular system of size 0..8 with 0..3 right-hand sides.
+
+    Row m holds only its entries j <= m.  Subdiagonal entries are often
+    zero, and diagonal entries are any nonzero draw, rarely 1.
+    """
+    size = draw(st.integers(0, 8))
+    width = draw(st.integers(0, 3))
+    below = st.one_of(st.just(ZERO), _solve_entries)
+    diagonal = _solve_entries.filter(lambda s: not s.is_zero)
+    rows = [tuple(draw(below) for _ in range(m)) + (draw(diagonal),)
+            for m in range(size)]
+    rhs = [tuple(draw(_solve_entries) for _ in range(width)) for _ in range(size)]
+    return rows, rhs
+
+
+class TestSolveLower:
+    """Forward substitution equals the column-by-column inverse times rhs."""
+
+    @settings(ORACLE_SETTINGS, max_examples=60)
+    @given(system=lower_systems())
+    @example(system=([(Z + 2,), (ZERO, Z / (Z + 1)), (Z, ZERO, Scalar(3))],
+                     [(ONE,), (Z,), (ONE / (Z + 2),)]))
+    def test_matches_inverse_oracle(self, system):
+        rows, rhs = system
+        size = len(rows)
+        inv = invert_lower_by_columns(rows)
+        width = len(rhs[0]) if rhs else 0
+        expected = [
+            tuple(sum((inv[m][j] * rhs[j][k] for j in range(m + 1)), ZERO)
+                  for k in range(width))
+            for m in range(size)
+        ]
+        assert solve_lower(rows, rhs) == expected
+        square = [row + (ZERO,) * (size - len(row)) for row in rows]
+        assert invert_lower_triangular(square) == inv
+
+    def test_solves_only_the_rows_of_rhs(self):
+        rows = ((Z + 1,), (Z, ONE), (ONE, Z, ZERO))
+        x = solve_lower(rows, [(Z + 1, ONE), (ZERO, Z)])
+        assert x == [(ONE, ONE / (Z + 1)), (-Z, Z - Z / (Z + 1))]
+
+    def test_singular_diagonal_names_the_index(self):
+        rows = ((ONE,), (Z, ONE), (ONE, Z, ZERO))
+        with pytest.raises(ZeroDivisionError, match=r"singular diagonal entry at \(2, 2\)"):
+            solve_lower(rows, [(ONE,)] * 3)

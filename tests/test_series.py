@@ -189,11 +189,6 @@ class TestDerivative:
         f = (x.exp() - (x * Z).exp()) / ((x * Z).exp() - x.exp() * Z)
         assert f.derivative().coeffs[0] == ONE
 
-    def test_explicit_order(self):
-        x = Series.x(4)
-        assert (x * x).derivative(order=4).coeffs == tuple(scal(0, 2, 0, 0, 0))
-        assert (x * x).derivative(order=1).coeffs == tuple(scal(0, 2))
-
 
 class TestProperties:
     def test_revert_round_trip(self):
