@@ -3,8 +3,11 @@
 The Hankel transform reads h_k = s_0 s_1 ... s_k off the Chebyshev tableau
 of the sequence (``orthopoly._chebyshev``), s_k = L(p_k^2) for the monic
 orthogonal polynomials p_k of the moment functional, so it needs O(n^2)
-ring operations and no determinant.  After the first zero s_k the larger
-determinants come one by one from ``hankel_det``.  Determinants use Bareiss
+ring operations and no determinant.  The walk is shared with
+``orthopoly.jacobi_from_moments`` through the one-slot memo of
+``_chebyshev``, so the transform and the recovery of one sequence walk its
+tableau once.  After the first zero s_k the larger determinants come one
+by one from ``hankel_det``.  Determinants use Bareiss
 fraction-free elimination, which keeps every intermediate value in Q[z] via
 exact divisions; matrices with genuine rational-function entries are
 cleared column-wise to polynomial form first (tracking the cleared factor).

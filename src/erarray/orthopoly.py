@@ -178,8 +178,11 @@ class JacobiRecovery:
 def jacobi_from_moments(moments) -> JacobiRecovery:
     """Recover (alpha, beta) from raw moments by the Chebyshev algorithm.
 
-    The walk is ``_chebyshev``.  Recovery stops when the moments run out or
-    some s_k, k >= 1, vanishes (``finite_support``).
+    The walk is ``_chebyshev``, shared through its one-slot memo with
+    ``hankel.hankel_transform`` of the same terms, so recovering the Jacobi
+    data of a sequence whose Hankel transform was just taken walks no
+    tableau.  Recovery stops when the moments run out or some s_k, k >= 1,
+    vanishes (``finite_support``).
     """
     terms = moments.terms if isinstance(moments, MomentSequence) else tuple(
         _as_scalar(t) for t in moments
@@ -202,7 +205,31 @@ def jacobi_from_moments(moments) -> JacobiRecovery:
     return JacobiRecovery(params=params, depth=len(alpha), finite_support=finite_support)
 
 
-def _chebyshev(terms):
+# The last walk: (terms, walk).  One slot, read and replaced as one tuple,
+# so callers racing on it can at worst walk again, never get another
+# sequence's walk.
+_last_walk: tuple = ((), ())
+
+
+def _chebyshev(terms: tuple[Scalar, ...]) -> tuple:
+    """The walk of the Chebyshev tableau of the moments ``terms``, as a
+    tuple of (s_k, alpha_k, beta_k) triples (see ``_walk``).
+
+    The last walk is kept in one module-level slot, so the Hankel transform
+    and the Jacobi recovery of one sequence walk its tableau once.  Scalars
+    are canonical, so terms ``==`` to the stored ones have the same walk.
+    The slot holds only the last sequence: it serves calls on the same
+    sequence in a row and nothing older.
+    """
+    global _last_walk
+    last_terms, walk = _last_walk
+    if last_terms != terms:
+        walk = tuple(_walk(terms))
+        _last_walk = (terms, walk)
+    return walk
+
+
+def _walk(terms):
     """Walk the Chebyshev tableau of the moments ``terms``.
 
     Row k of the tableau holds sigma_k(l) = L(p_k x^l) for the moment

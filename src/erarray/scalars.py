@@ -834,15 +834,20 @@ def solve_lower(rows, rhs) -> list[tuple[Scalar, ...]]:
     Forward substitution against a lower-triangular matrix; entries above
     the diagonal are not read.  rhs[m] holds one entry per right-hand side
     and so does x_m.  Each row forms -rows[m][j]/rows[m][m] once for its
-    nonzero subdiagonal entries, then each entry of x_m is one ``dot``.
+    nonzero subdiagonal entries (just -rows[m][j] on a unit diagonal, as on
+    every named array), then each entry of x_m is one ``dot``.
     """
     x: list[tuple[Scalar, ...]] = []
     for m, b in enumerate(rhs):
         row = rows[m]
         if row[m].is_zero:
             raise ZeroDivisionError(f"singular diagonal entry at ({m}, {m})")
-        inv = ONE / row[m]
-        terms = [(x[j], -row[j] * inv) for j in range(m) if not row[j].is_zero]
+        if row[m] == ONE:
+            inv = ONE
+            terms = [(x[j], -row[j]) for j in range(m) if not row[j].is_zero]
+        else:
+            inv = ONE / row[m]
+            terms = [(x[j], -row[j] * inv) for j in range(m) if not row[j].is_zero]
         x.append(tuple(dot([(bk, inv)] + [(xj[k], c) for xj, c in terms])
                        for k, bk in enumerate(b)))
     return x

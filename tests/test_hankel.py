@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from erarray.checks import _hankel_closed_form
 from erarray.hankel import (
     binomial_transform,
     det_bareiss,
@@ -161,6 +162,18 @@ class TestBetaProduct:
         moments = moments_from_jacobi(params, 3)
         brute = [det_cofactor(hankel_matrix(moments, n)) for n in range(2)]
         assert hankel_from_betas(params, 1) == brute
+
+    def test_checks_closed_form_needs_no_string(self):
+        # thm2's closed form z^C(n+1,2) prod k!^2 at n = 62 has a coefficient
+        # of more than 4300 digits, past CPython's default int-to-str limit,
+        # so this comparison would fail if the closed form went through str.
+        params = JacobiParams(
+            alpha=(ZERO,) * 63, beta=tuple(Z * (k * k) for k in range(1, 63))
+        )
+        got = _hankel_closed_form(Z, 2, 62)
+        assert got[-1].num.leading.numerator.bit_length() > 4300 * 3.33
+        assert got == hankel_from_betas(params, 62)
+        assert got[:8] == closed_form(Z, 2, 7)
 
     def test_beta_shortage(self):
         params = JacobiParams(alpha=(ONE, ONE), beta=(ONE,))

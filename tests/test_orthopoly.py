@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from erarray import orthopoly
 from erarray.expr import parse_scalar
+from erarray.hankel import hankel_transform
 from erarray.orthopoly import (
     JacobiParams,
     MomentSequence,
@@ -23,6 +25,7 @@ from erarray.sequences import bell_poly, eulerian_poly, named_pair
 from oracles import (
     ORACLE_SETTINGS,
     coeff_array_from_jacobi,
+    hankel_transform_by_elimination,
     jacobi_by_stieltjes,
     matrix_product,
     moments_by_inverse,
@@ -322,3 +325,63 @@ class TestRecoveryAgainstStieltjes:
             assert rec.finite_support and rec.depth == depth
             assert _recover(jacobi_from_moments, terms) == \
                 _recover(jacobi_by_stieltjes, terms)
+
+
+class TestSharedWalk:
+    """The Hankel transform and the Jacobi recovery of one sequence share
+    one Chebyshev walk through a one-slot memo, and nothing stale is
+    returned."""
+
+    A = moments_from_jacobi(thm2_params(9), 8).terms
+    B = A[:4] + (A[4] + 1,) + A[5:]
+
+    @staticmethod
+    def _both(terms, transform_first):
+        """(transform, recovery) of ``terms``, computed in the given order."""
+        nmax = (len(terms) - 1) // 2
+        if transform_first:
+            transform = hankel_transform(terms, nmax)
+            return transform, _recover(jacobi_from_moments, terms)
+        recovery = _recover(jacobi_from_moments, terms)
+        return hankel_transform(terms, nmax), recovery
+
+    @staticmethod
+    def _oracles(terms):
+        nmax = (len(terms) - 1) // 2
+        return (hankel_transform_by_elimination(terms, nmax),
+                _recover(jacobi_by_stieltjes, terms))
+
+    @pytest.mark.parametrize("transform_first", [True, False])
+    def test_either_order_matches_the_oracles(self, transform_first):
+        for terms in (self.A, self.B):
+            assert self._both(terms, transform_first) == self._oracles(terms)
+
+    def test_alternating_sequences_are_not_stale(self):
+        assert len(self.A) == len(self.B) and self.A != self.B
+        for terms in (self.A, self.B, self.A):
+            assert self._both(terms, True) == self._oracles(terms)
+
+    def test_one_slot_walks_again_after_another_sequence(self, monkeypatch):
+        walk, calls = orthopoly._walk, []
+
+        def counted(terms):
+            calls.append(terms)
+            return walk(terms)
+
+        monkeypatch.setattr(orthopoly, "_walk", counted)
+        monkeypatch.setattr(orthopoly, "_last_walk", ((), ()))
+        for terms in (self.A, self.B, self.A):
+            assert self._both(terms, True) == self._oracles(terms)
+        assert calls == [self.A, self.B, self.A]
+
+    @ORACLE_SETTINGS
+    @given(case=jacobi_cases(), transform_first=st.booleans())
+    def test_results_do_not_depend_on_call_order(self, case, transform_first):
+        params, count = case
+        terms = moments_from_jacobi(params, count).terms
+        # Another sequence is walked before each pair of calls, so the slot
+        # starts elsewhere.
+        jacobi_from_moments(self.A)
+        got = self._both(terms, transform_first)
+        jacobi_from_moments(self.B)
+        assert self._both(terms, not transform_first) == got == self._oracles(terms)

@@ -610,6 +610,20 @@ class TestSolveLower:
         square = [row + (ZERO,) * (size - len(row)) for row in rows]
         assert invert_lower_triangular(square) == inv
 
+    @settings(ORACLE_SETTINGS, max_examples=40)
+    @given(system=lower_systems())
+    def test_unit_diagonal_matches_general_path(self, system):
+        # Row m over its diagonal has a unit diagonal, which skips the
+        # reciprocal; the same row times Z + 2 takes the general path.
+        rows, rhs = system
+        unit = [tuple(e / row[-1] for e in row) for row in rows]
+        unit_rhs = [tuple(e / row[-1] for e in b) for row, b in zip(rows, rhs)]
+        scaled = [tuple(e * (Z + 2) for e in row) for row in unit]
+        scaled_rhs = [tuple(e * (Z + 2) for e in b) for b in unit_rhs]
+        assert all(row[-1] == ONE for row in unit)
+        assert solve_lower(unit, unit_rhs) == solve_lower(scaled, scaled_rhs)
+        assert solve_lower(unit, unit_rhs) == solve_lower(rows, rhs)
+
     def test_solves_only_the_rows_of_rhs(self):
         rows = ((Z + 1,), (Z, ONE), (ONE, Z, ZERO))
         x = solve_lower(rows, [(Z + 1, ONE), (ZERO, Z)])
