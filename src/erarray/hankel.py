@@ -9,8 +9,10 @@ ring operations and no determinant.  The walk is shared with
 tableau once.  After the first zero s_k the larger determinants come one
 by one from ``hankel_det``.  Determinants use Bareiss
 fraction-free elimination, which keeps every intermediate value in Q[z] via
-exact divisions; matrices with genuine rational-function entries are
-cleared column-wise to polynomial form first (tracking the cleared factor).
+exact divisions; each column of a Scalar matrix is first cleared to
+polynomial form by ``scalars._clear_denominators``, and the product of the
+column factors is divided back out.  Sequence arguments are read by
+``orthopoly._terms`` and matrix entries coerced by ``scalars._as_scalar``.
 The tests check these routes against one-elimination and per-size
 determinant oracles, fraction-field Gaussian elimination and cofactor
 expansion.
@@ -20,20 +22,8 @@ from __future__ import annotations
 
 from math import comb
 
-from .orthopoly import JacobiParams, MomentSequence, _chebyshev
-from .scalars import ONE, POLY_ONE, POLY_ZERO, ZERO, PolyZ, Scalar, _lcm
-
-
-def _terms(seq) -> tuple[Scalar, ...]:
-    if isinstance(seq, MomentSequence):
-        return seq.terms
-    out = []
-    for t in seq:
-        s = Scalar._coerce(t)
-        if s is None:
-            raise TypeError(f"cannot use {type(t).__name__} as a sequence term")
-        out.append(s)
-    return tuple(out)
+from .orthopoly import JacobiParams, MomentSequence, _chebyshev, _terms
+from .scalars import ONE, POLY_ONE, POLY_ZERO, ZERO, PolyZ, Scalar, _as_scalar, _clear_denominators
 
 
 def _square(m):
@@ -82,31 +72,15 @@ def det_bareiss(rows) -> PolyZ:
     return pivots[-1] if pivots else POLY_ONE
 
 
-def _clear_columns(m) -> tuple[list[list[PolyZ]], list[PolyZ]]:
+def _clear_columns(m) -> tuple[list[tuple[PolyZ, ...]], list[PolyZ]]:
     """Scale each column of a square Scalar matrix by the lcm of its
-    denominators.
+    denominators (``scalars._clear_denominators``).
 
     Returns the polynomial matrix and the column factors.  A column of
     polynomials has the factor ``POLY_ONE`` and keeps its numerators.
     """
-    _square(m)
-    factors = [_lcm(row[j].den for row in m) for j in range(len(m))]
-    rows = [[_cleared(e, f) for e, f in zip(row, factors)] for row in m]
-    return rows, factors
-
-
-def _cleared(e: Scalar, f: PolyZ) -> PolyZ:
-    """The polynomial e * f, for f a multiple of the denominator of e."""
-    if f is POLY_ONE:
-        return e.num
-    return e.num * (f if e.den is POLY_ONE else f.exact_div(e.den))
-
-
-def _times(a: PolyZ, b: PolyZ) -> PolyZ:
-    """a * b for column factors; a product of ones stays the one POLY_ONE."""
-    if b is POLY_ONE:
-        return a
-    return b if a is POLY_ONE else a * b
+    columns = [_clear_denominators([row[j] for row in m]) for j in range(len(_square(m)))]
+    return list(zip(*(nums for _, nums in columns))), [f for f, _ in columns]
 
 
 def det_scalar(rows) -> Scalar:
@@ -116,10 +90,12 @@ def det_scalar(rows) -> Scalar:
     the product of the column factors is divided back out of the
     fraction-free result.
     """
-    poly_rows, factors = _clear_columns([[Scalar._coerce(e) for e in row] for row in rows])
+    poly_rows, factors = _clear_columns(
+        [[_as_scalar(e, "a matrix entry") for e in row] for row in rows])
     cleared = POLY_ONE
     for f in factors:
-        cleared = _times(cleared, f)
+        if f is not POLY_ONE:
+            cleared = cleared * f
     return Scalar(det_bareiss(poly_rows), cleared)
 
 

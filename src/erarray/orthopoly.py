@@ -3,22 +3,27 @@
 Connects three-term recurrence data (Jacobi parameters) with moment
 sequences and J-fraction expansions, plus the exact recovery of recurrence
 coefficients from raw moments.  ``invert_lower_triangular`` is one
-``scalars.solve_lower`` against the identity.
+``scalars.solve_lower`` against the identity.  Values enter Q(z) through
+``scalars._as_scalar``; every sequence argument, here and in ``hankel``,
+goes through ``_terms``, and ``moments_from_jacobi`` takes the recurrence
+data into Q[z] with one ``scalars._clear_denominators``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .scalars import ONE, POLY_ONE, POLY_ZERO, ZERO, PolyZ, Scalar, _lcm, solve_lower
+from .scalars import (
+    ONE,
+    POLY_ONE,
+    POLY_ZERO,
+    ZERO,
+    Scalar,
+    _as_scalar,
+    _clear_denominators,
+    solve_lower,
+)
 from .series import Series
-
-
-def _as_scalar(value) -> Scalar:
-    s = Scalar._coerce(value)
-    if s is None:
-        raise TypeError(f"cannot use {type(value).__name__} as a scalar")
-    return s
 
 
 @dataclass(frozen=True)
@@ -65,6 +70,13 @@ class MomentSequence:
 
     def __getitem__(self, k: int) -> Scalar:
         return self.terms[k]
+
+
+def _terms(seq) -> tuple[Scalar, ...]:
+    """The terms of a MomentSequence, or of any iterable as Scalars."""
+    if isinstance(seq, MomentSequence):
+        return seq.terms
+    return tuple(_as_scalar(t, "a sequence term") for t in seq)
 
 
 def invert_lower_triangular(rows):
@@ -119,8 +131,7 @@ def moments_from_jacobi(params: JacobiParams, count: int) -> MomentSequence:
         )
     half = count // 2
     alpha, beta = params.alpha[:half + 1], params.beta[:half]
-    d = _lcm(x.den for x in alpha + beta)
-    nums = _over(alpha + beta, d)
+    d, nums = _clear_denominators(alpha + beta)
     alpha, beta = nums[:len(alpha)], nums[len(alpha):]
     a0 = params.a0
     row = [POLY_ONE]
@@ -141,24 +152,6 @@ def moments_from_jacobi(params: JacobiParams, count: int) -> MomentSequence:
             dm = dm * d
         terms.append(Scalar(a0.num * row[0], dm))
     return MomentSequence(tuple(terms))
-
-
-def _over(xs, d: PolyZ) -> tuple[PolyZ, ...]:
-    """The numerators x * d of Scalars xs whose denominators divide d.
-
-    d is divided once by each distinct denominator, and not at all when it
-    is ``POLY_ONE``.
-    """
-    if d is POLY_ONE:
-        return tuple(x.num for x in xs)
-    quotients = {POLY_ONE: d}
-    out = []
-    for x in xs:
-        q = quotients.get(x.den)
-        if q is None:
-            q = quotients[x.den] = d.exact_div(x.den)
-        out.append(x.num * q)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -184,9 +177,7 @@ def jacobi_from_moments(moments) -> JacobiRecovery:
     tableau.  Recovery stops when the moments run out or some s_k, k >= 1,
     vanishes (``finite_support``).
     """
-    terms = moments.terms if isinstance(moments, MomentSequence) else tuple(
-        _as_scalar(t) for t in moments
-    )
+    terms = _terms(moments)
     if not terms:
         raise ValueError("jacobi recovery needs at least one moment")
     if terms[0].is_zero:

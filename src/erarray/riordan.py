@@ -28,15 +28,8 @@ from math import comb, factorial
 # invert_lower_triangular is not called here; the import is kept because
 # perfbench/selftest.py checks that the tracer also wraps this bound copy.
 from .orthopoly import JacobiParams, invert_lower_triangular  # noqa: F401
-from .scalars import ONE, ZERO, Scalar, dot, solve_lower
+from .scalars import ONE, ZERO, Scalar, _as_scalar, dot, solve_lower
 from .series import Series, _series
-
-
-def _as_scalar(value) -> Scalar:
-    s = Scalar._coerce(value)
-    if s is None:
-        raise TypeError(f"cannot use {type(value).__name__} as a scalar")
-    return s
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,10 @@ division, and only when the heuristic falls back to Euclid.  ``Scalar``
 sums and products follow Henrici's rules and keep every gcd on the small
 operands.
 
+The way into Q(z) is owned here too: ``_as_scalar`` coerces every input
+value the other modules accept, and ``_clear_denominators`` takes Scalars
+over the lcm of their denominators for the routes that run in Q[z].
+
 Two exact kernels sit on top: ``dot``, the fused sum of products that
 series products and matrix-vector products run on, and ``solve_lower``,
 the one forward substitution, which the production data, the production
@@ -500,14 +504,28 @@ def _cofactors(a: PolyZ, b: PolyZ) -> tuple[PolyZ, PolyZ, PolyZ]:
     return out[0], out[1], _poly(1, lead, h)
 
 
-def _lcm(dens) -> PolyZ:
-    """The lcm of monic PolyZ denominators; ``POLY_ONE`` itself when every
-    one is ``POLY_ONE`` (or there are none)."""
-    out = POLY_ONE
-    for den in dens:
-        if den is not POLY_ONE:
-            out = den if out is POLY_ONE else out * _cofactors(out, den)[1]
-    return out
+def _clear_denominators(xs) -> tuple[PolyZ, tuple[PolyZ, ...]]:
+    """(d, numerators x * d) for the sequence of Scalars xs, d the lcm of
+    their denominators.
+
+    d is ``POLY_ONE`` itself, and the numerators are the xs' own, when every
+    x is a polynomial; otherwise d is divided once by each distinct
+    denominator.
+    """
+    d = POLY_ONE
+    for x in xs:
+        if x.den is not POLY_ONE:
+            d = x.den if d is POLY_ONE else d * _cofactors(d, x.den)[1]
+    if d is POLY_ONE:
+        return d, tuple(x.num for x in xs)
+    quotients = {POLY_ONE: d}
+    out = []
+    for x in xs:
+        q = quotients.get(x.den)
+        if q is None:
+            q = quotients[x.den] = d.exact_div(x.den)
+        out.append(x.num * q)
+    return d, tuple(out)
 
 
 def _euclid_gcd(a: PolyZ, b: PolyZ) -> PolyZ:
@@ -701,6 +719,16 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self})"
+
+
+def _as_scalar(value, what: str = "a scalar") -> Scalar:
+    """``value`` as a Scalar; a TypeError names ``what`` it was meant to be."""
+    if isinstance(value, Scalar):
+        return value
+    s = Scalar._coerce(value)
+    if s is None:
+        raise TypeError(f"cannot use {type(value).__name__} as {what}")
+    return s
 
 
 def _canonical(num: PolyZ, den: PolyZ) -> Scalar:

@@ -11,16 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import ONE, ZERO, Scalar, dot, solve_lower
-
-
-def _as_scalar(value) -> Scalar:
-    if isinstance(value, Scalar):
-        return value
-    coerced = Scalar._coerce(value)
-    if coerced is None:
-        raise TypeError(f"cannot use {type(value).__name__} as a series coefficient")
-    return coerced
+from .scalars import ONE, ZERO, Scalar, _as_scalar, dot, solve_lower
 
 
 class Series:
@@ -29,7 +20,7 @@ class Series:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = tuple(_as_scalar(c) for c in coeffs)
+        cs = tuple(_as_scalar(c, "a series coefficient") for c in coeffs)
         if not cs:
             raise ValueError("a series needs at least the constant coefficient")
         self.coeffs: tuple[Scalar, ...] = cs
@@ -50,7 +41,7 @@ class Series:
 
     @classmethod
     def constant(cls, value, order: int) -> Series:
-        return cls([_as_scalar(value)] + [ZERO] * order)
+        return cls([_as_scalar(value, "a series coefficient")] + [ZERO] * order)
 
     @property
     def order(self) -> int:
@@ -113,7 +104,7 @@ class Series:
         return other - self
 
     def scale(self, factor) -> Series:
-        f = _as_scalar(factor)
+        f = _as_scalar(factor, "a series coefficient")
         return _series(f * c for c in self.coeffs)
 
     def __mul__(self, other):

@@ -27,15 +27,10 @@ from math import comb, factorial
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from erarray.hankel import _clear_columns, hankel_matrix
-from erarray.orthopoly import (
-    JacobiParams,
-    JacobiRecovery,
-    MomentSequence,
-    _as_scalar,
-)
+from erarray.hankel import hankel_matrix
+from erarray.orthopoly import JacobiParams, JacobiRecovery, MomentSequence
 from erarray.riordan import ERArray, ProductionMatrix, er_build
-from erarray.scalars import ONE, POLY_ONE, ZERO, PolyZ, Scalar, Z
+from erarray.scalars import ONE, POLY_ONE, ZERO, PolyZ, Scalar, Z, _as_scalar
 from erarray.series import Series, _compose_powers, _degree, _powers
 
 
@@ -317,17 +312,31 @@ def det_fraction_field(rows) -> Scalar:
     return det
 
 
+def _clear_column(column) -> tuple[PolyZ, list[PolyZ]]:
+    """A factor f that makes every Scalar of ``column`` a polynomial, and
+    the polynomials e * f: f is the product of the distinct denominators,
+    a multiple of their lcm."""
+    f = POLY_ONE
+    for den in {e.den for e in column}:
+        f = f * den
+    cleared = [e * Scalar(f) for e in column]
+    assert all(e.is_polynomial for e in cleared)
+    return f, [e.num for e in cleared]
+
+
 def hankel_transform_by_elimination(seq, nmax: int) -> list[Scalar]:
     """h_0..h_nmax off the pivots of one fraction-free elimination.
 
-    The largest Hankel matrix is cleared column-wise to polynomial form; by
-    Sylvester's identity the k-th pivot of one-step Bareiss elimination
-    without row swaps is the leading minor h_k times the first k+1 column
-    factors.  After a zero pivot the larger sizes are per-size
-    ``det_fraction_field`` determinants.
+    Each column of the largest Hankel matrix is scaled to polynomial form
+    by the product of its distinct denominators; by Sylvester's identity
+    the k-th pivot of one-step Bareiss elimination without row swaps is the
+    leading minor h_k times the first k+1 column factors.  After a zero
+    pivot the larger sizes are per-size ``det_fraction_field`` determinants.
     """
     terms = tuple(_as_scalar(t) for t in seq)
-    rows, factors = _clear_columns(hankel_matrix(terms, nmax))
+    m = hankel_matrix(terms, nmax)
+    factors, columns = zip(*(_clear_column([row[j] for row in m]) for j in range(nmax + 1)))
+    rows = [list(row) for row in zip(*columns)]
     out = []
     cleared = prev = POLY_ONE
     for k in range(nmax + 1):

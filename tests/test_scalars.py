@@ -8,7 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from erarray import scalars
-from erarray.orthopoly import invert_lower_triangular
+from erarray.hankel import det_scalar, hankel_transform
+from erarray.orthopoly import (
+    JacobiParams,
+    MomentSequence,
+    invert_lower_triangular,
+    jacobi_from_moments,
+)
+from erarray.riordan import er_apply, er_build
 from erarray.scalars import (
     ONE,
     POLY_ONE,
@@ -16,10 +23,12 @@ from erarray.scalars import (
     PolyZ,
     Scalar,
     Z,
+    _clear_denominators,
     _euclid_gcd,
     dot,
     solve_lower,
 )
+from erarray.series import Series
 
 from oracles import (
     ORACLE_SETTINGS,
@@ -633,3 +642,59 @@ class TestSolveLower:
         rows = ((ONE,), (Z, ONE), (ONE, Z, ZERO))
         with pytest.raises(ZeroDivisionError, match=r"singular diagonal entry at \(2, 2\)"):
             solve_lower(rows, [(ONE,)] * 3)
+
+
+# Every place that takes values into Q(z), with what the value was meant to be.
+_COERCION_SITES = {
+    "Series": (lambda v: Series([ONE, v]), "a series coefficient"),
+    "JacobiParams": (lambda v: JacobiParams((ONE, v), (ONE,)), "a scalar"),
+    "MomentSequence": (lambda v: MomentSequence((ONE, v)), "a scalar"),
+    "hankel_transform": (lambda v: hankel_transform([ONE, v, ONE], 1), "a sequence term"),
+    "jacobi_from_moments": (lambda v: jacobi_from_moments([ONE, v]), "a sequence term"),
+    "er_apply": (lambda v: er_apply(er_build(Series.one(1), Series.x(1)), [ONE, v]),
+                 "a scalar"),
+    "det_scalar": (lambda v: det_scalar([[v]]), "a matrix entry"),
+}
+
+
+class TestWayIntoQz:
+    """``_as_scalar`` and ``_clear_denominators``: how values enter Q(z) and Q[z]."""
+
+    @pytest.mark.parametrize("value", [1.5, "1", None], ids=["float", "str", "None"])
+    @pytest.mark.parametrize("site", sorted(_COERCION_SITES))
+    def test_coercion_site_names_what_the_value_was_for(self, site, value):
+        call, what = _COERCION_SITES[site]
+        with pytest.raises(TypeError, match=f"^cannot use {type(value).__name__} as {what}$"):
+            call(value)
+
+    def test_polynomials_keep_poly_one_and_their_numerators(self):
+        xs = [Scalar(3), Z + 1, ZERO, Scalar(Fraction(1, 2)) * Z]
+        d, nums = _clear_denominators(xs)
+        assert d is POLY_ONE
+        assert all(n is x.num for n, x in zip(nums, xs))
+        assert _clear_denominators([]) == (POLY_ONE, ())
+
+    @ORACLE_SETTINGS
+    @given(xs=st.lists(st.one_of(rational_scalars, poly_scalars), min_size=1, max_size=6))
+    def test_numerators_over_the_lcm(self, xs):
+        d, nums = _clear_denominators(xs)
+        lcm = POLY_ONE
+        for x in xs:
+            lcm = (lcm * x.den).exact_div(_euclid_gcd(lcm, x.den))
+        assert d == lcm.monic()
+        assert [Scalar(n, d) for n in nums] == xs
+
+    def test_divides_once_per_distinct_denominator(self, monkeypatch):
+        calls = []
+        exact_div = PolyZ.exact_div
+
+        def counted(a, b):
+            calls.append(b)
+            return exact_div(a, b)
+
+        monkeypatch.setattr(PolyZ, "exact_div", counted)
+        xs = [ONE / (Z + 1), Z / (Z + 1), ONE / (Z + 2), Z, (Z + 3) / (Z + 2)]
+        d, nums = _clear_denominators(xs)
+        assert sorted(map(str, calls)) == ["z + 1", "z + 2"]
+        assert d == (Z + 1).num * (Z + 2).num
+        assert [Scalar(n, d) for n in nums] == xs
