@@ -183,8 +183,13 @@ def sequence_to_bfile(terms) -> str:
 
 
 def sequence_from_bfile(text: str) -> list[Scalar]:
-    """Read "n value" lines (comments starting with # are ignored)."""
-    values: list[tuple[int, int]] = []
+    """Read "n value" lines (comments starting with # are ignored).
+
+    The lines may come in any order, but their indices must be consecutive
+    integers; the first need not be 0 (an OEIS offset).  A gap or a repeated
+    index raises ValueError naming the line.
+    """
+    values: list[tuple[int, int, int]] = []  # (n, line number, value)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -193,13 +198,20 @@ def sequence_from_bfile(text: str) -> list[Scalar]:
         if len(parts) != 2:
             raise ValueError(f"bfile line {lineno}: expected 'n value', got {raw!r}")
         try:
-            values.append((int(parts[0]), int(parts[1])))
+            values.append((int(parts[0]), lineno, int(parts[1])))
         except ValueError:
             raise ValueError(
                 f"bfile line {lineno}: non-integer field in {raw!r}"
             ) from None
     values.sort()
-    return [Scalar(v) for _, v in values]
+    for (before, first, _), (n, lineno, _) in zip(values, values[1:]):
+        if n == before:
+            raise ValueError(f"bfile line {lineno}: index {n} repeats line {first}")
+        if n != before + 1:
+            raise ValueError(
+                f"bfile line {lineno}: index {n} leaves a gap after index {before}"
+            )
+    return [Scalar(v) for _, _, v in values]
 
 
 # -- Jacobi parameters --

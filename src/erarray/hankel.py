@@ -23,7 +23,7 @@ from __future__ import annotations
 from math import comb
 
 from .orthopoly import JacobiParams, MomentSequence, _chebyshev, _terms
-from .scalars import ONE, POLY_ONE, POLY_ZERO, ZERO, PolyZ, Scalar, _as_scalar, _clear_denominators
+from .scalars import ONE, POLY_ONE, POLY_ZERO, PolyZ, Scalar, _as_scalar, _clear_denominators, dot
 
 
 def _square(m):
@@ -161,12 +161,8 @@ def hankel_from_betas(params: JacobiParams, nmax: int) -> list[Scalar]:
 
 
 def binomial_transform(seq) -> MomentSequence:
-    """b_n = sum_k C(n, k) a_k, same length as the input."""
+    """b_n = sum_k C(n, k) a_k, same length as the input; each b_n is one
+    ``dot``."""
     terms = _terms(seq)
-    out = []
-    for n in range(len(terms)):
-        acc = ZERO
-        for k in range(n + 1):
-            acc = acc + terms[k] * comb(n, k)
-        out.append(acc)
-    return MomentSequence(tuple(out))
+    return MomentSequence(tuple(dot((terms[k], Scalar(comb(n, k))) for k in range(n + 1))
+                                for n in range(len(terms))))

@@ -2,7 +2,9 @@
 
 Connects three-term recurrence data (Jacobi parameters) with moment
 sequences and J-fraction expansions, plus the exact recovery of recurrence
-coefficients from raw moments.  ``invert_lower_triangular`` is one
+coefficients from raw moments.  Both tableaux, the Stieltjes one of
+``moments_from_jacobi`` and the Chebyshev one of ``_walk``, form each
+entry as one ``scalars.dot``.  ``invert_lower_triangular`` is one
 ``scalars.solve_lower`` against the identity.  Values enter Q(z) through
 ``scalars._as_scalar``; every sequence argument, here and in ``hankel``,
 goes through ``_terms``, and ``moments_from_jacobi`` takes the recurrence
@@ -16,11 +18,12 @@ from dataclasses import dataclass, field
 from .scalars import (
     ONE,
     POLY_ONE,
-    POLY_ZERO,
     ZERO,
     Scalar,
     _as_scalar,
     _clear_denominators,
+    _polynomial,
+    dot,
     solve_lower,
 )
 from .series import Series
@@ -119,9 +122,11 @@ def moments_from_jacobi(params: JacobiParams, count: int) -> MomentSequence:
     k <= min(m, count - m), which still reach column 0 by row count, are
     kept: O(count^2) ring operations and no division.  The rows are kept in
     Q[z]: with d the lcm of the denominators of the alphas and betas used,
-    row m holds d^m A[m], so each step multiplies polynomials only and each
-    moment is canonicalised once.  The tests compare it with the inverse of
-    the monic coefficient array and with ``jfraction_expand``.
+    row m holds d^m A[m], as polynomial Scalars, so each entry
+    d A[m-1][k-1] + alpha_k A[m-1][k] + beta_{k+1} A[m-1][k+1] is one
+    ``dot`` over Q[z], normalised once, and each moment is canonicalised
+    once.  The tests compare it with the chained tableau it replaced, with
+    the inverse of the monic coefficient array and with ``jfraction_expand``.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
@@ -132,25 +137,26 @@ def moments_from_jacobi(params: JacobiParams, count: int) -> MomentSequence:
     half = count // 2
     alpha, beta = params.alpha[:half + 1], params.beta[:half]
     d, nums = _clear_denominators(alpha + beta)
+    nums = [_polynomial(p) for p in nums]
     alpha, beta = nums[:len(alpha)], nums[len(alpha):]
+    shift = _polynomial(d)
     a0 = params.a0
-    row = [POLY_ONE]
+    row = [ONE]
     terms = [a0]
     dm = a0.den
     for m in range(1, count + 1):
-        up = row if d is POLY_ONE else [d * p for p in row]
         nxt = []
         for k in range(min(m, count - m) + 1):
-            acc = up[k - 1] if k else POLY_ZERO
+            pairs = [(shift, row[k - 1])] if k else []
             if k < len(row):
-                acc = acc + alpha[k] * row[k]
+                pairs.append((alpha[k], row[k]))
             if k + 1 < len(row):
-                acc = acc + beta[k] * row[k + 1]
-            nxt.append(acc)
+                pairs.append((beta[k], row[k + 1]))
+            nxt.append(dot(pairs))
         row = nxt
         if d is not POLY_ONE:
             dm = dm * d
-        terms.append(Scalar(a0.num * row[0], dm))
+        terms.append(Scalar(a0.num * row[0].num, dm))
     return MomentSequence(tuple(terms))
 
 
@@ -236,7 +242,8 @@ def _walk(terms):
         beta_k = s_k/s_{k-1}
 
     (Gautschi, "On generating orthogonal polynomials", 1982).  That is
-    O(n^2) ring operations and two divisions per step.
+    O(n^2) entries, each one ``dot`` of three pairs with -alpha and -beta
+    formed once per row, and two divisions per step.
 
     Yields (s_k, alpha_k, beta_k) for k = 0, 1, ... while 2k <= top, the
     last index of ``terms``; beta_0 is None.  The walk ends with a zero s_k
@@ -246,7 +253,7 @@ def _walk(terms):
     """
     top = len(terms) - 1
     # Rows k-1 and k of the tableau, indexed by l; only l >= k is used.
-    prev: list[Scalar] = []
+    prev = [ZERO] * len(terms)
     row = list(terms)
     s_prev = ratio_prev = b = None
     for k in range(top // 2 + 1):
@@ -259,11 +266,9 @@ def _walk(terms):
         if k:
             b = s / s_prev
         yield s, a, b
+        minus_a, minus_b = -a, -b if k else ZERO
         nxt = [ZERO] * (top - k)
         for l in range(k + 1, top - k):
-            acc = row[l + 1] - a * row[l]
-            if k:
-                acc = acc - b * prev[l]
-            nxt[l] = acc
+            nxt[l] = dot(((row[l + 1], ONE), (row[l], minus_a), (prev[l], minus_b)))
         prev, row = row, nxt
         s_prev, ratio_prev = s, ratio

@@ -17,10 +17,16 @@ The way into Q(z) is owned here too: ``_as_scalar`` coerces every input
 value the other modules accept, and ``_clear_denominators`` takes Scalars
 over the lcm of their denominators for the routes that run in Q[z].
 
+Every integer-polynomial product goes through ``_multiply``: the
+classical double loop when the shorter operand has at most
+``_SCHOOLBOOK_MAX`` terms (most often a linear alpha_k or beta_k times a
+tableau entry), Kronecker substitution above that.
+
 Two exact kernels sit on top: ``dot``, the fused sum of products that
-series products and matrix-vector products run on, and ``solve_lower``,
-the one forward substitution, which the production data, the production
-matrix, triangular inverses and series reversion all call.
+series products, matrix-vector products and both orthogonal-polynomial
+tableaux run on, and ``solve_lower``, the one forward substitution, which
+the production data, the production matrix, triangular inverses and
+series reversion all call.
 """
 
 from __future__ import annotations
@@ -192,7 +198,7 @@ class PolyZ:
         elif len(b) == 1:
             prim = a
         else:
-            prim = _kronecker(a, b)
+            prim = _multiply(a, b)
         return _poly((an // g) * (bn // h), (ad // h) * (bd // g), prim)
 
     __rmul__ = __mul__
@@ -361,6 +367,41 @@ def _normal(ints: list, num: int, den: int) -> PolyZ:
     return _poly(num // h, den // h, tuple(ints))
 
 
+#: The longest shorter operand that ``_multiply`` takes by the classical
+#: double loop; above it Kronecker packing is faster on coefficients of up
+#: to a few dozen bits (measured in BENCH_schoolbook_cut.json).
+_SCHOOLBOOK_MAX = 5
+
+
+def _multiply(a: tuple, b: tuple) -> tuple:
+    """Product of two nonzero integer polynomials, the one product kernel.
+
+    When the shorter operand has at most ``_SCHOOLBOOK_MAX`` terms the
+    classical double loop (``_schoolbook``) is faster than packing: its
+    len(a) len(b) products are of the coefficients themselves, and it
+    shifts no long integer (Knuth, TAOCP vol. 2, 4.3.3, on the classical
+    method for short operands).  Longer operands go to ``_kronecker``.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) > _SCHOOLBOOK_MAX:
+        return _kronecker(a, b)
+    return _schoolbook(a, b)
+
+
+def _schoolbook(a, b) -> tuple:
+    """Product of two nonzero integer polynomials by the classical double
+    loop, one row per coefficient of ``a``, the shorter."""
+    c = a[0]
+    out = [c * d for d in b] + [0] * (len(a) - 1)
+    for i in range(1, len(a)):
+        c = a[i]
+        if c:
+            for j, d in enumerate(b, i):
+                out[j] += c * d
+    return tuple(out)
+
+
 def _kronecker(a: tuple, b: tuple) -> tuple:
     """Product of two integer polynomials by Kronecker substitution.
 
@@ -464,7 +505,7 @@ def _divides(h, a: tuple, cofactor: int, w: int):
     coefficients of h*q lie below 2^(w-1) as well, both sides are read off
     the same digits, so h*q = a and q is the quotient; the bound
     |(h*q)_k| <= min(len h, len q) |h| |q| proves it without a product.
-    Otherwise one Kronecker product decides.
+    Otherwise one product decides.
     """
     q = _unpack(cofactor, w)
     if len(q) + len(h) - 1 != len(a):
@@ -473,7 +514,7 @@ def _divides(h, a: tuple, cofactor: int, w: int):
     if (max(map(abs, h)).bit_length() + max(map(abs, q)).bit_length()
             + min(len(h), len(q)).bit_length() < w):
         return q
-    return q if _kronecker(h, q) == a else None
+    return q if _multiply(h, q) == a else None
 
 
 def _cofactors(a: PolyZ, b: PolyZ) -> tuple[PolyZ, PolyZ, PolyZ]:
@@ -838,7 +879,7 @@ def dot(pairs) -> Scalar:
         elif len(yp) == 1:
             prim = xp
         else:
-            prim = _kronecker(xp, yp)
+            prim = _multiply(xp, yp)
         if len(prim) > len(vec):
             vec += [0] * (len(prim) - len(vec))
         for i, v in enumerate(prim):

@@ -11,9 +11,11 @@ iteration, an array acts on a sequence through e.g.f.s, the production
 series and the inverse array compose with the reversion of f, production
 matrices are read off the bivariate generating function, triangular
 matrices are inverted column by column, moments come from inverting the
-monic coefficient array of the three-term recurrence, Jacobi data is
-recovered from moments by the Stieltjes procedure, and the random
-generators only build inputs.  Scalar sums and products canonicalise the
+monic coefficient array of the three-term recurrence, both tableaux (the
+Stieltjes one for moments, the Chebyshev one for the Hankel transform and
+Jacobi recovery) chain one ring operation per term, the binomial transform
+sums term by term, Jacobi data is recovered from moments by the Stieltjes
+procedure, and the random generators only build inputs.  Scalar sums and products canonicalise the
 full cross product by the Euclid gcd.  Each library call computes one
 route; the tests compare it with these.
 """
@@ -30,7 +32,8 @@ from hypothesis import strategies as st
 from erarray.hankel import hankel_matrix
 from erarray.orthopoly import JacobiParams, JacobiRecovery, MomentSequence
 from erarray.riordan import ERArray, ProductionMatrix, er_build
-from erarray.scalars import ONE, POLY_ONE, ZERO, PolyZ, Scalar, Z, _as_scalar
+from erarray.scalars import (ONE, POLY_ONE, POLY_ZERO, ZERO, PolyZ, Scalar, Z, _as_scalar,
+                             _clear_denominators)
 from erarray.series import Series, _compose_powers, _degree, _powers
 
 
@@ -538,6 +541,93 @@ def moments_by_inverse(params, count: int) -> tuple[Scalar, ...]:
     """Moments a0 (A^-1)[n][0], A the monic coefficient array of the data."""
     inv = invert_lower_by_columns(coeff_array_from_jacobi(params, count))
     return tuple(params.a0 * inv[n][0] for n in range(count + 1))
+
+
+def moments_by_chained_tableau(params: JacobiParams, count: int) -> MomentSequence:
+    """Moments a_0..a_count off the Stieltjes tableau, each entry a chain of
+    PolyZ products and sums: the reference for ``moments_from_jacobi``.
+
+    Row m holds d^m A[m] in Q[z], d the lcm of the denominators of the
+    alphas and betas used, and A[m][k] = A[m-1][k-1] + alpha_k A[m-1][k]
+    + beta_{k+1} A[m-1][k+1].
+    """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    if count > params.depth:
+        raise ValueError(
+            f"insufficient parameters: count {count} > depth {params.depth}"
+        )
+    half = count // 2
+    alpha, beta = params.alpha[:half + 1], params.beta[:half]
+    d, nums = _clear_denominators(alpha + beta)
+    alpha, beta = nums[:len(alpha)], nums[len(alpha):]
+    a0 = params.a0
+    row = [POLY_ONE]
+    terms = [a0]
+    dm = a0.den
+    for m in range(1, count + 1):
+        up = row if d is POLY_ONE else [d * p for p in row]
+        nxt = []
+        for k in range(min(m, count - m) + 1):
+            acc = up[k - 1] if k else POLY_ZERO
+            if k < len(row):
+                acc = acc + alpha[k] * row[k]
+            if k + 1 < len(row):
+                acc = acc + beta[k] * row[k + 1]
+            nxt.append(acc)
+        row = nxt
+        if d is not POLY_ONE:
+            dm = dm * d
+        terms.append(Scalar(a0.num * row[0], dm))
+    return MomentSequence(tuple(terms))
+
+
+def walk_by_chained_tableau(terms):
+    """The (s_k, alpha_k, beta_k) triples of the Chebyshev tableau of the
+    moments ``terms``, each entry a chain of Scalar operations: the
+    reference for ``orthopoly._walk``.
+
+    sigma_k(l) = sigma_{k-1}(l+1) - alpha_{k-1} sigma_{k-1}(l)
+    - beta_{k-1} sigma_{k-2}(l), s_k = sigma_k(k), alpha_k = sigma_k(k+1)/s_k
+    - sigma_{k-1}(k)/s_{k-1} and beta_k = s_k/s_{k-1}; the last triple has
+    alpha_k and beta_k None.
+    """
+    top = len(terms) - 1
+    # Rows k-1 and k of the tableau, indexed by l; only l >= k is used.
+    prev: list[Scalar] = []
+    row = list(terms)
+    s_prev = ratio_prev = b = None
+    for k in range(top // 2 + 1):
+        s = row[k]
+        if s.is_zero or 2 * k + 1 > top:
+            yield s, None, None
+            return
+        ratio = row[k + 1] / s
+        a = ratio - ratio_prev if k else ratio
+        if k:
+            b = s / s_prev
+        yield s, a, b
+        nxt = [ZERO] * (top - k)
+        for l in range(k + 1, top - k):
+            acc = row[l + 1] - a * row[l]
+            if k:
+                acc = acc - b * prev[l]
+            nxt[l] = acc
+        prev, row = row, nxt
+        s_prev, ratio_prev = s, ratio
+
+
+def binomial_transform_by_sum(seq) -> tuple[Scalar, ...]:
+    """b_n = sum_k C(n, k) a_k, one Scalar sum per term: the reference for
+    ``hankel.binomial_transform``."""
+    terms = [_as_scalar(t) for t in seq]
+    out = []
+    for n in range(len(terms)):
+        acc = ZERO
+        for k in range(n + 1):
+            acc = acc + terms[k] * comb(n, k)
+        out.append(acc)
+    return tuple(out)
 
 
 def jacobi_by_stieltjes(moments) -> JacobiRecovery:

@@ -152,6 +152,13 @@ class TestSequencesCommands:
         assert code == 0
         assert out.split() == ["1", "1", "2", "12", "288"]
 
+    def test_hankel_bfile_with_a_gap(self, capsys, tmp_path):
+        bfile = tmp_path / "gap.txt"
+        bfile.write_text("0 1\n1 1\n3 5\n4 15\n5 52\n")
+        code, out, err = run(capsys, "hankel", "--in", str(bfile))
+        assert code == 2 and not out
+        assert "bfile line 3: index 3 leaves a gap after index 1" in err
+
     def test_hankel_inline_symbolic(self, capsys):
         code, out, _ = run(
             capsys, "hankel", "1", "z", "z^2 + z", "--nmax", "1", "--format", "json"

@@ -92,6 +92,21 @@ class TestSequenceFormats:
         with pytest.raises(ValueError, match="line 1"):
             formats.sequence_from_bfile("1 2 3\n")
 
+    def test_bfile_offset(self):
+        # An OEIS offset: the first index need not be 0.
+        text = "1 1\n3 5\n2 2\n"
+        assert formats.sequence_from_bfile(text) == [Scalar(v) for v in (1, 2, 5)]
+
+    @pytest.mark.parametrize("text, message", [
+        ("0 1\n2 5\n", "line 2: index 2 leaves a gap after index 0"),
+        ("# comment\n0 1\n1 1\n\n5 2\n", "line 5: index 5 leaves a gap after index 1"),
+        ("0 1\n0 2\n1 3\n", "line 2: index 0 repeats line 1"),
+        ("1 3\n0 1\n1 3\n", "line 3: index 1 repeats line 1"),
+    ])
+    def test_bfile_gap_or_repeat(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            formats.sequence_from_bfile(text)
+
     def test_ingestion_dispatch(self):
         json_text = '["1", "z"]\n'
         assert formats.moments_from_file_text(json_text).terms == (ONE, Z)

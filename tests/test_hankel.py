@@ -25,6 +25,7 @@ from erarray.sequences import bell_poly
 from oracles import (
     ORACLE_SETTINGS,
     bell_numbers,
+    binomial_transform_by_sum,
     det_cofactor,
     det_fraction_field,
     hankel_transform_by_elimination,
@@ -199,6 +200,12 @@ class TestBinomialTransform:
     def test_zeros(self):
         got = binomial_transform([ZERO] * 5)
         assert all(t.is_zero for t in got.terms)
+
+    @ORACLE_SETTINGS
+    @given(terms=st.lists(st.one_of(poly_scalars, rational_scalars, st.just(ZERO)),
+                          min_size=1, max_size=10))
+    def test_matches_term_by_term_sum(self, terms):
+        assert binomial_transform(terms).terms == binomial_transform_by_sum(terms)
 
 
 class TestEliminationAgreement:

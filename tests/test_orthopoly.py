@@ -28,10 +28,13 @@ from oracles import (
     hankel_transform_by_elimination,
     jacobi_by_stieltjes,
     matrix_product,
+    moments_by_chained_tableau,
     moments_by_inverse,
     poly_scalars,
     random_scalar,
+    rational_leads,
     rational_scalars,
+    walk_by_chained_tableau,
 )
 
 
@@ -271,6 +274,49 @@ class TestAgainstOracles:
         got = moments_from_jacobi(params, count).terms
         assert got == moments_by_inverse(params, count)
         assert got == jfraction_expand(params, count).coeffs
+
+
+#: Jacobi data for the differential tests of the two tableaux: polynomial,
+#: rational, with one zero beta (finite support), and with a rational a0.
+TABLEAU_KINDS = ("polynomial", "rational", "zero_beta", "rational_a0")
+
+
+@st.composite
+def tableau_cases(draw, kind):
+    depth = draw(st.sampled_from(range(1, 11)))
+    entries = {"polynomial": poly_scalars, "rational": rational_scalars}.get(kind, _entries)
+    alpha = draw(st.lists(entries, min_size=depth, max_size=depth))
+    beta = draw(st.lists(entries.filter(bool), min_size=depth - 1, max_size=depth - 1))
+    if kind == "zero_beta" and beta:
+        beta[draw(st.integers(0, len(beta) - 1))] = ZERO
+    a0 = ONE
+    if kind == "rational_a0":
+        a0 = draw(st.one_of(rational_leads, rational_scalars).filter(
+            lambda c: c and c != ONE))
+    return JacobiParams(alpha=tuple(alpha), beta=tuple(beta), a0=a0), depth
+
+
+class TestTableauxAgainstChained:
+    """Each tableau entry as one ``dot`` equals the chain of ring operations
+    it replaced, on every moment and every (s, alpha, beta) triple."""
+
+    @pytest.mark.parametrize("kind", TABLEAU_KINDS)
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_moments(self, kind, data):
+        params, depth = data.draw(tableau_cases(kind))
+        for count in (depth, depth - 1):
+            assert moments_from_jacobi(params, count) == \
+                moments_by_chained_tableau(params, count)
+
+    @pytest.mark.parametrize("kind", TABLEAU_KINDS)
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_walk(self, kind, data):
+        params, depth = data.draw(tableau_cases(kind))
+        terms = moments_by_chained_tableau(params, depth).terms
+        for prefix in (terms, terms[:-1]):
+            assert list(orthopoly._walk(prefix)) == list(walk_by_chained_tableau(prefix))
 
 
 def _recover(route, moments):

@@ -435,14 +435,59 @@ def test_kronecker_slot_extremes(bits, length):
     # Every coefficient at the largest magnitude of its bit length, so the
     # middle product coefficient, length * (2^bits - 1)^2, comes as close to
     # the slot bound as the inputs allow; the signs make every slot borrow,
-    # none borrow, or alternate.
+    # none borrow, or alternate.  The packed route is called on the rows
+    # themselves: PolyZ would reduce them to their primitive parts, and it
+    # multiplies short ones by the schoolbook route.
     top = (1 << bits) - 1
     rows = ([-top] * length, [top] * length,
             [top if k % 2 else -top for k in range(length)],
             [1 << (bits - 1)] * length)
     for ca in rows:
         for cb in rows:
-            assert_same(PolyZ(ca) * PolyZ(cb), FractionPoly(ca) * FractionPoly(cb))
+            product = FractionPoly(ca) * FractionPoly(cb)
+            assert scalars._kronecker(tuple(ca), tuple(cb)) == \
+                tuple(c.numerator for c in product.coeffs)
+            assert_same(PolyZ(ca) * PolyZ(cb), product)
+
+
+@st.composite
+def integer_polys(draw, max_length):
+    """Nonzero integer coefficient tuples of 1..max_length terms, each up
+    to 2^400 in absolute value, sometimes with zero terms."""
+    rng = draw(st.randoms(use_true_random=False))
+    bound = 1 << rng.randint(1, 400)
+    ints = [rng.randint(-bound, bound) if rng.random() < 0.8 else 0
+            for _ in range(rng.randint(1, max_length))]
+    ints[-1] = ints[-1] or bound
+    return tuple(ints)
+
+
+class TestProductRoutes:
+    """The one integer-polynomial product: the classical double loop while
+    the shorter operand has at most ``_SCHOOLBOOK_MAX`` terms, Kronecker
+    packing above."""
+
+    def test_cut_is_between_the_drawn_lengths(self):
+        # The draws below put the shorter operand at 1-6 terms.
+        assert 1 <= scalars._SCHOOLBOOK_MAX < 6
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_short_times_long(self, shape, data):
+        cs = data.draw(coefficient_lists(shape, max_degree=5, max_bits=400))
+        cl = data.draw(coefficient_lists(shape, max_degree=129, max_bits=400))
+        a, b, fa, fb = PolyZ(cs), PolyZ(cl), FractionPoly(cs), FractionPoly(cl)
+        assert_same(a * b, fa * fb)
+        assert_same(b * a, fa * fb)
+        assert_same(a * a, fa * fa)
+
+    @settings(ORACLE_SETTINGS, max_examples=100)
+    @given(a=integer_polys(6), b=integer_polys(130))
+    def test_routes_agree(self, a, b):
+        product = scalars._kronecker(a, b)
+        assert scalars._schoolbook(a, b) == product
+        assert scalars._multiply(a, b) == scalars._multiply(b, a) == product
 
 
 # Rational functions for the differential tests of Henrici's rules: the
