@@ -8,9 +8,10 @@ Usage, from the root of a checkout:
     PYTHONPATH=src python microbench/product_cut.py > cases.json
 
 Each case is a pair of random integer polynomials (seeded) of the given
-lengths whose coefficients have the given bit length.  A route's time is
-the best of five ``timeit`` repeats, each of the loop count ``autorange``
-picks, in microseconds per product.
+lengths whose coefficients have the given bit length.  ``check`` asserts
+that the routes agree on every case, and ``main`` runs it before timing.
+A route's time is the best of five ``timeit`` repeats, each of the loop
+count ``autorange`` picks, in microseconds per product.
 """
 
 from __future__ import annotations
@@ -35,6 +36,25 @@ def _poly(rng: random.Random, length: int, bits: int) -> tuple:
     return tuple(rng.choice((-1, 1)) * rng.randrange(top >> 1, top) for _ in range(length))
 
 
+def _inputs():
+    """(case, a, b) for every case of CASES, on one seeded generator."""
+    rng = random.Random(13)
+    for short, long, bits in CASES:
+        yield (short, long, bits), _poly(rng, short, bits), _poly(rng, long, bits)
+
+
+def check() -> None:
+    """Assert that the cases lie on both sides of the cut, and that both
+    routes, and ``_multiply``, give the same product on every case."""
+    cut = scalars._SCHOOLBOOK_MAX
+    if not min(c[0] for c in CASES) <= cut < max(c[0] for c in CASES):
+        raise AssertionError(f"the cases do not straddle the cut {cut}")
+    for (short, long, bits), a, b in _inputs():
+        product = scalars._schoolbook(a, b)
+        if product != scalars._kronecker(a, b) or product != scalars._multiply(a, b):
+            raise AssertionError(f"routes disagree on {short}x{long}, {bits} bits")
+
+
 def _best_us(f, a, b) -> float:
     timer = timeit.Timer(lambda: f(a, b))
     loops, _ = timer.autorange()
@@ -42,12 +62,9 @@ def _best_us(f, a, b) -> float:
 
 
 def main() -> int:
-    rng = random.Random(13)
+    check()
     rows = []
-    for short, long, bits in CASES:
-        a, b = _poly(rng, short, bits), _poly(rng, long, bits)
-        if scalars._schoolbook(a, b) != scalars._kronecker(a, b):
-            raise AssertionError(f"routes disagree on {short}x{long}, {bits} bits")
+    for (short, long, bits), a, b in _inputs():
         kronecker = _best_us(scalars._kronecker, a, b)
         schoolbook = _best_us(scalars._schoolbook, a, b)
         rows.append({"shorter": short, "longer": long, "bits": bits,

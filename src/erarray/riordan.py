@@ -23,12 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, factorial
+from math import comb, factorial, gcd
+from operator import mul
 
 # invert_lower_triangular is not called here; the import is kept because
 # perfbench/selftest.py checks that the tracer also wraps this bound copy.
 from .orthopoly import JacobiParams, invert_lower_triangular  # noqa: F401
-from .scalars import ONE, ZERO, Scalar, _as_scalar, dot, solve_lower
+from .scalars import (ONE, ZERO, Scalar, _as_scalar, _clear_rationals, _rational_scalar, dot,
+                      solve_lower)
 from .series import Series, _series
 
 
@@ -110,7 +112,15 @@ class ProductionMatrix:
 
 
 def er_build(g: Series, f: Series) -> ERArray:
-    """Construct [g, f]; needs g(0) != 0, f(0) = 0 and f'(0) != 0."""
+    """Construct [g, f]; needs g(0) != 0, f(0) = 0 and f'(0) != 0.
+
+    A[r][k] = (r!/k!) [x^r] g f^k, column k read off the chain
+    g f^k = (g f^(k-1)) f.  The input picks the route: when every
+    coefficient of g and f is a rational constant the chain runs on ints,
+    over one denominator per column (``_columns_by_integers``); otherwise
+    it is a chain of ``Series`` products over Q(z).  Both give the same
+    canonical entries.
+    """
     if g.order != f.order:
         raise ValueError(
             f"not a valid exponential Riordan pair: order mismatch "
@@ -120,18 +130,64 @@ def er_build(g: Series, f: Series) -> ERArray:
             or g.coeffs[0].is_zero:
         raise ValueError("not a valid exponential Riordan pair")
     n = g.order
-    entries = []
+    cleared_g, cleared_f = _clear_rationals(g.coeffs), _clear_rationals(f.coeffs)
+    if cleared_g is None or cleared_f is None:
+        columns = _columns_by_series(g, f)
+    else:
+        columns = _columns_by_integers(cleared_g, cleared_f)
+    entries = tuple(tuple([columns[k][r - k] for k in range(r + 1)] + [ZERO] * (n - r))
+                    for r in range(n + 1))
+    return ERArray(g=g, f=f, entries=entries)
+
+
+def _columns_by_series(g: Series, f: Series) -> list[list[Scalar]]:
+    """Column k of [g, f] from row k down, by n series products over Q(z)."""
+    n = g.order
+    columns = []
     col = g
-    cols = [g]
-    for _ in range(n):
-        col = col * f
-        cols.append(col)
-    for r in range(n + 1):
-        rf = factorial(r)
-        row = [cols[k].coeffs[r] * (rf // factorial(k)) if k <= r else ZERO
-               for k in range(n + 1)]
-        entries.append(tuple(row))
-    return ERArray(g=g, f=f, entries=tuple(entries))
+    for k in range(n + 1):
+        if k:
+            col = col * f
+        column, weight = [], 1  # weight = r!/k!
+        for r in range(k, n + 1):
+            column.append(col.coeffs[r] * weight)
+            weight *= r + 1
+        columns.append(column)
+    return columns
+
+
+def _columns_by_integers(cleared_g, cleared_f) -> list[list[Scalar]]:
+    """Column k of [g, f] from row k down, for z-free g and f given as
+    (d, ints) over one denominator each.
+
+    g f^k is held as ints over one denominator D_k = D_(k-1) d_f, reduced
+    by the gcd of the column.  [x^m] g f^k = sum_i [x^i] g f^(k-1) f_(m-i)
+    runs only over the band max(k-1, m-t) <= i < m, since f(0) = 0 and
+    f_j = 0 past the last nonzero index t (t = 1 for f = x).  Each entry is
+    one Scalar with one gcd.
+    """
+    d, col = cleared_g
+    df, fs = cleared_f
+    n = len(col) - 1
+    t = max(j for j, c in enumerate(fs) if c)
+    columns = []
+    for k in range(n + 1):
+        if k:
+            prev, col = col, [0] * (n + 1)
+            for m in range(k, n + 1):
+                lo = max(k - 1, m - t)
+                col[m] = sum(map(mul, prev[lo:m], reversed(fs[1:m - lo + 1])))
+            d *= df
+            h = gcd(d, *col)
+            if h != 1:
+                d //= h
+                col = [c // h for c in col]
+        column, weight = [], 1  # weight = r!/k!
+        for r in range(k, n + 1):
+            column.append(_rational_scalar(col[r] * weight, d))
+            weight *= r + 1
+        columns.append(column)
+    return columns
 
 
 def identity(order: int) -> ERArray:

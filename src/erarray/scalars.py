@@ -15,7 +15,9 @@ operands.
 
 The way into Q(z) is owned here too: ``_as_scalar`` coerces every input
 value the other modules accept, and ``_clear_denominators`` takes Scalars
-over the lcm of their denominators for the routes that run in Q[z].
+over the lcm of their denominators for the routes that run in Q[z].  For
+routes that run on plain ints, ``_clear_rationals`` takes z-free Scalars
+over one integer denominator and ``_rational_scalar`` makes the way back.
 
 Every integer-polynomial product goes through ``_multiply``: the
 classical double loop when the shorter operand has at most
@@ -567,6 +569,28 @@ def _clear_denominators(xs) -> tuple[PolyZ, tuple[PolyZ, ...]]:
             q = quotients[x.den] = d.exact_div(x.den)
         out.append(x.num * q)
     return d, tuple(out)
+
+
+def _clear_rationals(xs) -> tuple[int, list[int]] | None:
+    """(d, [x * d]) for Scalars xs that are all rational constants, d > 0
+    the lcm of their denominators; None as soon as some x has z in it."""
+    nums, dens = [], []
+    for x in xs:
+        p = x.num
+        if x.den is not POLY_ONE or len(p._prim) > 1:
+            return None
+        nums.append(p._num)
+        dens.append(p._den)
+    d = lcm(*dens)
+    return d, [n * (d // e) for n, e in zip(nums, dens)]
+
+
+def _rational_scalar(n: int, d: int) -> Scalar:
+    """The Scalar n/d, for ints n and d > 0, with one gcd."""
+    if not n:
+        return ZERO
+    g = gcd(n, d)
+    return _polynomial(_poly(n // g, d // g, _UNIT))
 
 
 def _euclid_gcd(a: PolyZ, b: PolyZ) -> PolyZ:

@@ -27,21 +27,23 @@ class Series:
 
     @classmethod
     def zero(cls, order: int) -> Series:
-        return cls([ZERO] * (order + 1))
+        if order < 0:
+            raise ValueError("a series needs at least the constant coefficient")
+        return _series((ZERO,) * (order + 1))
 
     @classmethod
     def one(cls, order: int) -> Series:
-        return cls([ONE] + [ZERO] * order)
+        return _series((ONE,) + (ZERO,) * order)
 
     @classmethod
     def x(cls, order: int) -> Series:
         if order < 1:
             raise ValueError("series of x needs order >= 1")
-        return cls([ZERO, ONE] + [ZERO] * (order - 1))
+        return _series((ZERO, ONE) + (ZERO,) * (order - 1))
 
     @classmethod
     def constant(cls, value, order: int) -> Series:
-        return cls([_as_scalar(value, "a series coefficient")] + [ZERO] * order)
+        return _series((_as_scalar(value, "a series coefficient"),) + (ZERO,) * order)
 
     @property
     def order(self) -> int:
@@ -64,7 +66,11 @@ class Series:
     def truncate(self, order: int) -> Series:
         if order > self.order:
             raise ValueError(f"cannot truncate order {self.order} up to {order}")
-        return Series(self.coeffs[: order + 1])
+        if order == self.order:
+            return self
+        if order < 0:
+            raise ValueError("a series needs at least the constant coefficient")
+        return _series(self.coeffs[: order + 1])
 
     def _check_order(self, other: Series) -> None:
         if self.order != other.order:

@@ -5,7 +5,8 @@ polynomial kernel is a tuple of Fractions with schoolbook loops, the
 determinants are cofactor expansion and fraction-field elimination, the
 Hankel transform is one fraction-free elimination of the largest Hankel
 matrix, Bell numbers come from the binomial recurrence, composition is
-Horner's rule, the group law composes through a table of the powers of f,
+Horner's rule, an array is built from full series products g f^k, the
+group law composes through a table of the powers of f,
 the thm2 pair is divided as rational functions, reversion is Newton
 iteration, an array acts on a sequence through e.g.f.s, the production
 series and the inverse array compose with the reversion of f, production
@@ -430,6 +431,24 @@ def production_cr_by_reversion(a: ERArray) -> tuple[Series, Series]:
     fbar = a.f.revert().truncate(n - 1)
     return (a.g.derivative() / a.g.truncate(n - 1)).compose(fbar), \
         a.f.derivative().compose(fbar)
+
+
+def er_build_by_series_products(g: Series, f: Series) -> ERArray:
+    """[g, f] from n full series products g f^k over Q(z), entry (r, k)
+    being (r!/k!) [x^r] g f^k, whatever the pair's coefficients."""
+    n = g.order
+    entries = []
+    col = g
+    cols = [g]
+    for _ in range(n):
+        col = col * f
+        cols.append(col)
+    for r in range(n + 1):
+        rf = factorial(r)
+        row = [cols[k].coeffs[r] * (rf // factorial(k)) if k <= r else ZERO
+               for k in range(n + 1)]
+        entries.append(tuple(row))
+    return ERArray(g=g, f=f, entries=tuple(entries))
 
 
 def er_inverse_by_reversion(a: ERArray) -> ERArray:

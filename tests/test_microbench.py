@@ -1,0 +1,27 @@
+"""The microbenchmarks' route-agreement checks, run without timing, so
+that a change to the routes they call shows here and not only when a
+script is next run."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+MICROBENCH = Path(__file__).resolve().parent.parent / "microbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"microbench_{name}", MICROBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_product_cut_routes_agree():
+    _load("product_cut").check()
+
+
+def test_build_routes_agree():
+    # Orders 12 and 32 only: orders 64 and 96 add seconds and no new path.
+    bench = _load("build_route")
+    bench.check([case for case in bench.CASES if case[3] <= 32])

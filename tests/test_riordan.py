@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from math import comb, factorial
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -20,7 +22,7 @@ from erarray.riordan import (
     production_direct,
     production_from_pair,
 )
-from erarray.scalars import ONE, ZERO, Scalar, Z
+from erarray.scalars import ONE, POLY_ONE, ZERO, Scalar, Z
 from erarray.sequences import named_pair, stirling2
 from erarray.series import Series
 
@@ -29,6 +31,7 @@ from oracles import (
     apply_egf,
     bell_numbers,
     compose_horner,
+    er_build_by_series_products,
     er_inverse_by_reversion,
     er_mul_by_powers,
     invert_lower_by_columns,
@@ -60,6 +63,25 @@ def rows_of(array, count):
 
 def int_rows(rows):
     return [tuple(Scalar(v) for v in row) for row in rows]
+
+
+# Rationals with denominators up to 4 (-5/2 and 1/3 among them), and
+# scalars that have z in them: z-polynomials and rational functions of z.
+_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)).map(Scalar)
+_with_z = st.one_of(
+    poly_scalars.filter(lambda c: c.num.degree >= 1),
+    rational_scalars.filter(lambda c: not c.is_polynomial),
+)
+
+
+def draw_rational_pair(data, n):
+    """A valid z-free pair: any nonzero g(0) and f'(0), and zeros drawn into
+    both series, so that sparse f such as x + x^3 come up."""
+    nonzero = _rationals.filter(bool)
+    g = [data.draw(nonzero)] + data.draw(st.lists(_rationals, min_size=n, max_size=n))
+    f = [ZERO, data.draw(nonzero)] + data.draw(
+        st.lists(st.one_of(st.just(ZERO), _rationals), min_size=n - 1, max_size=n - 1))
+    return g, f
 
 
 class TestBuild:
@@ -107,6 +129,55 @@ class TestBuild:
             er_build(Series.one(n), Series.x(n) * Series.x(n))  # f'(0) = 0
         with pytest.raises(ValueError, match="Riordan pair"):
             er_build(Series.one(3), Series.x(4))
+
+    # Both routes of er_build give what n full series products give.
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_rational_pairs_match_series_products(self, data):
+        n = data.draw(st.integers(1, 24))
+        g, f = (Series(c) for c in draw_rational_pair(data, n))
+        with mock.patch.object(riordan, "_columns_by_series",
+                               wraps=riordan._columns_by_series) as by_series:
+            a = er_build(g, f)
+        assert not by_series.called
+        assert a.entries == er_build_by_series_products(g, f).entries
+        for r, row in enumerate(a.entries):
+            for k, e in enumerate(row):
+                assert e.den is POLY_ONE and e.num.degree <= 0
+                if e.is_zero or k > r:
+                    assert e == ZERO
+
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_pairs_with_z_match_series_products(self, data):
+        # z in g only, in f only, or only in the last coefficient of one.
+        n = data.draw(st.integers(1, 12))
+        g, f = draw_rational_pair(data, n)
+        where = data.draw(st.sampled_from(["g", "f", "last of g", "last of f"]))
+        target = g if where.endswith("g") else f
+        lowest = n if where.startswith("last") else (0 if target is g else 1)
+        target[data.draw(st.integers(lowest, n))] = data.draw(_with_z)
+        g, f = Series(g), Series(f)
+        with mock.patch.object(riordan, "_columns_by_series",
+                               wraps=riordan._columns_by_series) as by_series:
+            a = er_build(g, f)
+        assert by_series.called
+        assert a.entries == er_build_by_series_products(g, f).entries
+
+    def test_rational_pairs_make_no_series_product(self, monkeypatch):
+        pairs = [named_pair(name, 12) for name in
+                 ("stirling2", "binomial", "lah_like", "sets_of_lists", "laguerre",
+                  "charlier")]
+        x = Series.x(9)
+        pairs += [(Series.constant(Fraction(-5, 2), 9) + x * Fraction(1, 3), x * 3 + x ** 3),
+                  (Series.constant(Fraction(1, 3), 9) - x ** 2, x + x ** 3)]
+        expected = [er_build_by_series_products(g, f).entries for g, f in pairs]
+
+        def refuse(*args):
+            raise AssertionError("a z-free pair fell back to series products")
+
+        monkeypatch.setattr(Series, "__mul__", refuse)
+        assert [er_build(g, f).entries for g, f in pairs] == expected
 
 
 class TestGroupLaw:
