@@ -2,13 +2,16 @@
 
 Connects three-term recurrence data (Jacobi parameters) with moment
 sequences and J-fraction expansions, plus the exact recovery of recurrence
-coefficients from raw moments.  Both tableaux, the Stieltjes one of
-``moments_from_jacobi`` and the Chebyshev one of ``_walk``, form each
-entry as one ``scalars.dot``.  ``invert_lower_triangular`` is one
+coefficients from raw moments.  The Stieltjes tableau of
+``moments_from_jacobi`` divides nothing, so it runs on Python ints: the
+recurrence data is taken into Z[z] by ``scalars._clear_denominators`` and
+``scalars._clear_contents``, and each row is packed at z = 2^w by
+``scalars._pack``, with the slot width proved by the same tableau on
+1-norms.  The Chebyshev tableau of ``_walk`` divides, and forms each entry
+as one ``scalars.dot`` over Q(z).  ``invert_lower_triangular`` is one
 ``scalars.solve_lower`` against the identity.  Values enter Q(z) through
 ``scalars._as_scalar``; every sequence argument, here and in ``hankel``,
-goes through ``_terms``, and ``moments_from_jacobi`` takes the recurrence
-data into Q[z] with one ``scalars._clear_denominators``.
+goes through ``_terms``.
 """
 
 from __future__ import annotations
@@ -21,8 +24,11 @@ from .scalars import (
     ZERO,
     Scalar,
     _as_scalar,
+    _clear_contents,
     _clear_denominators,
-    _polynomial,
+    _normal,
+    _pack,
+    _unpack,
     dot,
     solve_lower,
 )
@@ -120,13 +126,22 @@ def moments_from_jacobi(params: JacobiParams, count: int) -> MomentSequence:
     superdiagonal:  A[m][k] = A[m-1][k-1] + alpha_k A[m-1][k]
     + beta_{k+1} A[m-1][k+1], and a_m = a0 A[m][0].  Only the entries
     k <= min(m, count - m), which still reach column 0 by row count, are
-    kept: O(count^2) ring operations and no division.  The rows are kept in
-    Q[z]: with d the lcm of the denominators of the alphas and betas used,
-    row m holds d^m A[m], as polynomial Scalars, so each entry
-    d A[m-1][k-1] + alpha_k A[m-1][k] + beta_{k+1} A[m-1][k+1] is one
-    ``dot`` over Q[z], normalised once, and each moment is canonicalised
-    once.  The tests compare it with the chained tableau it replaced, with
-    the inverse of the monic coefficient array and with ``jfraction_expand``.
+    kept: O(count^2) ring operations and no division.
+
+    The rows run in Z[z], packed into ints.  With d the lcm of the
+    denominators of the alphas and betas used and e the least integer that
+    clears the rational contents left, D = e d, D alpha_k and D beta_{k+1}
+    are integer polynomials, and row m holds R[m] = D^m A[m].  Each is
+    evaluated once at z = 2^w (Kronecker substitution), so every entry
+    D R[m-1][k-1] + (D alpha_k) R[m-1][k] + (D beta_{k+1}) R[m-1][k+1] is
+    three int products, and only the heads R[m][0] are unpacked.  The slot
+    width is proved, not guessed: the same tableau over the 1-norms of D,
+    D alpha_k and D beta_{k+1} bounds the 1-norm, hence every coefficient,
+    of each head (the 1-norm is submultiplicative), so w = bits(largest
+    head bound) + 1 holds every signed coefficient.  The tests compare it
+    with the chained tableau and the one-``dot``-per-entry tableau it
+    replaced, with the inverse of the monic coefficient array and with
+    ``jfraction_expand``.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
@@ -135,29 +150,47 @@ def moments_from_jacobi(params: JacobiParams, count: int) -> MomentSequence:
             f"insufficient parameters: count {count} > depth {params.depth}"
         )
     half = count // 2
-    alpha, beta = params.alpha[:half + 1], params.beta[:half]
-    d, nums = _clear_denominators(alpha + beta)
-    nums = [_polynomial(p) for p in nums]
-    alpha, beta = nums[:len(alpha)], nums[len(alpha):]
-    shift = _polynomial(d)
+    d, nums = _clear_denominators(params.alpha[:half + 1] + params.beta[:half])
+    e, ints = _clear_contents((d,) + nums)
+    norms = [sum(map(abs, c)) for c in ints]
+    w = max(_stieltjes_heads(norms, half, count), default=0).bit_length() + 1
+    heads = _stieltjes_heads([_pack(c, w) for c in ints], half, count)
     a0 = params.a0
-    row = [ONE]
     terms = [a0]
-    dm = a0.den
-    for m in range(1, count + 1):
-        nxt = []
-        for k in range(min(m, count - m) + 1):
-            pairs = [(shift, row[k - 1])] if k else []
-            if k < len(row):
-                pairs.append((alpha[k], row[k]))
-            if k + 1 < len(row):
-                pairs.append((beta[k], row[k + 1]))
-            nxt.append(dot(pairs))
-        row = nxt
+    dm, em = a0.den, 1
+    for head in heads:
         if d is not POLY_ONE:
             dm = dm * d
-        terms.append(Scalar(a0.num * row[0].num, dm))
+        em *= e
+        terms.append(Scalar(a0.num * _normal(_unpack(head, w), 1, em), dm))
     return MomentSequence(tuple(terms))
+
+
+def _stieltjes_heads(values, half: int, count: int) -> list:
+    """The heads R[1][0] .. R[count][0] of the Stieltjes tableau over ints.
+
+    ``values`` is [D, D alpha_0 .. D alpha_half, D beta_1 .. D beta_half],
+    each an int, and R[0] = [1],
+    R[m][k] = D R[m-1][k-1] + (D alpha_k) R[m-1][k] + (D beta_{k+1}) R[m-1][k+1],
+    for k <= min(m, count - m).  Run on packed polynomials it gives the
+    packed heads; run on their 1-norms, a bound on each head's 1-norm.
+    """
+    shift, alpha, beta = values[0], values[1:half + 2], values[half + 2:]
+    row = [1]
+    heads = []
+    for m in range(1, count + 1):
+        last = len(row) - 1
+        nxt = []
+        for k in range(min(m, count - m) + 1):
+            v = shift * row[k - 1] if k else 0
+            if k <= last:
+                v += alpha[k] * row[k]
+            if k < last:
+                v += beta[k] * row[k + 1]
+            nxt.append(v)
+        row = nxt
+        heads.append(row[0])
+    return heads
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,13 @@ test suite to recompute independently.
 
 The production series c and r (c o f = g'/g, r o f = f') come from one
 lower-triangular solve against the array's own rows, with two right-hand
-sides read off the defining pair; each array solves once.  They give the
-production matrix, the reversion fbar = integral of 1/r and the inverse
-[exp(-integral of c/r)/g(0), fbar], so nothing here reverts a series.  The
-production matrix is also computed directly from the shifted-array relation
-DA = AP, which uses the array alone.  Both leave the final row zeroed: at
-finite truncation the information for it sits past the horizon, so callers
-compare rows 0..order-1 only.
+sides read off the defining pair; each array solves once and builds c and
+r once.  They give the production matrix, the reversion fbar = integral of
+1/r and the inverse [exp(-integral of c/r)/g(0), fbar], so nothing here
+reverts a series.  The production matrix is also computed directly from
+the shifted-array relation DA = AP, which uses the array alone.  Both leave
+the final row zeroed: at finite truncation the information for it sits
+past the horizon, so callers compare rows 0..order-1 only.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class ERArray:
         r o f = f', so fbar' = 1/(f' o fbar) = 1/r; r is exact to order-1,
         which makes fbar exact to the full order.
         """
-        r = production_cr(self)[1]
+        r = self._cr[1]
         return (Series.one(r.order) / r).integral()
 
     @cached_property
@@ -76,6 +76,14 @@ class ERArray:
         gdf = (self.g.truncate(n - 1) * self.f.derivative()).coeffs
         rhs = [(dg[m] * factorial(m), gdf[m] * factorial(m)) for m in range(n)]
         return tuple(zip(*solve_lower(self.entries, rhs)))
+
+    @cached_property
+    def _cr(self) -> tuple[Series, Series]:
+        """The production series (c, r), built once: gamma_j / j! and
+        rho_j / j!."""
+        gamma, rho = self._gamma_rho
+        return (Series(v / factorial(j) for j, v in enumerate(gamma)),
+                Series(v / factorial(j) for j, v in enumerate(rho)))
 
     def column(self, k: int) -> tuple[Scalar, ...]:
         return tuple(self.entries[n][k] for n in range(self.order + 1))
@@ -227,7 +235,7 @@ def er_inverse(a: ERArray) -> ERArray:
     (log g o fbar)' = (g'/g o fbar) fbar' = c/r and fbar' = 1/r, so
     1/(g o fbar) = exp(-integral of c/r)/g(0).
     """
-    c = production_cr(a)[0]
+    c = a._cr[0]
     fbar = a.fbar
     log_ratio = (c * fbar.derivative()).integral()
     return er_build((-log_ratio).exp() / a.g.coeffs[0], fbar)
@@ -264,11 +272,9 @@ def production_cr(a: ERArray) -> tuple[Series, Series]:
     """The c and r series of the production matrix, both exact to order-1.
 
     c o f = g'/g and r o f = f'; their coefficients are the array's cached
-    triangular solves divided by j!.
+    triangular solves divided by j!, and the pair is built once per array.
     """
-    gamma, rho = a._gamma_rho
-    return (Series(v / factorial(j) for j, v in enumerate(gamma)),
-            Series(v / factorial(j) for j, v in enumerate(rho)))
+    return a._cr
 
 
 def production_from_pair(a: ERArray) -> ProductionMatrix:

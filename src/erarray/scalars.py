@@ -22,13 +22,18 @@ over one integer denominator and ``_rational_scalar`` makes the way back.
 Every integer-polynomial product goes through ``_multiply``: the
 classical double loop when the shorter operand has at most
 ``_SCHOOLBOOK_MAX`` terms (most often a linear alpha_k or beta_k times a
-tableau entry), Kronecker substitution above that.
+tableau entry), Kronecker substitution above that.  ``_pack`` evaluates an
+integer polynomial at z = 2^w and ``_unpack`` reads the signed base-2^w
+digits back; their callers are ``_kronecker``, the heuristic gcd and its
+``_divides``, and ``orthopoly.moments_from_jacobi``, whose whole Stieltjes
+tableau runs on packed ints over the integer polynomials that
+``_clear_contents`` gives.
 
 Two exact kernels sit on top: ``dot``, the fused sum of products that
-series products, matrix-vector products and both orthogonal-polynomial
-tableaux run on, and ``solve_lower``, the one forward substitution, which
-the production data, the production matrix, triangular inverses and
-series reversion all call.
+series products, matrix-vector products and the Chebyshev tableau run on,
+and ``solve_lower``, the one forward substitution, which the production
+data, the production matrix, triangular inverses and series reversion all
+call.
 """
 
 from __future__ import annotations
@@ -569,6 +574,14 @@ def _clear_denominators(xs) -> tuple[PolyZ, tuple[PolyZ, ...]]:
             q = quotients[x.den] = d.exact_div(x.den)
         out.append(x.num * q)
     return d, tuple(out)
+
+
+def _clear_contents(polys) -> tuple[int, list[list[int]]]:
+    """(e, [e p as ascending ints]) for PolyZ values p, e > 0 the lcm of
+    the denominators of their contents: the least integer that takes every
+    p into Z[z]."""
+    e = lcm(*(p._den for p in polys))
+    return e, [[c * (p._num * (e // p._den)) for c in p._prim] for p in polys]
 
 
 def _clear_rationals(xs) -> tuple[int, list[int]] | None:

@@ -14,7 +14,9 @@ matrices are read off the bivariate generating function, triangular
 matrices are inverted column by column, moments come from inverting the
 monic coefficient array of the three-term recurrence, both tableaux (the
 Stieltjes one for moments, the Chebyshev one for the Hankel transform and
-Jacobi recovery) chain one ring operation per term, the binomial transform
+Jacobi recovery) chain one ring operation per term, the Stieltjes tableau
+is also kept with one ``dot`` per entry (the route the packed rows
+replaced), the binomial transform
 sums term by term, Jacobi data is recovered from moments by the Stieltjes
 procedure, and the random generators only build inputs.  Scalar sums and products canonicalise the
 full cross product by the Euclid gcd.  Each library call computes one
@@ -34,7 +36,7 @@ from erarray.hankel import hankel_matrix
 from erarray.orthopoly import JacobiParams, JacobiRecovery, MomentSequence
 from erarray.riordan import ERArray, ProductionMatrix, er_build
 from erarray.scalars import (ONE, POLY_ONE, POLY_ZERO, ZERO, PolyZ, Scalar, Z, _as_scalar,
-                             _clear_denominators)
+                             _clear_denominators, _polynomial, dot)
 from erarray.series import Series, _compose_powers, _degree, _powers
 
 
@@ -598,6 +600,48 @@ def moments_by_chained_tableau(params: JacobiParams, count: int) -> MomentSequen
         if d is not POLY_ONE:
             dm = dm * d
         terms.append(Scalar(a0.num * row[0], dm))
+    return MomentSequence(tuple(terms))
+
+
+def moments_by_dot_tableau(params: JacobiParams, count: int) -> MomentSequence:
+    """Moments a_0..a_count off the Stieltjes tableau, each entry one
+    ``scalars.dot`` over Q[z]: the route ``moments_from_jacobi`` took before
+    its rows were packed into ints.
+
+    Row m holds d^m A[m] as polynomial Scalars, d the lcm of the
+    denominators of the alphas and betas used, and each entry
+    d A[m-1][k-1] + alpha_k A[m-1][k] + beta_{k+1} A[m-1][k+1] is one
+    ``dot``, normalised once.
+    """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    if count > params.depth:
+        raise ValueError(
+            f"insufficient parameters: count {count} > depth {params.depth}"
+        )
+    half = count // 2
+    alpha, beta = params.alpha[:half + 1], params.beta[:half]
+    d, nums = _clear_denominators(alpha + beta)
+    nums = [_polynomial(p) for p in nums]
+    alpha, beta = nums[:len(alpha)], nums[len(alpha):]
+    shift = _polynomial(d)
+    a0 = params.a0
+    row = [ONE]
+    terms = [a0]
+    dm = a0.den
+    for m in range(1, count + 1):
+        nxt = []
+        for k in range(min(m, count - m) + 1):
+            pairs = [(shift, row[k - 1])] if k else []
+            if k < len(row):
+                pairs.append((alpha[k], row[k]))
+            if k + 1 < len(row):
+                pairs.append((beta[k], row[k + 1]))
+            nxt.append(dot(pairs))
+        row = nxt
+        if d is not POLY_ONE:
+            dm = dm * d
+        terms.append(Scalar(a0.num * row[0].num, dm))
     return MomentSequence(tuple(terms))
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -19,7 +20,7 @@ from erarray.orthopoly import (
     moments_from_jacobi,
 )
 from erarray.riordan import er_build, er_inverse, extract_jacobi, production_from_pair
-from erarray.scalars import ONE, ZERO, Scalar, Z
+from erarray.scalars import ONE, ZERO, PolyZ, Scalar, Z
 from erarray.sequences import bell_poly, eulerian_poly, named_pair
 
 from oracles import (
@@ -29,6 +30,7 @@ from oracles import (
     jacobi_by_stieltjes,
     matrix_product,
     moments_by_chained_tableau,
+    moments_by_dot_tableau,
     moments_by_inverse,
     poly_scalars,
     random_scalar,
@@ -280,25 +282,44 @@ class TestAgainstOracles:
 #: rational, with one zero beta (finite support), and with a rational a0.
 TABLEAU_KINDS = ("polynomial", "rational", "zero_beta", "rational_a0")
 
+#: Integer polynomials with coefficients up to 2^80 in magnitude, of either sign.
+_wide_polys = st.lists(st.integers(-(1 << 80), 1 << 80), min_size=1, max_size=3).map(
+    lambda cs: Scalar(PolyZ.from_integers(cs)))
+#: Wide polynomials under the rational contents 1/3 and z/7 and over the
+#: denominators z + 1 and 3z - 2.
+_wide_entries = st.builds(
+    lambda p, c, q: p * c / q, _wide_polys,
+    st.sampled_from((ONE, Scalar(Fraction(1, 3)), Z / 7)),
+    st.sampled_from((ONE, Z + 1, Z * 3 - 2)))
+
 
 @st.composite
 def tableau_cases(draw, kind):
-    depth = draw(st.sampled_from(range(1, 11)))
-    entries = {"polynomial": poly_scalars, "rational": rational_scalars}.get(kind, _entries)
+    """(params, depth) of the given kind; ``"wide"`` data is ``_wide_entries``
+    to depth 16 with alpha_0 over 3z - 2 (so D = e d != 1 at every count),
+    one zero beta and a rational-function a0."""
+    depth = draw(st.sampled_from(range(1, 17 if kind == "wide" else 11)))
+    entries = {"polynomial": poly_scalars, "rational": rational_scalars,
+               "wide": _wide_entries}.get(kind, _entries)
     alpha = draw(st.lists(entries, min_size=depth, max_size=depth))
     beta = draw(st.lists(entries.filter(bool), min_size=depth - 1, max_size=depth - 1))
-    if kind == "zero_beta" and beta:
+    if kind in ("zero_beta", "wide") and beta:
         beta[draw(st.integers(0, len(beta) - 1))] = ZERO
     a0 = ONE
     if kind == "rational_a0":
         a0 = draw(st.one_of(rational_leads, rational_scalars).filter(
             lambda c: c and c != ONE))
+    if kind == "wide":
+        alpha[0] = draw(_wide_polys.filter(bool)) / (Z * 3 - 2)
+        a0 = draw(_wide_polys.filter(bool)) / (Z + 2)
     return JacobiParams(alpha=tuple(alpha), beta=tuple(beta), a0=a0), depth
 
 
 class TestTableauxAgainstChained:
-    """Each tableau entry as one ``dot`` equals the chain of ring operations
-    it replaced, on every moment and every (s, alpha, beta) triple."""
+    """The packed Stieltjes tableau and the Chebyshev tableau of one ``dot``
+    per entry equal the chains of ring operations they replaced, on every
+    moment and every (s, alpha, beta) triple; the packed tableau also
+    equals the tableau of one ``dot`` per entry."""
 
     @pytest.mark.parametrize("kind", TABLEAU_KINDS)
     @ORACLE_SETTINGS
@@ -307,7 +328,34 @@ class TestTableauxAgainstChained:
         params, depth = data.draw(tableau_cases(kind))
         for count in (depth, depth - 1):
             assert moments_from_jacobi(params, count) == \
-                moments_by_chained_tableau(params, count)
+                moments_by_chained_tableau(params, count) == \
+                moments_by_dot_tableau(params, count)
+
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_wide_moments_at_every_count(self, data):
+        params, depth = data.draw(tableau_cases("wide"))
+        for count in range(depth + 1):
+            assert moments_from_jacobi(params, count) == \
+                moments_by_chained_tableau(params, count) == \
+                moments_by_dot_tableau(params, count)
+
+    def test_nonnegative_data_attains_the_norm_bound(self):
+        """On integer data with no negative coefficient, D = 1 and the 1-norm
+        of each head is its value at z = 1, which the norm tableau reaches
+        exactly, so the slot width is as narrow as the bound allows.
+        Laguerre data comes first: its heads are the constants m!, which
+        fill the top slot bit, and the counts run down, so a slot one bit
+        narrower misreads 40! before a width of 1 at count 1 could stall
+        the read-back."""
+        for params in (laguerre_params(40), thm1_params(40), thm2_params(40)):
+            for count in range(40, -1, -1):
+                assert moments_from_jacobi(params, count) == \
+                    moments_by_dot_tableau(params, count)
+            norms = [1] + [a.eval_z(1) for a in params.alpha[:21]] + \
+                [b.eval_z(1) for b in params.beta[:20]]
+            heads = moments_from_jacobi(params, 40).terms[1:]
+            assert orthopoly._stieltjes_heads(norms, 20, 40) == [h.eval_z(1) for h in heads]
 
     @pytest.mark.parametrize("kind", TABLEAU_KINDS)
     @ORACLE_SETTINGS

@@ -285,6 +285,27 @@ class TestInverse:
         assert er_inverse(inv).entries == a.entries
         assert calls == []
 
+    def test_production_series_built_once_per_array(self, monkeypatch):
+        builds = []
+
+        class Counted(Series):
+            def __init__(self, coeffs):
+                builds.append(self)
+                super().__init__(coeffs)
+
+        monkeypatch.setattr(riordan, "Series", Counted)
+        a = er_build(*named_pair("thm2", 6))
+        inv = er_inverse(a)
+        c, r = production_cr(a)
+        assert len(builds) == 2
+        assert a.fbar == inv.f and production_cr(a) == (c, r)
+        er_inverse(a)
+        assert len(builds) == 2 and builds[0] is c and builds[1] is r
+        # The inverse is another array: its own c and r, built once.
+        assert production_cr(inv) == production_cr(inv)
+        er_inverse(inv)
+        assert len(builds) == 4
+
 
 class TestApply:
     def test_bell_row_sums(self):
