@@ -1,8 +1,9 @@
 """Microbenchmark of the two column chains of ``erarray.riordan.er_build``
 on z-free pairs: the chain on ints over one denominator per column
-(``_columns_by_integers``, the route such pairs take) and the chain of
-``Series`` products over Q(z) (``_columns_by_series``, the route of every
-pair with z in it), on the same pairs.
+(``_columns_by_integers``, the route such pairs take, read off the integer
+form of g and f) and the chain of ``Series`` products over Q(z)
+(``_columns_by_series``, the route of every pair with z in it), on the same
+pairs.
 
 Usage, from the root of a checkout:
 
@@ -13,7 +14,8 @@ The pairs are the six z-free named pairs and one filling of the benchmark's
 at orders 12, 32, 64 and 96.  ``check`` asserts that both routes give equal
 columns on every case, and ``main`` runs it before timing.  A route's time
 is the best of five single calls, in milliseconds, including the integer
-route's clearing of denominators.
+route's ``Scalar`` columns (``er_build`` itself defers them until the
+entries are read).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import sys
 import time
 from pathlib import Path
 
-from erarray import riordan, scalars
+from erarray import riordan
 from erarray.expr import parse_series
 from erarray.sequences import named_pair
 
@@ -48,8 +50,7 @@ def _pair(case):
 
 
 def by_integers(g, f):
-    return riordan._columns_by_integers(scalars._clear_rationals(g.coeffs),
-                                        scalars._clear_rationals(f.coeffs))
+    return riordan._scalar_columns(riordan._columns_by_integers(g._q, f._q))
 
 
 def check(cases=CASES) -> None:
@@ -57,8 +58,7 @@ def check(cases=CASES) -> None:
     each case is z-free, so ``er_build`` takes the integer route."""
     for case in cases:
         g, f = _pair(case)
-        if scalars._clear_rationals(g.coeffs) is None \
-                or scalars._clear_rationals(f.coeffs) is None:
+        if g._q is None or f._q is None:
             raise AssertionError(f"{case[0]} at order {case[3]} is not z-free")
         if by_integers(g, f) != riordan._columns_by_series(g, f):
             raise AssertionError(f"routes disagree on {case[0]} at order {case[3]}")

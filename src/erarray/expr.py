@@ -310,7 +310,7 @@ def render(node) -> str:
 
 def _eval_node(node, order: int) -> Series:
     if isinstance(node, Num):
-        return Series.constant(Scalar(node.value), order)
+        return Series.constant(node.value, order)
     if isinstance(node, VarX):
         return Series.x(order)
     if isinstance(node, VarZ):

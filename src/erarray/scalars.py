@@ -15,9 +15,9 @@ operands.
 
 The way into Q(z) is owned here too: ``_as_scalar`` coerces every input
 value the other modules accept, and ``_clear_denominators`` takes Scalars
-over the lcm of their denominators for the routes that run in Q[z].  For
-routes that run on plain ints, ``_clear_rationals`` takes z-free Scalars
-over one integer denominator and ``_rational_scalar`` makes the way back.
+over the lcm of their denominators for the routes that run in Q[z].  The
+z-free routes of ``series`` and ``riordan`` run on plain ints over one
+denominator, and ``_rational_scalar`` makes their way back.
 
 Every integer-polynomial product goes through ``_multiply``: the
 classical double loop when the shorter operand has at most
@@ -29,11 +29,15 @@ digits back; their callers are ``_kronecker``, the heuristic gcd and its
 tableau runs on packed ints over the integer polynomials that
 ``_clear_contents`` gives.
 
-Two exact kernels sit on top: ``dot``, the fused sum of products that
-series products, matrix-vector products and the Chebyshev tableau run on,
+Two exact kernels sit on top, for values in Q(z): ``dot``, the fused sum
+of products that the Chebyshev tableau, the binomial transform, and the
+products, quotients, exponentials and compositions of series over Q(z)
+run on, with the group law and production matrix of arrays over Q(z);
 and ``solve_lower``, the one forward substitution, which the production
-data, the production matrix, triangular inverses and series reversion all
-call.
+data of arrays over Q(z), ``production_direct``, triangular inverses and
+series reversion call.  z-free series and arrays call neither, except
+through composition, reversion and ``production_direct``, which run on
+Scalars whatever their input.
 """
 
 from __future__ import annotations
@@ -434,7 +438,13 @@ def _pack(a, w: int) -> int:
 def _unpack(v: int, w: int) -> list:
     """The digits of ``v`` in base 2^w, each in [-2^(w-1), 2^(w-1)), lowest
     first: a slot read at 2^(w-1) or above is a negative digit, which
-    borrows 1 from the slots above it."""
+    borrows 1 from the slots above it.
+
+    A nonzero v needs w >= 2: at w = 1 the range [-1, 0) has no digit for
+    1, so a positive v would borrow back to itself forever.
+    """
+    if w < 2 and v:
+        raise ValueError(f"slot width {w} is below 2")
     mask, half = (1 << w) - 1, 1 << (w - 1)
     out = []
     while v:
@@ -582,20 +592,6 @@ def _clear_contents(polys) -> tuple[int, list[list[int]]]:
     p into Z[z]."""
     e = lcm(*(p._den for p in polys))
     return e, [[c * (p._num * (e // p._den)) for c in p._prim] for p in polys]
-
-
-def _clear_rationals(xs) -> tuple[int, list[int]] | None:
-    """(d, [x * d]) for Scalars xs that are all rational constants, d > 0
-    the lcm of their denominators; None as soon as some x has z in it."""
-    nums, dens = [], []
-    for x in xs:
-        p = x.num
-        if x.den is not POLY_ONE or len(p._prim) > 1:
-            return None
-        nums.append(p._num)
-        dens.append(p._den)
-    d = lcm(*dens)
-    return d, [n * (d // e) for n, e in zip(nums, dens)]
 
 
 def _rational_scalar(n: int, d: int) -> Scalar:

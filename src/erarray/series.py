@@ -3,63 +3,108 @@
 A series carries exactly ``order + 1`` coefficients; absent higher terms are
 truncated, never assumed zero.  All operations preserve the truncation order
 except where noted (valuation-cancelling division, derivative), and every
-computation is exact.  Coefficient sums run on the exact kernels of
-``scalars``: ``dot``, and ``solve_lower`` for reversion.
+computation is exact.
+
+A series whose every coefficient is a rational constant also holds them in
+one private integer form (D, ints): the coefficients are ints[k] / D, with
+D > 0 and gcd(D, *ints) = 1, so the form of a value is unique.  The leaves
+``zero``, ``one``, ``x`` and ``constant`` of a rational start in it, and the
+public constructor sets it whenever every coefficient is rational.  When
+both operands have it, ``+``, ``-``, negation, rational ``scale``, ``*``,
+``divide`` (valuation-cancelling too), ``**``, ``exp``, ``log``,
+``derivative``, ``integral`` and ``truncate`` run on ints and give the form
+again, and the ``Scalar`` coefficients are built once, on first read of
+``coeffs``.  A series with z anywhere in it, and every operation with such
+an operand, runs on ``Scalar``s through the exact kernels of ``scalars``:
+``dot``, and ``solve_lower`` for reversion.  Composition and reversion run
+on ``Scalar``s whatever the input.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
-from .scalars import ONE, ZERO, Scalar, _as_scalar, dot, solve_lower
+from .scalars import ONE, POLY_ONE, ZERO, Scalar, _as_scalar, _rational_scalar, dot, solve_lower
 
 
 class Series:
-    """Coefficients of x^0 .. x^order, each an exact ``Scalar``."""
+    """Coefficients of x^0 .. x^order, each an exact ``Scalar``.
 
-    __slots__ = ("coeffs",)
+    ``_q`` is the integer form (D, ints) of a z-free series, or None.  A
+    series made in that form leaves the ``coeffs`` slot unset until it is
+    first read (``__getattr__``), so the route over ``Scalar``s never pays a
+    lookup for it.
+    """
+
+    __slots__ = ("coeffs", "_q")
 
     def __init__(self, coeffs):
         cs = tuple(_as_scalar(c, "a series coefficient") for c in coeffs)
         if not cs:
             raise ValueError("a series needs at least the constant coefficient")
         self.coeffs: tuple[Scalar, ...] = cs
+        self._q = _rational_form(cs)
+
+    def __getattr__(self, name):
+        # Reached only for an unset slot: ``coeffs`` of a series made in the
+        # integer form, whose Scalars are built here once.
+        if name != "coeffs":
+            raise AttributeError(name)
+        d, ints = self._q
+        cs = self.coeffs = tuple(_rational_scalar(c, d) for c in ints)
+        return cs
 
     @classmethod
     def zero(cls, order: int) -> Series:
         if order < 0:
             raise ValueError("a series needs at least the constant coefficient")
-        return _series((ZERO,) * (order + 1))
+        return _ints(1, [0] * (order + 1))
 
     @classmethod
     def one(cls, order: int) -> Series:
-        return _series((ONE,) + (ZERO,) * order)
+        return _ints(1, [1] + [0] * order)
 
     @classmethod
     def x(cls, order: int) -> Series:
         if order < 1:
             raise ValueError("series of x needs order >= 1")
-        return _series((ZERO, ONE) + (ZERO,) * (order - 1))
+        return _ints(1, [0, 1] + [0] * (order - 1))
 
     @classmethod
     def constant(cls, value, order: int) -> Series:
-        return _series((_as_scalar(value, "a series coefficient"),) + (ZERO,) * order)
+        if isinstance(value, (int, Fraction)):
+            return _ints(value.denominator, [value.numerator] + [0] * order)
+        c = _as_scalar(value, "a series coefficient")
+        r = _rational(c)
+        if r is None:
+            return _series((c,) + (ZERO,) * order)
+        return _ints(r[1], [r[0]] + [0] * order)
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        q = self._q
+        return len(q[1]) - 1 if q else len(self.coeffs) - 1
 
     def coefficient(self, k: int) -> Scalar:
+        q = self._q
+        if q:
+            return _rational_scalar(q[1][k], q[0])
         return self.coeffs[k]
 
     @property
     def is_zero(self) -> bool:
+        q = self._q
+        if q:
+            return not any(q[1])
         return all(c.is_zero for c in self.coeffs)
 
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient, or None for the zero series."""
-        for k, c in enumerate(self.coeffs):
-            if not c.is_zero:
+        q = self._q
+        for k, c in enumerate(q[1] if q else self.coeffs):
+            if c:
                 return k
         return None
 
@@ -70,6 +115,9 @@ class Series:
             return self
         if order < 0:
             raise ValueError("a series needs at least the constant coefficient")
+        q = self._q
+        if q:
+            return _reduce(q[0], q[1][: order + 1])
         return _series(self.coeffs[: order + 1])
 
     def _check_order(self, other: Series) -> None:
@@ -89,11 +137,16 @@ class Series:
         if other is None:
             return NotImplemented
         self._check_order(other)
+        if self._q and other._q:
+            return _int_sum(self._q, other._q, 1)
         return _series(a + b for a, b in zip(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
     def __neg__(self) -> Series:
+        q = self._q
+        if q:
+            return _ints(q[0], [-c for c in q[1]])
         return _series(-c for c in self.coeffs)
 
     def __sub__(self, other):
@@ -101,6 +154,8 @@ class Series:
         if other is None:
             return NotImplemented
         self._check_order(other)
+        if self._q and other._q:
+            return _int_sum(self._q, other._q, -1)
         return _series(a - b for a, b in zip(self.coeffs, other.coeffs))
 
     def __rsub__(self, other):
@@ -111,7 +166,12 @@ class Series:
 
     def scale(self, factor) -> Series:
         f = _as_scalar(factor, "a series coefficient")
-        return _series(f * c for c in self.coeffs)
+        q = self._q
+        r = _rational(f) if q else None
+        if r is None:
+            return _series(f * c for c in self.coeffs)
+        n, d = r
+        return _reduce(q[0] * d, [c * n for c in q[1]])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -119,6 +179,9 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         self._check_order(other)
+        if self._q and other._q:
+            (da, a), (db, b) = self._q, other._q
+            return _reduce(da * db, _convolve(a, b))
         n = self.order
         a, b = self.coeffs, other.coeffs
         ib = _support(b)
@@ -201,8 +264,10 @@ class Series:
 
     def exp(self) -> Series:
         """Formal exponential via E' = a'E; needs zero constant term."""
-        if not self.coeffs[0].is_zero:
+        if self.valuation() == 0:
             raise ValueError("series exp needs zero constant term")
+        if self._q:
+            return _int_exp(*self._q)
         n = self.order
         ja = [(j, self.coeffs[j] * j) for j in _support(self.coeffs)]
         e = [ONE]
@@ -212,7 +277,7 @@ class Series:
 
     def log(self) -> Series:
         """Formal logarithm via L' = a'/a; needs unit constant term."""
-        if self.coeffs[0] != ONE:
+        if self.coefficient(0) != ONE:
             raise ValueError("series log needs unit constant term")
         n = self.order
         if n == 0:
@@ -225,19 +290,32 @@ class Series:
         n = self.order
         if n == 0:
             return Series.zero(0)
-        return Series((k + 1) * self.coeffs[k + 1] for k in range(n))
+        q = self._q
+        if q:
+            a = q[1]
+            return _reduce(q[0], [k * a[k] for k in range(1, n + 1)])
+        return _series((k + 1) * self.coeffs[k + 1] for k in range(n))
 
     def integral(self) -> Series:
         """Term-wise antiderivative with zero constant term, one order up."""
+        q = self._q
+        if q:
+            # Over lcm(1..order+1), each a_k / (k+1) is one product.
+            top = lcm(*range(1, len(q[1]) + 1))
+            return _reduce(q[0] * top, [0] + [c * (top // k) for k, c in enumerate(q[1], 1)])
         return _series([ZERO] + [c / (k + 1) for k, c in enumerate(self.coeffs)])
 
     def eval_z(self, v) -> Series:
         """Specialize every coefficient at z = v (errors on a pole)."""
+        if self._q:
+            return self
         return Series(Scalar(c.eval_z(v)) for c in self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
+        if self._q and other._q:
+            return self._q == other._q
         return self.coeffs == other.coeffs
 
     def __hash__(self):
@@ -274,10 +352,134 @@ class Series:
 
 
 def _series(coeffs) -> Series:
-    """A Series from nonempty Scalar coefficients, taken as they are."""
+    """A Series from nonempty Scalar coefficients, taken as they are and
+    without the integer form: every operation on it runs on Scalars."""
     out = object.__new__(Series)
     out.coeffs = tuple(coeffs)
+    out._q = None
     return out
+
+
+def _ints(d: int, ints: list) -> Series:
+    """The Series ints[k] / d from its integer form, already reduced."""
+    out = object.__new__(Series)
+    out._q = (d, ints)
+    return out
+
+
+def _reduce(d: int, ints: list) -> Series:
+    """The Series ints[k] / d, for d > 0, reduced by one gcd."""
+    h = gcd(d, *ints)
+    if h != 1:
+        d //= h
+        ints = [c // h for c in ints]
+    return _ints(d, ints)
+
+
+def _rational(s: Scalar) -> tuple[int, int] | None:
+    """(n, d) with s = n/d in lowest terms and d > 0, or None when s has z."""
+    p = s.num
+    if s.den is not POLY_ONE or len(p._prim) > 1:
+        return None
+    return p._num, p._den
+
+
+def _rational_form(cs) -> tuple[int, list[int]] | None:
+    """The integer form (D, ints) of Scalars that are all rational
+    constants, D the lcm of their denominators; None as soon as one has z.
+
+    Over the lcm every prime power of D divides some denominator exactly,
+    whose numerator it does not divide, so the form is reduced.
+    """
+    rs = []
+    for c in cs:
+        r = _rational(c)
+        if r is None:
+            return None
+        rs.append(r)
+    d = lcm(*(e for _, e in rs))
+    return d, [n * (d // e) for n, e in rs]
+
+
+def _int_sum(p, q, sign: int) -> Series:
+    """p + sign * q for two integer forms."""
+    (da, a), (db, b) = p, q
+    if da == db:
+        return _reduce(da, [x + sign * y for x, y in zip(a, b)])
+    h = gcd(da, db)
+    ma, mb = db // h, sign * (da // h)
+    return _reduce(da * ma, [x * ma + y * mb for x, y in zip(a, b)])
+
+
+def _convolve(a: list, b: list) -> list:
+    """[x^m] of the product of two integer coefficient lists, m <= len - 1.
+
+    Each coefficient is one fused sum over the band of indices where both
+    factors can be nonzero, from their valuations to their degrees.
+    """
+    n = len(a) - 1
+    sa = [i for i, c in enumerate(a) if c]
+    sb = [i for i, c in enumerate(b) if c]
+    out = [0] * (n + 1)
+    if not sa or not sb:
+        return out
+    va, ta, vb, tb = sa[0], sa[-1], sb[0], sb[-1]
+    for m in range(va + vb, min(n, ta + tb) + 1):
+        lo, hi = max(va, m - tb), min(ta, m - vb)
+        out[m] = sum(map(mul, a[lo:hi + 1], reversed(b[m - hi:m - lo + 1])))
+    return out
+
+
+def _append_over(xs: list, den: int, s: int, t: int) -> int:
+    """Append s / (t den) to ``xs``, ints over the common denominator den,
+    and return the new common denominator, the lcm of den and the new
+    term's reduced denominator; t != 0.
+
+    The common denominator changes, and every earlier term is multiplied
+    up once, only when t den / gcd(s, t den) does not divide den.
+    """
+    if t < 0:
+        s, t = -s, -t
+    if not s % t:
+        xs.append(s // t)
+        return den
+    h = gcd(s, t * den)
+    dm = t * den // h
+    new = lcm(den, dm)
+    if new != den:
+        k = new // den
+        xs[:] = [x * k for x in xs]
+    xs.append(s // h * (new // dm))
+    return new
+
+
+def _int_quotient(a: list, b: list) -> tuple[int, list]:
+    """(E, q) with q[k] / E the coefficients of a/b, for integer lists with
+    b[0] != 0: q_k = (a_k - sum_{i>=1} b_i q_(k-i)) / b_0 over a running
+    common denominator, which stays 1 when b_0 = 1."""
+    b0 = b[0]
+    tb = max(i for i, c in enumerate(b) if c)
+    q: list[int] = []
+    den = 1
+    for k, ak in enumerate(a):
+        t = min(k, tb)
+        s = ak * den - sum(map(mul, b[1:t + 1], reversed(q[k - t:k])))
+        if b0 == 1:
+            q.append(s)
+        else:
+            den = _append_over(q, den, s, b0)
+    return den, q
+
+
+def _int_exp(d: int, a: list) -> Series:
+    """exp of (d, a), a[0] = 0: m e_m = sum_j j a_j e_(m-j), each e_m
+    appended over a running common denominator."""
+    ja = [(j, j * c) for j, c in enumerate(a) if c]
+    e, den = [1], 1
+    for m in range(1, len(a)):
+        s = sum(c * e[m - j] for j, c in ja if j <= m)
+        den = _append_over(e, den, s, m * d)
+    return _reduce(den, e)
 
 
 def divide(a: Series, b: Series) -> Series:
@@ -296,6 +498,11 @@ def divide(a: Series, b: Series) -> Series:
         av = a.valuation()
         if av is not None and av < bv:
             raise ValueError("series division needs unit or common factor")
+    if a._q and b._q:
+        (da, an), (db, bn) = a._q, b._q
+        den, q = _int_quotient(an[bv:], bn[bv:])
+        return _reduce(da * den, [c * db for c in q])
+    if bv > 0:
         a = _series(a.coeffs[bv:])
         b = _series(b.coeffs[bv:])
     # q_k = (a_k - sum_{i>=1} q_{k-i} b_i) / b_0, one dot product per term.

@@ -37,7 +37,7 @@ from erarray.orthopoly import JacobiParams, JacobiRecovery, MomentSequence
 from erarray.riordan import ERArray, ProductionMatrix, er_build
 from erarray.scalars import (ONE, POLY_ONE, POLY_ZERO, ZERO, PolyZ, Scalar, Z, _as_scalar,
                              _clear_denominators, _polynomial, dot)
-from erarray.series import Series, _compose_powers, _degree, _powers
+from erarray.series import Series, _compose_powers, _degree, _powers, _series
 
 
 # The polynomial kernel as a tuple of Fractions, the differential oracle for
@@ -425,6 +425,18 @@ def apply_egf(a, u) -> tuple[Scalar, ...]:
     egf_u = Series(Scalar._coerce(t) / factorial(k) for k, t in enumerate(u))
     image = a.g * compose_horner(egf_u, a.f)
     return tuple(image.coeffs[r] * factorial(r) for r in range(n + 1))
+
+
+def over_scalars(s: Series) -> Series:
+    """The same coefficients without the integer form: every operation on
+    the result runs on Scalars, the route that z-free series left."""
+    return _series(s.coeffs)
+
+
+def er_build_over_scalars(g: Series, f: Series) -> ERArray:
+    """[g, f] with the integer form removed from g and f, so that the array,
+    its group law, solve and production data run on Scalars."""
+    return er_build(over_scalars(g), over_scalars(f))
 
 
 def production_cr_by_reversion(a: ERArray) -> tuple[Series, Series]:
@@ -816,4 +828,21 @@ def series_of(draw, scalars, order: int, lead=None):
     if lead is not None:
         coeffs[0] = ZERO
         coeffs[1] = draw(lead.filter(lambda c: not c.is_zero))
+    return Series(coeffs)
+
+
+#: Rational constants with denominators up to 4 (-5/2 and 1/3 among them),
+#: zero drawn about half the time.
+zfree_scalars = st.one_of(
+    st.just(ZERO), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)).map(Scalar))
+
+
+@st.composite
+def zfree_series(draw, order: int, valuation: int = 0, constant=None):
+    """A z-free series of the given order, zero below ``valuation``; a
+    ``constant`` strategy draws its coefficient at ``valuation``."""
+    coeffs = [ZERO] * valuation + draw(
+        st.lists(zfree_scalars, min_size=order + 1 - valuation, max_size=order + 1 - valuation))
+    if constant is not None:
+        coeffs[valuation] = draw(constant)
     return Series(coeffs)

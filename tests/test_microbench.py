@@ -32,3 +32,10 @@ def test_moments_routes_agree():
     # --check, under the lowest int-to-str digit limit.
     bench = _load("moments_route")
     bench.check([n for n in bench.ORDERS if n <= 32])
+
+
+def test_series_routes_agree():
+    # Orders 12 and 32 only: order 64 runs in CI through the script's
+    # --check, under the lowest int-to-str digit limit.
+    bench = _load("series_route")
+    bench.check([case for case in bench.CASES if case[3] <= 32])

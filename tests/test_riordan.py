@@ -1,15 +1,18 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from erarray import riordan, series
+from erarray import riordan, scalars, series
+from erarray.expr import parse_series
 from erarray.riordan import (
     er_apply,
     er_build,
@@ -32,6 +35,7 @@ from oracles import (
     bell_numbers,
     compose_horner,
     er_build_by_series_products,
+    er_build_over_scalars,
     er_inverse_by_reversion,
     er_mul_by_powers,
     invert_lower_by_columns,
@@ -46,6 +50,11 @@ from oracles import (
     revert_newton,
     series_of,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import F_TEMPLATES, G_TEMPLATES  # noqa: E402
+
+ZFREE_NAMED = ("stirling2", "binomial", "lah_like", "sets_of_lists", "laguerre", "charlier")
 
 STIRLING_ROWS = [
     (1,),
@@ -621,3 +630,73 @@ class TestAgainstOracles:
         for _ in range(abs(m)):
             expected = er_mul_by_powers(expected, factor)
         assert er_power(a, m) == expected
+
+
+class TestIntegerColumns:
+    """On z-free pairs the group law, the solve for c and r and the
+    production matrix run on the integer columns, and equal the route over
+    Scalars, which such pairs took before, as the oracle."""
+
+    @staticmethod
+    def both_routes(data, n):
+        g, f = (Series(c) for c in draw_rational_pair(data, n))
+        a, a0 = er_build(g, f), er_build_over_scalars(g, f)
+        assert a._columns is not None and a0._columns is None
+        return a, a0
+
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_group_law(self, data):
+        n = data.draw(st.integers(1, 12))
+        (a, a0), (b, b0) = self.both_routes(data, n), self.both_routes(data, n)
+        ab = er_mul(a, b)
+        assert ab._columns is not None
+        assert ab.g.coeffs == er_mul(a0, b0).g.coeffs and ab.entries == er_mul(a0, b0).entries
+        u = data.draw(st.lists(_rationals, min_size=n + 1, max_size=n + 1))
+        assert er_apply(a, u) == er_apply(a0, u)
+
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_inverse_and_production(self, data):
+        n = data.draw(st.integers(1, 12))
+        a, a0 = self.both_routes(data, n)
+        (c, r), (c0, r0) = production_cr(a), production_cr(a0)
+        assert c._q is not None and r._q is not None
+        assert (c.coeffs, r.coeffs) == (c0.coeffs, r0.coeffs)
+        assert a.fbar._q is not None and a.fbar.coeffs == a0.fbar.coeffs
+        assert er_inverse(a).entries == er_inverse(a0).entries
+        assert production_from_pair(a).entries == production_from_pair(a0).entries
+
+    def test_singular_diagonal(self):
+        # er_build rejects g(0) = 0 and f'(0) = 0; a zero diagonal reached
+        # past it still fails with the solve's message.
+        a = er_build(*named_pair("laguerre", 4))
+        a._columns[2] = (1, [0] * 5)
+        a.__dict__.pop("_rows", None)
+        with pytest.raises(ZeroDivisionError, match=r"singular diagonal entry at \(2, 2\)"):
+            production_cr(a)
+
+    def test_no_scalar_kernel_runs(self, monkeypatch):
+        n = 12
+        pairs = [named_pair(name, n) for name in ZFREE_NAMED]
+        pairs += [(parse_series(G_TEMPLATES[i % len(G_TEMPLATES)].format(a=2, b="(-1)", k=2), n),
+                   parse_series(f.format(a=-2, b=1), n)) for i, f in enumerate(F_TEMPLATES)]
+        expected = []
+        for g, f in pairs:
+            a0 = er_build_over_scalars(g, f)
+            expected.append((a0.entries, er_mul(a0, a0).entries, er_inverse(a0).entries,
+                             production_from_pair(a0).entries, a0.row_sums()))
+
+        def refuse(*args):
+            raise AssertionError("a z-free array ran a Scalar kernel")
+
+        # Copies imported by name are patched too.
+        for module in (scalars, series, riordan):
+            for name in ("dot", "solve_lower"):
+                monkeypatch.setattr(module, name, refuse)
+        for (g, f), want in zip(pairs, expected):
+            a = er_build(g, f)
+            assert (a.entries, er_mul(a, a).entries, er_inverse(a).entries,
+                    production_from_pair(a).entries, a.row_sums()) == want
+            production_cr(a)
+            a.fbar

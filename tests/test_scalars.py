@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -448,6 +449,24 @@ def test_kronecker_slot_extremes(bits, length):
             assert scalars._kronecker(tuple(ca), tuple(cb)) == \
                 tuple(c.numerator for c in product.coeffs)
             assert_same(PolyZ(ca) * PolyZ(cb), product)
+
+
+def test_unpack_rejects_a_one_bit_slot():
+    # At w = 1 the digit loop would never end; the guard fails first.  The
+    # timer turns a hang back into a failure instead of a growing list.
+    def hang(*args):
+        raise AssertionError("_unpack(1, 1) did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        with pytest.raises(ValueError, match="slot width 1"):
+            scalars._unpack(1, 1)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert scalars._unpack(0, 1) == [] and scalars._unpack(1, 2) == [1]
+    assert scalars._unpack(-3, 2) == [1, -1]
 
 
 @st.composite

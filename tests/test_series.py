@@ -2,17 +2,20 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from erarray.expr import parse_series
 from erarray.scalars import ONE, ZERO, Scalar, Z
-from erarray.series import Series
+from erarray.series import Series, _rational_form
 
 from oracles import (
     ORACLE_SETTINGS,
     compose_horner,
+    over_scalars,
     poly_scalars,
     random_pair,
     random_series,
@@ -20,6 +23,8 @@ from oracles import (
     rational_scalars,
     revert_newton,
     series_of,
+    zfree_scalars,
+    zfree_series,
 )
 
 # z-polynomial coefficients up to order 8, rational functions of z up to
@@ -260,3 +265,114 @@ class TestAgainstOracles:
         n = data.draw(st.integers(1, 5))
         f = data.draw(series_of(rational_scalars, n, lead=rational_scalars))
         assert f.revert() == revert_newton(f)
+
+
+def on_both_routes(op, *operands):
+    """op on z-free operands, once on their integer form and once on the
+    same coefficients over Scalars; the results must be equal, and the
+    first must hold the canonical integer form of its coefficients."""
+    assert all(s._q is not None for s in operands)
+    result = op(*operands)
+    expected = op(*(over_scalars(s) for s in operands))
+    assert result._q is not None
+    assert result.coeffs == expected.coeffs
+    assert result._q == _rational_form(result.coeffs)
+    return result
+
+
+_orders = st.integers(0, 32)
+_nonzero = zfree_scalars.filter(bool)
+
+
+class TestIntegerForm:
+    """Every operation on z-free series runs on ints and equals the route
+    over Scalars, which z-free series took before, as the oracle."""
+
+    def test_leaves_and_constructor_hold_the_form(self):
+        x = Series.x(3)
+        assert x._q == (1, [0, 1, 0, 0])
+        assert Series.constant(Fraction(-5, 2), 2)._q == (2, [-5, 0, 0])
+        assert Series([Fraction(1, 3), Fraction(1, 6), 0])._q == (6, [2, 1, 0])
+        assert Series([ONE, Z])._q is None
+        assert Series.constant(Z, 2)._q is None
+        # The Scalars are built on first read, once.
+        assert x.coeffs is x.coeffs
+
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_sums_and_truncation(self, data):
+        n = data.draw(_orders)
+        a, b = data.draw(zfree_series(n)), data.draw(zfree_series(n))
+        on_both_routes(lambda a, b: a + b, a, b)
+        on_both_routes(lambda a, b: a - b, a, b)
+        on_both_routes(lambda a: -a, a)
+        m = data.draw(st.integers(0, n))
+        on_both_routes(lambda a: a.truncate(m), a)
+
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_product(self, data):
+        n = data.draw(_orders)
+        on_both_routes(lambda a, b: a * b, data.draw(zfree_series(n)),
+                       data.draw(zfree_series(n)))
+
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_quotient(self, data):
+        n = data.draw(_orders)
+        a = data.draw(zfree_series(n))
+        b = data.draw(zfree_series(n, constant=_nonzero))
+        on_both_routes(lambda a, b: a / b, a, b)
+
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_valuation_cancelling_quotient(self, data):
+        n = data.draw(st.integers(1, 32))
+        v = data.draw(st.integers(1, min(n, 4)))
+        a = data.draw(zfree_series(n, data.draw(st.integers(v, n))))
+        b = data.draw(zfree_series(n, v, constant=_nonzero))
+        assert on_both_routes(lambda a, b: a / b, a, b).order == n - v
+
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_power(self, data):
+        n = data.draw(_orders)
+        e = data.draw(st.integers(-3, 4))
+        a = data.draw(zfree_series(n, constant=_nonzero if e < 0 else None))
+        on_both_routes(lambda a: a ** e, a)
+
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_exp_and_log(self, data):
+        n = data.draw(_orders)
+        a = data.draw(zfree_series(n, min(n, 1)))
+        if n == 0:
+            a = Series.zero(0)
+        e = on_both_routes(Series.exp, a)
+        on_both_routes(Series.log, data.draw(zfree_series(n, constant=st.just(ONE))))
+        assert on_both_routes(Series.log, e) == a
+
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_derivative_integral_and_scale(self, data):
+        n = data.draw(_orders)
+        a = data.draw(zfree_series(n))
+        on_both_routes(Series.derivative, a)
+        on_both_routes(Series.integral, a)
+        factor = data.draw(st.one_of(zfree_scalars, st.integers(-3, 3),
+                                     st.sampled_from([Fraction(-5, 2), Fraction(1, 3)])))
+        on_both_routes(lambda a: a.scale(factor), a)
+        on_both_routes(lambda a: a * factor, a)
+
+    def test_z_operand_leaves_the_form(self):
+        # exp(z x) exp(x) = exp((z + 1) x): the z-free factor meets z, and
+        # the product runs on Scalars.
+        n = 6
+        got = parse_series("exp(z*x)*exp(x)", n)
+        assert got._q is None
+        assert got.coeffs == tuple((Z + 1) ** k / factorial(k) for k in range(n + 1))
+        x = Series.x(n)
+        for mixed in ((x * Z).exp() * x.exp(), x.exp() * (x * Z).exp(), x + Series.constant(Z, n),
+                      x.scale(Z), x / (Series.one(n) - x * Z)):
+            assert mixed._q is None
+        assert x.exp() * (x * Z).exp() == got
