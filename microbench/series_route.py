@@ -13,8 +13,8 @@ The pairs are the six z-free named pairs and one filling of the benchmark's
 ``triangles`` templates (every f template once, a = 2, b = -1, k = 2), each
 at orders 12, 32 and 64.  A pair's series ops are g f, f/g, the
 valuation-cancelling f/x, g^-2, exp f, log g, g', the integral of f and
-(-5/2) g; its array ops are ``er_mul`` of the array by itself,
-``er_inverse`` and ``production_from_pair``.  ``check`` asserts that both
+(-5/2) g; its array ops are the entries of ``er_build``, ``er_mul`` of
+the array by itself, ``er_inverse`` and ``production_from_pair``.  ``check`` asserts that both
 routes give equal coefficients and entries on every case, and that the
 integer route keeps the canonical form; ``--check`` runs it alone, and
 ``main`` runs it before timing.  Under the interpreter's lowest int-to-str
@@ -24,7 +24,7 @@ a string.
 A route's time is the best of five runs, in milliseconds.  The series row
 runs all nine ops once.  Each array row builds the array afresh (its
 columns and c, r are cached on it) and reads the result's entries, which
-the integer route builds only on first read.
+an array builds only on first read.
 """
 
 from __future__ import annotations
@@ -70,6 +70,7 @@ def series_ops(g: Series, f: Series) -> list[Series]:
 
 
 ARRAY_OPS = {
+    "er_build": lambda g, f: er_build(g, f).entries,
     "er_mul": lambda g, f: er_mul(er_build(g, f), er_build(g, f)).entries,
     "er_inverse": lambda g, f: er_inverse(er_build(g, f)).entries,
     "production_from_pair": lambda g, f: production_from_pair(er_build(g, f)).entries,

@@ -18,36 +18,34 @@ the shifted-array relation DA = AP, which uses the array alone.  Both leave
 the final row zeroed: at finite truncation the information for it sits
 past the horizon, so callers compare rows 0..order-1 only.
 
-The defining pair picks the route.  When g and f both hold the integer
-form of ``series`` (every coefficient a rational constant), the array keeps
-its columns g f^k as ints over one denominator each, and the group law, the
-solve for c and r, and the production matrix run on those ints; the
-entries are built from them on first read.  Any z in the pair makes it a
-chain of ``Series`` products over Q(z), with entries built at once, and
-the group law, the solve and the production matrix run on ``Scalar``s
-through ``dot`` and ``solve_lower``.
+Every operation has one route over ``Series`` values: the array keeps its
+columns g f^k as series, and a few private kernels of ``series`` read them
+(the chain of columns, the entries, the linear combinations of the group
+law and ``er_apply``, the solve for c and r, and the coefficients of c and
+r over one denominator).  Those kernels run on the integer form of
+``series`` when the series they read hold it, and on ``Scalar``s
+otherwise; nothing here knows which.  Entries are built on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, factorial, gcd, lcm
-from operator import mul
+from math import factorial
 
 # invert_lower_triangular is not called here; the import is kept because
 # perfbench/selftest.py checks that the tracer also wraps this bound copy.
 from .orthopoly import JacobiParams, invert_lower_triangular  # noqa: F401
-from .scalars import ONE, ZERO, Scalar, _as_scalar, _rational_scalar, dot, solve_lower
-from .series import Series, _append_over, _rational_form, _reduce, _series
+from .scalars import ONE, ZERO, Scalar, _as_scalar, solve_lower
+from .series import Series, _chain, _combine, _egf_columns, _numerators, _solve_columns
 
 
 @dataclass(frozen=True)
 class ERArray:
     """Lower-triangular realization of [g, f] with its defining pair retained.
 
-    ``er_build`` makes a z-free array without entries: its integer columns
-    are built on first use, and ``entries`` from them on first read.
+    ``er_build`` makes an array without entries: its columns are built on
+    first use, and ``entries`` from them on first read.
     """
 
     g: Series
@@ -55,20 +53,18 @@ class ERArray:
     entries: tuple[tuple[Scalar, ...], ...]
 
     def __getattr__(self, name):
-        # Reached only while ``entries`` is unset, on a z-free array made by
+        # Reached only while ``entries`` is unset, on an array made by
         # ``er_build``.
-        if name != "entries" or self._columns is None:
+        if name != "entries":
             raise AttributeError(name)
-        entries = _lower_rows(_scalar_columns(self._columns))
+        entries = _lower_rows(_egf_columns(self._columns))
         object.__setattr__(self, "entries", entries)
         return entries
 
     @cached_property
-    def _columns(self) -> list[tuple[int, list[int]]] | None:
-        """Column k as (D_k, ints), [x^m] g f^k = ints[m] / D_k for
-        m = 0..order, when g and f hold the integer form; else None."""
-        g, f = self.g._q, self.f._q
-        return _columns_by_integers(g, f) if g and f else None
+    def _columns(self) -> list[Series]:
+        """The series g f^k, k = 0..order."""
+        return _chain(self.g, self.f)
 
     @property
     def order(self) -> int:
@@ -88,43 +84,20 @@ class ERArray:
         return (Series.one(r.order) / r).integral()
 
     @cached_property
-    def _rows(self) -> list[tuple[int, ...]]:
-        """Row m of the integer columns: the ints of [x^m] g f^k, k = 0..order."""
-        return list(zip(*(col for _, col in self._columns)))
+    def _cr(self) -> tuple[Series, Series]:
+        """The production series (c, r), solved once on the columns.
 
-    @cached_property
-    def _gamma_rho(self) -> tuple[tuple[Scalar, ...], tuple[Scalar, ...]]:
-        """gamma_j = j! c_j and rho_j = j! r_j for j < order, solved once,
-        for an array over Q(z).
-
-        g (c o f) = g' and g (r o f) = g f'.  Since m! [x^m] g f^j = j! A[m][j],
-        reading off m! [x^m] gives the lower-triangular systems
-        sum_j A[m][j] gamma_j = m! [x^m] g' and
-        sum_j A[m][j] rho_j = m! [x^m] (g f') for m < order,
-        one ``solve_lower`` with two right-hand sides.
+        g (c o f) = g' and g (r o f) = g f'; reading off [x^m] by the
+        fundamental theorem gives the lower-triangular systems
+        sum_{j<=m} ([x^m] g f^j) c_j = [x^m] g' and the same with g f' for
+        r, m < order, one solve with two right-hand sides.
         """
         n = self.order
         if n < 1:
             raise ValueError("production data needs order >= 1")
-        dg = self.g.derivative().coeffs
-        gdf = (self.g.truncate(n - 1) * self.f.derivative()).coeffs
-        rhs = [(dg[m] * factorial(m), gdf[m] * factorial(m)) for m in range(n)]
-        return tuple(zip(*solve_lower(self.entries, rhs)))
-
-    @cached_property
-    def _cr(self) -> tuple[Series, Series]:
-        """The production series (c, r), built once: on a z-free array
-        solved on its integer columns, otherwise gamma_j / j! and rho_j / j!."""
-        if self._columns is not None:
-            n = self.order
-            if n < 1:
-                raise ValueError("production data needs order >= 1")
-            g = self.g
-            return (_solve_columns(self, g.derivative()),
-                    _solve_columns(self, g.truncate(n - 1) * self.f.derivative()))
-        gamma, rho = self._gamma_rho
-        return (Series(v / factorial(j) for j, v in enumerate(gamma)),
-                Series(v / factorial(j) for j, v in enumerate(rho)))
+        g = self.g
+        return tuple(_solve_columns(self._columns, [g.derivative(),
+                                                    g.truncate(n - 1) * self.f.derivative()]))
 
     def column(self, k: int) -> tuple[Scalar, ...]:
         return tuple(self.entries[n][k] for n in range(self.order + 1))
@@ -164,12 +137,8 @@ def er_build(g: Series, f: Series) -> ERArray:
     """Construct [g, f]; needs g(0) != 0, f(0) = 0 and f'(0) != 0.
 
     A[r][k] = (r!/k!) [x^r] g f^k, column k read off the chain
-    g f^k = (g f^(k-1)) f.  The input picks the route: when g and f both
-    hold the integer form of ``series`` the chain runs on ints, over one
-    denominator per column (``_columns_by_integers``), when the array's
-    columns are first used, and the entries are built from them on first
-    read; otherwise it is a chain of ``Series`` products over Q(z), run
-    here.  Both give the same canonical entries.
+    g f^k = (g f^(k-1)) f.  The chain is built when the array's columns
+    are first used, and the entries from it on first read.
     """
     if g.order != f.order:
         raise ValueError(
@@ -178,98 +147,14 @@ def er_build(g: Series, f: Series) -> ERArray:
         )
     if f.order < 1 or f.valuation() != 1 or g.valuation() != 0:
         raise ValueError("not a valid exponential Riordan pair")
-    if g._q and f._q:
-        out = object.__new__(ERArray)
-        out.__dict__.update(g=g, f=f)
-        return out
-    return ERArray(g=g, f=f, entries=_lower_rows(_columns_by_series(g, f)))
-
-
-def _columns_by_series(g: Series, f: Series) -> list[list[Scalar]]:
-    """Column k of [g, f] from row k down, by n series products over Q(z)."""
-    n = g.order
-    columns = []
-    col = g
-    for k in range(n + 1):
-        if k:
-            col = col * f
-        column, weight = [], 1  # weight = r!/k!
-        for r in range(k, n + 1):
-            column.append(col.coeffs[r] * weight)
-            weight *= r + 1
-        columns.append(column)
-    return columns
-
-
-def _columns_by_integers(gq, fq) -> list[tuple[int, list[int]]]:
-    """The integer forms (D_k, ints) of g f^k, k = 0..order, for z-free g
-    and f given by theirs.
-
-    g f^k is held as ints over one denominator D_k = D_(k-1) d_f, reduced
-    by the gcd of the column.  [x^m] g f^k = sum_i [x^i] g f^(k-1) f_(m-i)
-    runs only over the band max(k-1, m-t) <= i < m, since f(0) = 0 and
-    f_j = 0 past the last nonzero index t (t = 1 for f = x).
-    """
-    d, col = gq
-    df, fs = fq
-    n = len(col) - 1
-    t = max(j for j, c in enumerate(fs) if c)
-    columns = [(d, col)]
-    for k in range(1, n + 1):
-        prev, col = col, [0] * (n + 1)
-        for m in range(k, n + 1):
-            lo = max(k - 1, m - t)
-            col[m] = sum(map(mul, prev[lo:m], reversed(fs[1:m - lo + 1])))
-        d *= df
-        h = gcd(d, *col)
-        if h != 1:
-            d //= h
-            col = [c // h for c in col]
-        columns.append((d, col))
-    return columns
-
-
-def _scalar_columns(columns) -> list[list[Scalar]]:
-    """Column k of the array from row k down, from the integer columns:
-    A[r][k] = (r!/k!) ints[r] / D_k, one Scalar with one gcd each."""
-    n = len(columns) - 1
-    out = []
-    for k, (d, col) in enumerate(columns):
-        column, weight = [], 1  # weight = r!/k!
-        for r in range(k, n + 1):
-            column.append(_rational_scalar(col[r] * weight, d))
-            weight *= r + 1
-        out.append(column)
+    out = object.__new__(ERArray)
+    out.__dict__.update(g=g, f=f)
     return out
 
 
 def _lower_rows(columns) -> tuple[tuple[Scalar, ...], ...]:
     """The square entries of an array from its columns, each from row k down."""
-    n = len(columns) - 1
-    return tuple(tuple([columns[k][r - k] for k in range(r + 1)] + [ZERO] * (n - r))
-                 for r in range(n + 1))
-
-
-def _solve_columns(a: ERArray, rhs: Series) -> Series:
-    """The series c of order a.order - 1 with
-    sum_{j<=m} ([x^m] g f^j) c_j = [x^m] rhs for m < a.order, on the
-    integer columns of a z-free array and a z-free rhs.
-
-    With y_j = c_j D_r / D_j the system is sum_j C_j[m] y_j = R_m over
-    ints, C_j the ints of column j and (D_r, R) the form of rhs.  Forward
-    substitution keeps y over one running denominator, multiplied up only
-    by the part of a diagonal C_m[m] that the row's sum does not cancel.
-    """
-    dr, r = rhs._q
-    cols = a._columns
-    y: list[int] = []
-    den = 1
-    for m, row in enumerate(a._rows[:len(r)]):
-        t = row[m]
-        if not t:
-            raise ZeroDivisionError(f"singular diagonal entry at ({m}, {m})")
-        den = _append_over(y, den, r[m] * den - sum(map(mul, row[:m], y)), t)
-    return _reduce(den * dr, [v * cols[j][0] for j, v in enumerate(y)])
+    return tuple(zip(*([ZERO] * k + col for k, col in enumerate(columns))))
 
 
 def identity(order: int) -> ERArray:
@@ -277,41 +162,16 @@ def identity(order: int) -> ERArray:
     return er_build(Series.one(order), Series.x(order))
 
 
-def _rows_times(a: ERArray, vec) -> list[Scalar]:
-    """The matrix-vector product of the array with ``vec``, one dot per row."""
-    return [dot(zip(row[:m + 1], vec)) for m, row in enumerate(a.entries)]
-
-
-def _left_image(a: ERArray, u: Series) -> Series:
-    """a.g (u o a.f), read off the columns of ``a``.
-
-    By the fundamental theorem of Riordan arrays,
-    [x^m] a.g (u o a.f) = sum_k u_k [x^m] g f^k = sum_k A[m][k] k! u_k / m!.
-    On a z-free array and u it is one sum of ints per row over
-    lcm(D_k) for the k with u_k != 0; otherwise one dot per row.
-    """
-    if a._columns is None or not u._q:
-        vec = [c * factorial(k) for k, c in enumerate(u.coeffs)]
-        return _series(v / factorial(m) for m, v in enumerate(_rows_times(a, vec)))
-    du, us = u._q
-    cols = a._columns
-    support = [k for k, c in enumerate(us) if c]
-    common = lcm(*(cols[k][0] for k in support))
-    weights = [0] * len(us)
-    for k in support:
-        weights[k] = us[k] * (common // cols[k][0])
-    return _reduce(du * common, [sum(map(mul, weights, row)) for row in a._rows])
-
-
 def er_mul(a: ERArray, b: ERArray) -> ERArray:
     """Group law: [g, f] * [h, l] = [g (h o f), l o f], from the columns of a.
 
-    g (h o f) is one matrix-vector product; l o f is g (l o f), another,
-    divided by g.
+    g (h o f) and g (l o f) are read off the columns in one pass; l o f is
+    the second divided by g.
     """
     if a.order != b.order:
         raise ValueError(f"series order mismatch: {a.order} != {b.order}")
-    return er_build(_left_image(a, b.g), _left_image(a, b.f) / a.g)
+    gh, gl = _combine(a._columns, [b.g, b.f])
+    return er_build(gh, gl / a.g)
 
 
 def er_inverse(a: ERArray) -> ERArray:
@@ -336,29 +196,23 @@ def er_power(a: ERArray, m: int) -> ERArray:
         return er_power(er_inverse(a), -m)
     g, f = Series.one(a.order), Series.x(a.order)
     for _ in range(m):
-        g, f = _left_image(a, g), _left_image(a, f) / a.g
+        g, f = _combine(a._columns, [g, f])
+        f = f / a.g
     return er_build(g, f)
 
 
 def er_apply(a: ERArray, u) -> tuple[Scalar, ...]:
     """Image of a sequence under the array: the matrix-vector product.
 
-    Its exponential generating function is g(x) U(f(x)), U the e.g.f. of u;
-    on a z-free array and sequence it is read off that route, on the
-    integer columns, and the tests compare the two.
+    Its exponential generating function is g(x) U(f(x)), U the e.g.f. of
+    u, read off the columns like the group law; the tests compare it with
+    the product by rows.
     """
     n = a.order
-    vec = [_as_scalar(t) for t in u]
-    if len(vec) != n + 1:
-        raise ValueError(f"sequence length mismatch: need {n + 1}, got {len(vec)}")
-    q = _rational_form(vec) if a._columns is not None else None
-    if q is None:
-        return tuple(_rows_times(a, vec))
-    # U_k = u_k / k! over du n!, then m! [x^m] g (U o f).
-    du, us = q
-    weights = [factorial(n) // factorial(k) for k in range(n + 1)]
-    d, image = _left_image(a, _reduce(du * weights[0], list(map(mul, us, weights))))._q
-    return tuple(_rational_scalar(c * factorial(m), d) for m, c in enumerate(image))
+    us = [_as_scalar(t) / factorial(k) for k, t in enumerate(u)]
+    if len(us) != n + 1:
+        raise ValueError(f"sequence length mismatch: need {n + 1}, got {len(us)}")
+    return tuple(_egf_columns(_combine(a._columns, [Series(us)]))[0])
 
 
 def production_cr(a: ERArray) -> tuple[Series, Series]:
@@ -373,42 +227,22 @@ def production_cr(a: ERArray) -> tuple[Series, Series]:
 def production_from_pair(a: ERArray) -> ProductionMatrix:
     """Production matrix from the defining pair.
 
-    Entry (i, j) is (i!/j!) (c_{i-j} + j r_{i-j+1}) with c_{-1} = 0, that is
-    C(i, j) gamma_{i-j} + C(i, j-1) rho_{i-j+1} in gamma_k = k! c_k and
-    rho_k = k! r_k, for rows 0..order-1; the final row is zeroed.  On a
-    z-free array each entry is one int over lcm of the denominators of c
-    and r; otherwise one ``dot`` of the cached gamma and rho.
+    Entry (i, j) is (i!/j!) (c_{i-j} + j r_{i-j+1}) with c_{-1} = 0, for
+    rows 0..order-1; the final row is zeroed.  c and r are read as
+    numerators over one denominator, so each entry is one sum of
+    numerators, made a Scalar once.
     """
     n = a.order
-    if a._columns is not None:
-        (dc, cs), (dr, rs) = (s._q for s in a._cr)
-        common = lcm(dc, dr)
-        cs = [v * (common // dc) for v in cs]
-        rs = [v * (common // dr) for v in rs]
-        rows = []
-        for i in range(n):
-            row = [ZERO] * (n + 1)
-            row[i + 1] = _rational_scalar(rs[0], common)
-            row[0] = _rational_scalar(factorial(i) * cs[i], common)
-            weight = 1  # i!/j!
-            for j in range(i, 0, -1):
-                row[j] = _rational_scalar(weight * (cs[i - j] + j * rs[i - j + 1]), common)
-                weight *= j
-            rows.append(tuple(row))
-        rows.append(tuple([ZERO] * (n + 1)))
-        return ProductionMatrix(entries=tuple(rows))
-    gamma, rho = a._gamma_rho
+    (cs, rs), scalars = _numerators(a._cr)
     rows = []
     for i in range(n):
-        binom = [Scalar(comb(i, j)) for j in range(i + 1)]
-        row = [ZERO] * (n + 1)
-        for j in range(i + 2):
-            pairs = [(binom[j], gamma[i - j])] if j <= i else []
-            if j:
-                pairs.append((binom[j - 1], rho[i - j + 1]))
-            row[j] = dot(pairs)
-        rows.append(tuple(row))
-    rows.append(tuple([ZERO] * (n + 1)))
+        nums, weight = [rs[0]], 1  # entries j = i+1 down to 0; weight = i!/j!
+        for j in range(i, 0, -1):
+            nums.append(weight * (cs[i - j] + j * rs[i - j + 1]))
+            weight *= j
+        nums.append(weight * cs[i])
+        rows.append(tuple(scalars(nums[::-1])) + (ZERO,) * (n - 1 - i))
+    rows.append((ZERO,) * (n + 1))
     return ProductionMatrix(entries=tuple(rows))
 
 

@@ -16,8 +16,8 @@ operands.
 The way into Q(z) is owned here too: ``_as_scalar`` coerces every input
 value the other modules accept, and ``_clear_denominators`` takes Scalars
 over the lcm of their denominators for the routes that run in Q[z].  The
-z-free routes of ``series`` and ``riordan`` run on plain ints over one
-denominator, and ``_rational_scalar`` makes their way back.
+integer form of z-free series in ``series`` runs on plain ints over one
+denominator, and ``_rational_scalars`` makes its way back.
 
 Every integer-polynomial product goes through ``_multiply``: the
 classical double loop when the shorter operand has at most
@@ -32,12 +32,14 @@ tableau runs on packed ints over the integer polynomials that
 Two exact kernels sit on top, for values in Q(z): ``dot``, the fused sum
 of products that the Chebyshev tableau, the binomial transform, and the
 products, quotients, exponentials and compositions of series over Q(z)
-run on, with the group law and production matrix of arrays over Q(z);
-and ``solve_lower``, the one forward substitution, which the production
-data of arrays over Q(z), ``production_direct``, triangular inverses and
-series reversion call.  z-free series and arrays call neither, except
-through composition, reversion and ``production_direct``, which run on
-Scalars whatever their input.
+run on, with the group law of arrays over Q(z); and ``solve_lower``, the
+one forward substitution, which the production data of arrays over Q(z),
+``production_direct``, triangular inverses and series reversion call.
+``riordan`` calls ``solve_lower`` itself only in ``production_direct``;
+its other operations reach both kernels through those of ``series``.
+z-free series and arrays call neither, except through composition,
+reversion and ``production_direct``, which run on Scalars whatever their
+input.
 """
 
 from __future__ import annotations
@@ -594,12 +596,22 @@ def _clear_contents(polys) -> tuple[int, list[list[int]]]:
     return e, [[c * (p._num * (e // p._den)) for c in p._prim] for p in polys]
 
 
-def _rational_scalar(n: int, d: int) -> Scalar:
-    """The Scalar n/d, for ints n and d > 0, with one gcd."""
-    if not n:
-        return ZERO
-    g = gcd(n, d)
-    return _polynomial(_poly(n // g, d // g, _UNIT))
+def _rational_scalars(ns, d: int) -> list[Scalar]:
+    """The Scalars n/d for ints n over one d > 0: one gcd each, none when
+    d = 1, and no call per value."""
+    new = object.__new__
+    out = []
+    for n in ns:
+        if not n:
+            out.append(ZERO)
+            continue
+        g = gcd(n, d) if d != 1 else 1
+        p = new(PolyZ)
+        p._num, p._den, p._prim = n // g, d // g, _UNIT
+        s = new(Scalar)
+        s.num, s.den = p, POLY_ONE
+        out.append(s)
+    return out
 
 
 def _euclid_gcd(a: PolyZ, b: PolyZ) -> PolyZ:

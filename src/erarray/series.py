@@ -18,15 +18,24 @@ again, and the ``Scalar`` coefficients are built once, on first read of
 an operand, runs on ``Scalar``s through the exact kernels of ``scalars``:
 ``dot``, and ``solve_lower`` for reversion.  Composition and reversion run
 on ``Scalar``s whatever the input.
+
+The form is known to this module only.  ``riordan`` keeps an array's
+columns g f^k as series and calls the private kernels at the end of this
+module for every array operation: the chain of columns, the entries
+(r!/k!) [x^r] g f^k, linear combinations of the columns, the triangular
+solve against them and the coefficients of several series over one
+denominator.  Each kernel runs on ints when every series it reads holds
+the form, and on ``Scalar``s otherwise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 from operator import mul
 
-from .scalars import ONE, POLY_ONE, ZERO, Scalar, _as_scalar, _rational_scalar, dot, solve_lower
+from .scalars import ONE, POLY_ONE, ZERO, Scalar, _as_scalar, _rational_scalars, dot, solve_lower
 
 
 class Series:
@@ -53,7 +62,7 @@ class Series:
         if name != "coeffs":
             raise AttributeError(name)
         d, ints = self._q
-        cs = self.coeffs = tuple(_rational_scalar(c, d) for c in ints)
+        cs = self.coeffs = tuple(_rational_scalars(ints, d))
         return cs
 
     @classmethod
@@ -90,7 +99,7 @@ class Series:
     def coefficient(self, k: int) -> Scalar:
         q = self._q
         if q:
-            return _rational_scalar(q[1][k], q[0])
+            return _rational_scalars([q[1][k]], q[0])[0]
         return self.coeffs[k]
 
     @property
@@ -548,3 +557,128 @@ def _compose_powers(outer: Series, powers: list[Series]) -> Series:
     ka = [k for k in _support(a) if k <= top]
     return _series(dot([(a[k], powers[k].coeffs[m]) for k in ka if k <= m])
                    for m in range(outer.order + 1))
+
+
+# Kernels of the array operations of ``riordan``, on the columns g f^k of
+# an array: each runs on ints when every series it reads holds the integer
+# form, and on Scalars otherwise.
+
+def _chain(g: Series, f: Series) -> list[Series]:
+    """g f^k for k = 0..order, each from the last: g f^k = (g f^(k-1)) f.
+
+    On ints, g f^k is held over one denominator D_k = D_(k-1) d_f, reduced
+    by the gcd of the column, and [x^m] g f^k = sum_i [x^i] g f^(k-1) f_(m-i)
+    runs only over the band max(k-1, m-t) <= i < m, since f(0) = 0 and
+    f_j = 0 past the last nonzero index t (t = 1 for f = x).  Otherwise it
+    is a chain of series products.
+    """
+    n = g.order
+    cols = [g]
+    if not (g._q and f._q):
+        for _ in range(n):
+            cols.append(cols[-1] * f)
+        return cols
+    d, col = g._q
+    df, fs = f._q
+    t = max(j for j, c in enumerate(fs) if c)
+    rf = fs[::-1]  # rf[n - j] = f_j
+    for k in range(1, n + 1):
+        prev, col = col, [0] * (n + 1)
+        for m in range(k, n + 1):
+            lo = max(k - 1, m - t)
+            col[m] = sum(map(mul, prev[lo:m], rf[n - m + lo:n]))
+        d *= df
+        h = gcd(d, *col)
+        if h != 1:
+            d //= h
+            col = [c // h for c in col]
+        cols.append(_ints(d, col))
+    return cols
+
+
+def _egf_columns(cols: list[Series]) -> list[list[Scalar]]:
+    """(r!/k!) [x^r] cols[k] for r = k..order, for each k: column k of an
+    array from row k down, and the e.g.f. coefficients of cols[0]."""
+    n = cols[0].order
+    out = []
+    for k, col in enumerate(cols):
+        q = col._q
+        cs = q[1] if q else col.coeffs
+        column, weight = [], 1  # weight = r!/k!
+        for r in range(k, n + 1):
+            column.append(cs[r] * weight)
+            weight *= r + 1
+        out.append(_rational_scalars(column, q[0]) if q else column)
+    return out
+
+
+def _combine(cols: list[Series], us: list[Series]) -> list[Series]:
+    """sum_k u_k cols[k] for each u in ``us``, in one pass over the columns.
+
+    On ints each coefficient is one sum per row over lcm(D_k) for the k
+    with u_k != 0; otherwise one ``dot`` per coefficient.  cols[k] has
+    valuation >= k, so row m needs only k <= m.
+    """
+    n = cols[0].order
+    rows = list(zip(*(c._q[1] for c in cols))) if all(c._q for c in cols) else None
+    out = []
+    for u in us:
+        if rows is not None and u._q:
+            du, a = u._q
+            support = [k for k, c in enumerate(a) if c]
+            common = lcm(*(cols[k]._q[0] for k in support))
+            weights = [0] * (n + 1)
+            for k in support:
+                weights[k] = a[k] * (common // cols[k]._q[0])
+            out.append(_reduce(du * common, [sum(map(mul, weights, row)) for row in rows]))
+            continue
+        a = u.coeffs
+        support = _support(a)
+        cs = [c.coeffs for c in cols]
+        out.append(_series(dot([(a[k], cs[k][m]) for k in support if k <= m])
+                           for m in range(n + 1)))
+    return out
+
+
+def _solve_columns(cols: list[Series], rhss: list[Series]) -> list[Series]:
+    """For each rhs, the series c of rhs's order with
+    sum_{j<=m} ([x^m] cols[j]) c_j = [x^m] rhs for m = 0..rhs.order.
+
+    On ints, with y_j = c_j D_r / D_j the system is sum_j C_j[m] y_j = R_m,
+    C_j the ints of column j and (D_r, R) the form of rhs.  Forward
+    substitution keeps y over one running denominator, multiplied up only
+    by the part of a diagonal C_m[m] that the row's sum does not cancel.
+    Otherwise it is one ``solve_lower`` for every rhs at once.
+    """
+    size = rhss[0].order + 1
+    cols = cols[:size]
+    if all(c._q for c in cols) and all(r._q for r in rhss):
+        rows = list(zip(*(c._q[1] for c in cols)))[:size]
+        out = []
+        for rhs in rhss:
+            dr, r = rhs._q
+            y: list[int] = []
+            den = 1
+            for m, row in enumerate(rows):
+                t = row[m]
+                if not t:
+                    raise ZeroDivisionError(f"singular diagonal entry at ({m}, {m})")
+                den = _append_over(y, den, r[m] * den - sum(map(mul, row[:m], y)), t)
+            out.append(_reduce(den * dr, [v * c._q[0] for v, c in zip(y, cols)]))
+        return out
+    cs = [c.coeffs for c in cols]
+    rows = [[cs[j][m] for j in range(m + 1)] for m in range(size)]
+    xs = solve_lower(rows, list(zip(*(r.coeffs for r in rhss))))
+    return [_series(x) for x in zip(*xs)]
+
+
+def _numerators(ss: list[Series]):
+    """The coefficients of each series in ``ss`` as numerators over one
+    denominator, with the map from a list of numerators to their Scalars:
+    ints over the lcm of the denominators when every series holds the
+    integer form, else the Scalars themselves, over 1."""
+    if all(s._q for s in ss):
+        common = lcm(*(s._q[0] for s in ss))
+        return ([[v * (common // s._q[0]) for v in s._q[1]] for s in ss],
+                partial(_rational_scalars, d=common))
+    return [s.coeffs for s in ss], list

@@ -427,6 +427,14 @@ def apply_egf(a, u) -> tuple[Scalar, ...]:
     return tuple(image.coeffs[r] * factorial(r) for r in range(n + 1))
 
 
+def apply_by_rows(a, u) -> tuple[Scalar, ...]:
+    """Image of u under the array as the matrix-vector product of its
+    entries, one Scalar sum per row."""
+    vec = [Scalar._coerce(t) for t in u]
+    return tuple(sum((row[k] * vec[k] for k in range(m + 1)), ZERO)
+                 for m, row in enumerate(a.entries))
+
+
 def over_scalars(s: Series) -> Series:
     """The same coefficients without the integer form: every operation on
     the result runs on Scalars, the route that z-free series left."""

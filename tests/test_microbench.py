@@ -21,12 +21,6 @@ def test_product_cut_routes_agree():
     _load("product_cut").check()
 
 
-def test_build_routes_agree():
-    # Orders 12 and 32 only: orders 64 and 96 add seconds and no new path.
-    bench = _load("build_route")
-    bench.check([case for case in bench.CASES if case[3] <= 32])
-
-
 def test_moments_routes_agree():
     # Orders 9 and 32 only: orders 64-128 run in CI through the script's
     # --check, under the lowest int-to-str digit limit.

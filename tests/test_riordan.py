@@ -5,7 +5,6 @@ import sys
 from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -31,6 +30,7 @@ from erarray.series import Series
 
 from oracles import (
     ORACLE_SETTINGS,
+    apply_by_rows,
     apply_egf,
     bell_numbers,
     compose_horner,
@@ -41,6 +41,7 @@ from oracles import (
     invert_lower_by_columns,
     matrix_product,
     one_factor_rationals,
+    over_scalars,
     poly_scalars,
     production_bivariate_gf,
     production_cr_by_reversion,
@@ -139,16 +140,14 @@ class TestBuild:
         with pytest.raises(ValueError, match="Riordan pair"):
             er_build(Series.one(3), Series.x(4))
 
-    # Both routes of er_build give what n full series products give.
+    # Both routes of the column chain give what n full series products give.
     @ORACLE_SETTINGS
     @given(data=st.data())
     def test_rational_pairs_match_series_products(self, data):
         n = data.draw(st.integers(1, 24))
         g, f = (Series(c) for c in draw_rational_pair(data, n))
-        with mock.patch.object(riordan, "_columns_by_series",
-                               wraps=riordan._columns_by_series) as by_series:
-            a = er_build(g, f)
-        assert not by_series.called
+        a = er_build(g, f)
+        assert all(col._q for col in a._columns)
         assert a.entries == er_build_by_series_products(g, f).entries
         for r, row in enumerate(a.entries):
             for k, e in enumerate(row):
@@ -167,10 +166,8 @@ class TestBuild:
         lowest = n if where.startswith("last") else (0 if target is g else 1)
         target[data.draw(st.integers(lowest, n))] = data.draw(_with_z)
         g, f = Series(g), Series(f)
-        with mock.patch.object(riordan, "_columns_by_series",
-                               wraps=riordan._columns_by_series) as by_series:
-            a = er_build(g, f)
-        assert by_series.called
+        a = er_build(g, f)
+        assert not any(col._q for col in a._columns[1:])
         assert a.entries == er_build_by_series_products(g, f).entries
 
     def test_rational_pairs_make_no_series_product(self, monkeypatch):
@@ -295,25 +292,29 @@ class TestInverse:
         assert calls == []
 
     def test_production_series_built_once_per_array(self, monkeypatch):
-        builds = []
+        solves = []
+        solve = riordan._solve_columns
 
-        class Counted(Series):
-            def __init__(self, coeffs):
-                builds.append(self)
-                super().__init__(coeffs)
+        def counted(cols, rhss):
+            solves.append(rhss)
+            return solve(cols, rhss)
 
-        monkeypatch.setattr(riordan, "Series", Counted)
-        a = er_build(*named_pair("thm2", 6))
-        inv = er_inverse(a)
-        c, r = production_cr(a)
-        assert len(builds) == 2
-        assert a.fbar == inv.f and production_cr(a) == (c, r)
-        er_inverse(a)
-        assert len(builds) == 2 and builds[0] is c and builds[1] is r
-        # The inverse is another array: its own c and r, built once.
-        assert production_cr(inv) == production_cr(inv)
-        er_inverse(inv)
-        assert len(builds) == 4
+        monkeypatch.setattr(riordan, "_solve_columns", counted)
+        # An array over Q(z) and a z-free one.
+        for name in ("thm2", "laguerre"):
+            solves.clear()
+            a = er_build(*named_pair(name, 6))
+            inv = er_inverse(a)
+            c, r = production_cr(a)
+            assert len(solves) == 1 and len(solves[0]) == 2
+            assert a.fbar == inv.f and production_cr(a) == (c, r)
+            er_inverse(a)
+            production_from_pair(a)
+            assert len(solves) == 1 and production_cr(a)[0] is c and production_cr(a)[1] is r
+            # The inverse is another array: its own c and r, solved once.
+            assert production_cr(inv) == production_cr(inv)
+            er_inverse(inv)
+            assert len(solves) == 2
 
 
 class TestApply:
@@ -345,6 +346,16 @@ class TestApply:
         u = data.draw(st.lists(st.one_of(poly_scalars, rational_scalars),
                                min_size=n + 1, max_size=n + 1))
         assert er_apply(a, u) == apply_egf(a, u)
+
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_matches_product_by_rows(self, data):
+        # Over Q(z): g and f drawn from rational functions of z.
+        n = data.draw(st.integers(1, 6))
+        a = er_build(*draw_general_pair(data, n, rational_scalars, rational_scalars))
+        u = data.draw(st.lists(st.one_of(poly_scalars, rational_scalars),
+                               min_size=n + 1, max_size=n + 1))
+        assert er_apply(a, u) == apply_by_rows(a, u)
 
 
 THM1_PRODUCTION = [
@@ -641,7 +652,8 @@ class TestIntegerColumns:
     def both_routes(data, n):
         g, f = (Series(c) for c in draw_rational_pair(data, n))
         a, a0 = er_build(g, f), er_build_over_scalars(g, f)
-        assert a._columns is not None and a0._columns is None
+        assert all(col._q for col in a._columns)
+        assert not any(col._q for col in a0._columns)
         return a, a0
 
     @ORACLE_SETTINGS
@@ -650,7 +662,7 @@ class TestIntegerColumns:
         n = data.draw(st.integers(1, 12))
         (a, a0), (b, b0) = self.both_routes(data, n), self.both_routes(data, n)
         ab = er_mul(a, b)
-        assert ab._columns is not None
+        assert all(col._q for col in ab._columns)
         assert ab.g.coeffs == er_mul(a0, b0).g.coeffs and ab.entries == er_mul(a0, b0).entries
         u = data.draw(st.lists(_rationals, min_size=n + 1, max_size=n + 1))
         assert er_apply(a, u) == er_apply(a0, u)
@@ -669,12 +681,13 @@ class TestIntegerColumns:
 
     def test_singular_diagonal(self):
         # er_build rejects g(0) = 0 and f'(0) = 0; a zero diagonal reached
-        # past it still fails with the solve's message.
-        a = er_build(*named_pair("laguerre", 4))
-        a._columns[2] = (1, [0] * 5)
-        a.__dict__.pop("_rows", None)
-        with pytest.raises(ZeroDivisionError, match=r"singular diagonal entry at \(2, 2\)"):
-            production_cr(a)
+        # past it still fails with the solve's message, on either route.
+        g, f = named_pair("laguerre", 4)
+        for form in (lambda s: s, over_scalars):
+            a = er_build(form(g), form(f))
+            a._columns[2] = form(Series.zero(4))
+            with pytest.raises(ZeroDivisionError, match=r"singular diagonal entry at \(2, 2\)"):
+                production_cr(a)
 
     def test_no_scalar_kernel_runs(self, monkeypatch):
         n = 12
@@ -690,8 +703,9 @@ class TestIntegerColumns:
         def refuse(*args):
             raise AssertionError("a z-free array ran a Scalar kernel")
 
-        # Copies imported by name are patched too.
-        for module in (scalars, series, riordan):
+        # The kernels that riordan calls run in series, so a copy imported
+        # there by name is patched too.
+        for module in (scalars, series):
             for name in ("dot", "solve_lower"):
                 monkeypatch.setattr(module, name, refuse)
         for (g, f), want in zip(pairs, expected):
@@ -700,3 +714,27 @@ class TestIntegerColumns:
                     production_from_pair(a).entries, a.row_sums()) == want
             production_cr(a)
             a.fbar
+
+
+class TestMixedRoutes:
+    """A z-free array meets a pair or a sequence with z: the kernels fall
+    back to Scalars and give what the oracles give."""
+
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_mul_of_zfree_and_qz_arrays(self, data):
+        n = data.draw(st.integers(1, 8))
+        a = er_build(*(Series(c) for c in draw_rational_pair(data, n)))
+        b = er_build(*draw_general_pair(data, n, one_factor_rationals, rational_leads))
+        assert all(col._q for col in a._columns)
+        assert er_mul(a, b) == er_mul_by_powers(a, b)
+        assert er_mul(b, a) == er_mul_by_powers(b, a)
+        assert er_mul(a, b).entries == matrix_product(a.entries, b.entries)
+
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_sequence_with_z_on_zfree_array(self, data):
+        n = data.draw(st.integers(1, 8))
+        a = er_build(*(Series(c) for c in draw_rational_pair(data, n)))
+        u = data.draw(st.lists(st.one_of(_rationals, _with_z), min_size=n + 1, max_size=n + 1))
+        assert er_apply(a, u) == apply_by_rows(a, u) == apply_egf(a, u)
