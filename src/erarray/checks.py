@@ -47,16 +47,19 @@ CHARLIER_ROWS = (
 )
 
 
-def _equal(name: str, expected, actual):
+def _equal(name: str, expected, actual, show=None):
     """A row comparing two values; on failure its detail shows both.
 
-    Lists are shown as lists of ``str`` of their values, and only when the
-    row fails, so a passing row formats nothing however large its values.
+    Both are shown through ``show``, lists by default as lists of ``str`` of
+    their values, and only when the row fails, so a passing row formats
+    nothing however large its values.
     """
     ok = expected == actual
     if ok:
         return name, ok, ""
-    if isinstance(expected, list):
+    if show is not None:
+        expected, actual = show(expected), show(actual)
+    elif isinstance(expected, list):
         expected, actual = [str(v) for v in expected], [str(v) for v in actual]
     return name, ok, f"expected: {expected}\nactual:   {actual}"
 
@@ -111,14 +114,10 @@ def _pair(a) -> tuple:
     return a.g, a.f
 
 
-def _at_one(entry) -> Scalar:
-    return Scalar(entry.eval_z(1))
-
-
-def _lower_is(a, term, value=lambda e: e) -> bool:
-    """Every lower-triangle entry (r, k) of ``a``, through ``value``, is term(r, k)."""
+def _lower_is(a, term) -> bool:
+    """Every lower-triangle entry (r, k) of ``a`` is term(r, k)."""
     return all(
-        value(a.entries[r][k]) == Scalar(term(r, k))
+        a.entries[r][k] == Scalar(term(r, k))
         for r in range(a.order + 1) for k in range(r + 1)
     )
 
@@ -135,8 +134,7 @@ def _production(label: str, a, p, alpha_of, beta_of):
     n = a.order
     yield _equal(
         f"{label}: production matrix (pair method) is the displayed tridiagonal",
-        _rows_text(_tridiagonal(alpha_of, beta_of, n)),
-        _rows_text(p.entries[:n]),
+        _tridiagonal(alpha_of, beta_of, n), p.entries[:n], _rows_text,
     )
     yield (
         f"{label}: production methods agree on rows 0..{n - 1}",
@@ -235,14 +233,17 @@ def thm2(order: int):
         and _pair(er_mul(a, inv)) == (one, x),
         "",
     )
+    # Each entry is a polynomial in the coefficients of g and f, and at z = 1
+    # g(0) and f'(0) stay 1, so the pair specialised at 1 builds the entries
+    # specialised at 1, on the z-free route.
     yield (
         "thm2: entries at z = 1 equal the Laguerre-type array (n!/k!) C(n,k)",
-        _lower_is(a, _laguerre, _at_one),
+        _lower_is(a.eval_z(1), _laguerre),
         "",
     )
     yield (
         "thm2: inverse entries at z = 1 are the signed Laguerre coefficients",
-        _lower_is(inv, _signed_laguerre, _at_one),
+        _lower_is(inv.eval_z(1), _signed_laguerre),
         "",
     )
 
@@ -355,8 +356,8 @@ def examples(order: int):
     )
     yield _equal(
         "examples: production of the Charlier inverse is the displayed tridiagonal",
-        _rows_text(_tridiagonal(lambda i: Scalar(-(i + 1)), Scalar, n)),
-        _rows_text(production_from_pair(inv_charlier).entries[:n]),
+        _tridiagonal(lambda i: Scalar(-(i + 1)), Scalar, n),
+        production_from_pair(inv_charlier).entries[:n], _rows_text,
     )
 
 

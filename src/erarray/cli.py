@@ -279,76 +279,73 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("array", help="build [g, f] and print the triangle")
     _add_common(p)
-    p.set_defaults(func=cmd_array)
 
     p = sub.add_parser("inverse", help="group inverse of [g, f]")
     _add_common(p)
-    p.set_defaults(func=cmd_inverse)
 
     p = sub.add_parser("multiply", help="group product of two arrays")
     _add_common(p)
     p.add_argument("--g2")
     p.add_argument("--f2")
     p.add_argument("--name2", choices=NAMED_PAIR_NAMES)
-    p.set_defaults(func=cmd_multiply)
 
     p = sub.add_parser("prodmat", help="production (Stieltjes) matrix")
     _add_common(p)
     p.add_argument("--method", choices=("pair", "direct", "both"), default="pair")
-    p.set_defaults(func=cmd_prodmat)
 
     p = sub.add_parser("jacobi", help="Jacobi parameters from a pair or moments")
     _add_common(p)
     p.add_argument("--in", dest="infile", help="moment sequence file (json or bfile)")
     p.add_argument("terms", nargs="*", help="inline moment terms")
-    p.set_defaults(func=cmd_jacobi)
 
     p = sub.add_parser("moments", help="moment sequence of a pair or Jacobi data")
     _add_common(p)
     p.add_argument("--in", dest="infile", help="JacobiParams JSON file")
     p.add_argument("--count", type=int, help="highest moment index")
-    p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("hankel", help="Hankel transform of a sequence")
     _add_common(p, pair=False)
     p.add_argument("--in", dest="infile", help="sequence file (json or bfile)")
     p.add_argument("--nmax", type=int, help="highest determinant index")
     p.add_argument("terms", nargs="*", help="inline sequence terms")
-    p.set_defaults(func=cmd_hankel)
 
     p = sub.add_parser("binom", help="binomial transform of a sequence")
     _add_common(p, pair=False)
     p.add_argument("--in", dest="infile", help="sequence file (json or bfile)")
     p.add_argument("terms", nargs="*", help="inline sequence terms")
-    p.set_defaults(func=cmd_binom)
 
     p = sub.add_parser("triangle", help="stirling2 or eulerian number triangle")
     p.add_argument("which", choices=("stirling2", "eulerian"))
     _add_common(p, pair=False)
-    p.set_defaults(func=cmd_triangle)
 
     p = sub.add_parser("poly", help="bell or eulerian polynomial")
     p.add_argument("which", choices=("bell", "eulerian"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", dest="fmt", choices=FORMATS, default="plain")
-    p.set_defaults(func=cmd_poly)
 
     p = sub.add_parser("verify", help="recheck the classical identities exactly")
     p.add_argument("target", choices=(*checks.SUITES, "all"))
     p.add_argument("--order", type=int, default=12)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    # The parser is built on the first call, not at import, and reused.  The
+    # command runs as ``cmd_<name>`` looked up at call time, so a rebinding
+    # of a command function (a wrapper, a test double) takes effect.
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command](args)
     except (ParseError, EvalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

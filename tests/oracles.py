@@ -8,7 +8,8 @@ matrix, Bell numbers come from the binomial recurrence, composition is
 Horner's rule, an array is built from full series products g f^k, the
 group law composes through a table of the powers of f,
 the thm2 pair is divided as rational functions, reversion is Newton
-iteration, an array acts on a sequence through e.g.f.s, the production
+iteration, an array acts on a sequence through e.g.f.s, an array is
+specialised at a value of z entry by entry, the production
 series and the inverse array compose with the reversion of f, production
 matrices are read off the bivariate generating function, triangular
 matrices are inverted column by column, moments come from inverting the
@@ -445,6 +446,11 @@ def er_build_over_scalars(g: Series, f: Series) -> ERArray:
     """[g, f] with the integer form removed from g and f, so that the array,
     its group law, solve and production data run on Scalars."""
     return er_build(over_scalars(g), over_scalars(f))
+
+
+def eval_z_by_entries(a: ERArray, v) -> tuple[tuple[Scalar, ...], ...]:
+    """The entries of ``a`` over Q(z), each specialised at z = v."""
+    return tuple(tuple(Scalar(e.eval_z(v)) for e in row) for row in a.entries)
 
 
 def production_cr_by_reversion(a: ERArray) -> tuple[Series, Series]:

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import argparse
+import importlib
 import json
+import sys
 
-from erarray import checks
+import erarray
+from erarray import checks, cli
 from erarray.cli import main
 from erarray.formats import jacobi_from_json
 from erarray.hankel import hankel_from_betas
@@ -360,3 +364,57 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+class TestParser:
+    """``main`` builds one parser per process, on its first call, and looks
+    the command function up on every call."""
+
+    def test_import_builds_no_parser(self, monkeypatch):
+        made, init = [], argparse.ArgumentParser.__init__
+
+        def recording(parser, *args, **kwargs):
+            made.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording)
+        monkeypatch.setattr(erarray, "cli", cli)
+        monkeypatch.delitem(sys.modules, "erarray.cli")
+        fresh = importlib.import_module("erarray.cli")
+        assert fresh is not cli and fresh._parser is None and made == []
+        assert fresh.main(["verify", "thm1", "--order", "2"]) == 0
+        assert made and fresh._parser is not None
+
+    def test_second_call_reuses_the_parser(self, capsys, monkeypatch):
+        calls = [
+            ("verify", "thm1", "--order", "4"),
+            ("array", "--name", "thm1", "--order", "65"),
+            ("verify", "nope"),
+        ]
+        first = [run(capsys, *argv) for argv in calls]
+        parser = cli._parser
+        builds = []
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1))
+        assert [run(capsys, *argv) for argv in calls] == first
+        assert first[0][0] == 0 and first[1][0] == 2 and first[2][0] == 2
+        assert cli._parser is parser and builds == []
+
+    def test_command_is_looked_up_per_call(self, capsys, monkeypatch):
+        run(capsys, "verify", "thm1", "--order", "2")
+        seen = []
+
+        def traced(args):
+            seen.append((args.target, args.order))
+            return 7
+
+        monkeypatch.setattr(cli, "cmd_verify", traced)
+        assert main(["verify", "thm2", "--order", "3"]) == 7
+        assert seen == [("thm2", 3)]
+
+    def test_usage_on_the_reused_parser(self, capsys):
+        run(capsys, "verify", "thm1", "--order", "2")
+        parser = cli._parser
+        assert main([]) == 2
+        assert main(["--help"]) == 0
+        assert "usage: erarray" in capsys.readouterr().out
+        assert cli._parser is parser

@@ -7,7 +7,7 @@ from math import comb, factorial
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from erarray import riordan, scalars, series
@@ -38,6 +38,7 @@ from oracles import (
     er_build_over_scalars,
     er_inverse_by_reversion,
     er_mul_by_powers,
+    eval_z_by_entries,
     invert_lower_by_columns,
     matrix_product,
     one_factor_rationals,
@@ -534,15 +535,43 @@ class TestStructuralIdentities:
         laguerre = er_build(*named_pair("laguerre", n))
         assert specialized.entries == laguerre.entries
 
-    def test_specialization_commutes_random(self):
-        rng = random.Random(6)
-        n = 6
-        for _ in range(4):
-            a = er_build(*random_pair(rng, n, with_z=True))
-            direct = tuple(
-                tuple(Scalar(e.eval_z(2)) for e in row) for row in a.entries
-            )
-            assert a.eval_z(2).entries == direct
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_specialization_commutes_random(self, data):
+        # Specialising the pair and then building is specialising each
+        # entry, wherever the pair has no pole and stays a valid pair; the
+        # specialised array runs on the integer columns.
+        scalars, lead = data.draw(st.sampled_from(
+            [(poly_scalars, rational_leads), (one_factor_rationals, rational_leads),
+             (rational_scalars, rational_leads), (rational_scalars, rational_scalars)]))
+        n = data.draw(st.integers(1, 8))
+        g, f = draw_general_pair(data, n, scalars, lead)
+        # 1 is thm2's value of z and -1 the pole of one_factor_rationals.
+        v = data.draw(st.sampled_from([Fraction(1), Fraction(-1)])
+                      | st.fractions(-3, 3, max_denominator=4))
+        try:
+            gv, fv = g.eval_z(v), f.eval_z(v)
+        except ZeroDivisionError:
+            assume(False)
+        assume(not gv.coefficient(0).is_zero and not fv.coefficient(1).is_zero)
+        a = er_build(g, f)
+        specialized = a.eval_z(v)
+        assert all(col._q for col in specialized._columns)
+        assert specialized.entries == eval_z_by_entries(a, v)
+
+    @pytest.mark.parametrize("n", [2, 5, 9, 16, 32])
+    def test_thm2_inverse_at_one_is_signed_laguerre(self, n):
+        # The inverse's f is log((1+zx)/(1+x))/(z-1): each coefficient is a
+        # quotient by z - 1 with no pole at 1 once reduced.
+        inv = er_inverse(er_build(*named_pair("thm2", n)))
+        expected = tuple(
+            tuple(Scalar((-1) ** (r - k) * factorial(r) // factorial(k) * comb(r, k))
+                  if k <= r else ZERO for k in range(n + 1))
+            for r in range(n + 1)
+        )
+        assert inv.eval_z(1).entries == expected
+        if n <= 9:
+            assert eval_z_by_entries(inv, 1) == expected
 
     def test_inverse_entries_match_matrix_route(self):
         n = 6
