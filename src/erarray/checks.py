@@ -27,7 +27,7 @@ from .riordan import (
     production_direct,
     production_from_pair,
 )
-from .scalars import ONE, ZERO, PolyZ, Scalar, Z
+from .scalars import ONE, ZERO, PolyZ, Scalar, Z, _integer
 from .sequences import bell_poly, eulerian_poly, named_pair, stirling2
 from .series import Series
 
@@ -115,17 +115,17 @@ def _pair(a) -> tuple:
 
 
 def _lower_is(a, term) -> bool:
-    """Every lower-triangle entry (r, k) of ``a`` is term(r, k)."""
+    """Every lower-triangle entry (r, k) of ``a`` is the integer term(r, k)."""
     return all(
-        a.entries[r][k] == Scalar(term(r, k))
+        _integer(a.entries[r][k]) == term(r, k)
         for r in range(a.order + 1) for k in range(r + 1)
     )
 
 
 def _shows(entries, displayed, rows: int) -> bool:
-    """The displayed rows, those below ``rows``, match ``entries``."""
+    """The displayed integer rows, those below ``rows``, match ``entries``."""
     return all(
-        entries[i][j] == Scalar(v)
+        _integer(entries[i][j]) == v
         for i, row in enumerate(displayed[:rows]) for j, v in enumerate(row)
     )
 

@@ -100,163 +100,135 @@ _TOKEN_NAMES = {
 }
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens: list[tuple[str, str, int]] = []  # (kind, value, offset)
-        self._scan()
+_WORDS = ("x", "z", "exp", "log", "ln")
 
-    def _scan(self):
-        text = self.text
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch in "+-*/^()":
-                self.tokens.append((ch, ch, i))
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                self.tokens.append(("uint", text[i:j], i))
-                i = j
-                continue
-            if ch.isalpha():
-                j = i
-                while j < len(text) and text[j].isalnum():
-                    j += 1
-                word = text[i:j]
-                if word in ("x", "z", "exp", "log", "ln"):
-                    self.tokens.append((word, word, i))
-                    i = j
-                    continue
+
+def _scan(text: str) -> list[tuple[str, str, int]]:
+    """The tokens (kind, value, offset) of ``text``, then one eof token."""
+    tokens = []
+    i, size = 0, len(text)
+    while i < size:
+        ch = text[i]
+        j = i + 1
+        if ch in "+-*/^()":
+            tokens.append((ch, ch, i))
+        elif ch.isdigit():
+            while j < size and text[j].isdigit():
+                j += 1
+            tokens.append(("uint", text[i:j], i))
+        elif ch.isalpha():
+            while j < size and text[j].isalnum():
+                j += 1
+            word = text[i:j]
+            if word not in _WORDS:
                 raise ParseError(i, "'x', 'z', 'exp', 'log' or a number", repr(word))
+            tokens.append((word, word, i))
+        elif not ch.isspace():
             raise ParseError(i, "a token", repr(ch))
-        self.tokens.append(("eof", "", len(text)))
+        i = j
+    tokens.append(("eof", "", size))
+    return tokens
 
 
 class _Parser:
+    """Recursive descent over the token list, read by index: the scan ends
+    with one eof token, which no rule consumes."""
+
     def __init__(self, text: str):
-        self.text = text
-        self.tokens = _Tokenizer(text).tokens
+        self.tokens = _scan(text)
         self.pos = 0
 
-    def peek(self, ahead: int = 0):
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        if tok[0] != "eof":
-            self.pos += 1
-        return tok
+    def fail(self, expected: str):
+        kind, value, offset = self.tokens[self.pos]
+        raise ParseError(offset, expected, "end of input" if kind == "eof" else repr(value))
 
     def expect(self, kind: str):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok[0] != kind:
-            raise ParseError(
-                tok[2],
-                _TOKEN_NAMES.get(kind, f"'{kind}'"),
-                "end of input" if tok[0] == "eof" else repr(tok[1]),
-            )
-        return self.advance()
+            self.fail(_TOKEN_NAMES.get(kind, f"'{kind}'"))
+        self.pos += 1
+        return tok
 
     def parse(self):
         node = self.expr()
-        tok = self.peek()
-        if tok[0] != "eof":
-            raise ParseError(tok[2], "end of input", repr(tok[1]))
+        if self.tokens[self.pos][0] != "eof":
+            self.fail("end of input")
         return node
 
     def expr(self):
         node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
+        tokens = self.tokens
+        while (op := tokens[self.pos][0]) in ("+", "-"):
+            self.pos += 1
             right = self.term()
             node = BinOp(op, node, right, (node.span[0], right.span[1]))
         return node
 
     def term(self):
         node = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
+        tokens = self.tokens
+        while (op := tokens[self.pos][0]) in ("*", "/"):
+            self.pos += 1
             right = self.factor()
             node = BinOp(op, node, right, (node.span[0], right.span[1]))
         return node
 
     def factor(self):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok[0] == "-":
-            self.advance()
+            self.pos += 1
             child = self.factor()
             return Neg(child, (tok[2], child.span[1]))
         node = self.atom()
-        if self.peek()[0] == "^":
-            self.advance()
+        if self.tokens[self.pos][0] == "^":
+            self.pos += 1
             exponent, end = self.exponent()
             node = Pow(node, exponent, (node.span[0], end))
         return node
 
     def exponent(self) -> tuple[int, int]:
-        if self.peek()[0] == "(":
-            self.advance()
+        if self.tokens[self.pos][0] == "(":
+            self.pos += 1
             value, _ = self._sint()
-            closing = self.expect(")")
-            return value, closing[2] + 1
+            return value, self.expect(")")[2] + 1
         return self._sint()
 
     def _sint(self) -> tuple[int, int]:
-        negative = False
-        if self.peek()[0] == "-":
-            self.advance()
-            negative = True
-        tok = self.expect("uint")
-        value = int(tok[1])
-        return (-value if negative else value), tok[2] + len(tok[1])
+        negative = self.tokens[self.pos][0] == "-"
+        if negative:
+            self.pos += 1
+        _, digits, offset = self.expect("uint")
+        value = int(digits)
+        return (-value if negative else value), offset + len(digits)
 
     def atom(self):
-        tok = self.peek()
-        kind, value, offset = tok
+        tokens, pos = self.tokens, self.pos
+        kind, value, offset = tokens[pos]
+        self.pos = pos + 1
         if kind == "uint":
-            self.advance()
-            end = offset + len(value)
-            numerator = int(value)
             # greedy rational literal: uint '/' uint
-            if self.peek()[0] == "/" and self.peek(1)[0] == "uint":
-                self.advance()
-                dtok = self.advance()
-                if int(dtok[1]) == 0:
-                    raise ParseError(dtok[2], "a nonzero denominator", repr(dtok[1]))
-                return Num(
-                    Fraction(numerator, int(dtok[1])), (offset, dtok[2] + len(dtok[1]))
-                )
-            return Num(Fraction(numerator), (offset, end))
+            if tokens[pos + 1][0] == "/" and tokens[pos + 2][0] == "uint":
+                _, digits, start = tokens[pos + 2]
+                self.pos = pos + 3
+                if int(digits) == 0:
+                    raise ParseError(start, "a nonzero denominator", repr(digits))
+                return Num(Fraction(int(value), int(digits)), (offset, start + len(digits)))
+            return Num(Fraction(int(value)), (offset, offset + len(value)))
         if kind == "x":
-            self.advance()
             return VarX((offset, offset + 1))
         if kind == "z":
-            self.advance()
             return VarZ((offset, offset + 1))
         if kind in ("exp", "log", "ln"):
-            self.advance()
             self.expect("(")
             arg = self.expr()
             closing = self.expect(")")
-            func = "log" if kind == "ln" else kind
-            return Call(func, arg, (offset, closing[2] + 1))
+            return Call("log" if kind == "ln" else kind, arg, (offset, closing[2] + 1))
         if kind == "(":
-            self.advance()
             node = self.expr()
             self.expect(")")
             return node
-        raise ParseError(
-            offset,
-            "a number, 'x', 'z', '(', 'exp', 'log' or '-'",
-            "end of input" if kind == "eof" else repr(value),
-        )
+        self.pos = pos
+        self.fail("a number, 'x', 'z', '(', 'exp', 'log' or '-'")
 
 
 def parse(text: str):
@@ -308,43 +280,67 @@ def render(node) -> str:
     raise TypeError(f"not an AST node: {type(node).__name__}")
 
 
-def _eval_node(node, order: int) -> Series:
-    if isinstance(node, Num):
-        return Series.constant(node.value, order)
-    if isinstance(node, VarX):
+def _eval(node, order: int | None):
+    """The value of ``node``: a Scalar when no x occurs in it, else a Series
+    at ``order``, or below it past a valuation-cancelling division.  Order
+    None is the scalar context, where x, exp and log are errors.
+
+    Each x-free subtree is folded once, into a Scalar; a Series times or
+    over one is scaled, and only two Series operands are cut to their
+    common order.
+    """
+    kind = type(node)
+    if kind is Num:
+        return Scalar(node.value)
+    if kind is VarZ:
+        return Z
+    if kind is VarX:
+        if order is None:
+            raise EvalError("x is not allowed in a scalar context", node.span)
         return Series.x(order)
-    if isinstance(node, VarZ):
-        return Series.constant(Z, order)
-    if isinstance(node, Neg):
-        return -_eval_node(node.child, order)
-    if isinstance(node, BinOp):
-        left = _eval_node(node.left, order)
-        right = _eval_node(node.right, order)
-        common = min(left.order, right.order)
-        left, right = left.truncate(common), right.truncate(common)
+    if kind is Neg:
+        return -_eval(node.child, order)
+    if kind is BinOp:
+        left = _eval(node.left, order)
+        right = _eval(node.right, order)
+        op = node.op
+        if type(right) is Series:
+            if type(left) is Scalar:
+                # What the series' reflected methods do, without first
+                # trying the Scalar's own.
+                if op == "*":
+                    return right.scale(left)
+                left = Series.constant(left, right.order)
+            elif left.order != right.order:
+                common = min(left.order, right.order)
+                left, right = left.truncate(common), right.truncate(common)
         try:
-            if node.op == "+":
+            if op == "+":
                 return left + right
-            if node.op == "-":
+            if op == "-":
                 return left - right
-            if node.op == "*":
+            if op == "*":
                 return left * right
             return left / right
         except (ValueError, ZeroDivisionError) as exc:
             raise EvalError(str(exc), node.span) from None
-    if isinstance(node, Pow):
-        base = _eval_node(node.base, order)
+    if kind is Pow:
+        base = _eval(node.base, order)
         try:
             return base**node.exponent
         except (ValueError, ZeroDivisionError) as exc:
             raise EvalError(str(exc), node.span) from None
-    if isinstance(node, Call):
-        arg = _eval_node(node.arg, order)
+    if kind is Call:
+        if order is None:
+            raise EvalError(f"{node.func} is not allowed in a scalar context", node.span)
+        arg = _eval(node.arg, order)
+        if type(arg) is Scalar:
+            arg = Series.constant(arg, order)
         try:
             return arg.exp() if node.func == "exp" else arg.log()
         except ValueError as exc:
             raise EvalError(str(exc), node.span) from None
-    raise TypeError(f"not an AST node: {type(node).__name__}")
+    raise TypeError(f"not an AST node: {kind.__name__}")
 
 
 def eval_series(node, order: int) -> Series:
@@ -359,7 +355,9 @@ def eval_series(node, order: int) -> Series:
         raise ValueError("eval_series needs order >= 1")
     working = order
     for _ in range(8):
-        result = _eval_node(node, working)
+        result = _eval(node, working)
+        if type(result) is Scalar:
+            return Series.constant(result, order)
         if result.order >= order:
             return result.truncate(order)
         working += order - result.order
@@ -368,36 +366,7 @@ def eval_series(node, order: int) -> Series:
 
 def eval_scalar(node) -> Scalar:
     """Evaluate a z-only AST to a Scalar (x and exp/log are rejected)."""
-    if isinstance(node, Num):
-        return Scalar(node.value)
-    if isinstance(node, VarZ):
-        return Z
-    if isinstance(node, VarX):
-        raise EvalError("x is not allowed in a scalar context", node.span)
-    if isinstance(node, Neg):
-        return -eval_scalar(node.child)
-    if isinstance(node, BinOp):
-        left = eval_scalar(node.left)
-        right = eval_scalar(node.right)
-        try:
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            return left / right
-        except ZeroDivisionError as exc:
-            raise EvalError(str(exc), node.span) from None
-    if isinstance(node, Pow):
-        base = eval_scalar(node.base)
-        try:
-            return base**node.exponent
-        except (ValueError, ZeroDivisionError) as exc:
-            raise EvalError(str(exc), node.span) from None
-    if isinstance(node, Call):
-        raise EvalError(f"{node.func} is not allowed in a scalar context", node.span)
-    raise TypeError(f"not an AST node: {type(node).__name__}")
+    return _eval(node, None)
 
 
 def parse_series(text: str, order: int) -> Series:

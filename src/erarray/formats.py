@@ -12,7 +12,7 @@ from math import lcm
 
 from .expr import parse_scalar
 from .orthopoly import JacobiParams, MomentSequence
-from .scalars import PolyZ, Scalar
+from .scalars import PolyZ, Scalar, _integer
 
 
 def _dump(obj) -> str:
@@ -138,22 +138,21 @@ def triangle_to_latex(entries, lower: bool = True) -> str:
 
 def triangle_to_bfile(entries, lower: bool = True) -> str:
     """Flat "n k value" listing; entries must be plain integers."""
-    rows = _as_rows(entries, lower)
     lines = []
-    for n, row in enumerate(rows):
-        for k, cell in enumerate(row):
-            value = _require_integer(cell)
-            lines.append(f"{n} {k} {value}")
+    for n, row in enumerate(entries):
+        for k, cell in enumerate(row[:n + 1] if lower else row):
+            lines.append(f"{n} {k} {_require_integer(cell)}")
     return "\n".join(lines) + "\n"
 
 
-def _require_integer(cell: str) -> int:
-    try:
-        return int(cell)
-    except ValueError:
-        raise ValueError(
-            f"bfile format requires integer entries, got {cell!r}"
-        ) from None
+def _require_integer(cell) -> int:
+    """The integer value of a Scalar cell (an int or Fraction is read as
+    one); anything else is refused, naming the cell as it prints."""
+    s = Scalar._coerce(cell)
+    value = None if s is None else _integer(s)
+    if value is None:
+        raise ValueError(f"bfile format requires integer entries, got {str(cell)!r}")
+    return value
 
 
 # -- sequences --
@@ -176,10 +175,7 @@ def sequence_to_latex(terms) -> str:
 
 
 def sequence_to_bfile(terms) -> str:
-    lines = []
-    for n, t in enumerate(terms):
-        lines.append(f"{n} {_require_integer(str(t))}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(f"{n} {_require_integer(t)}" for n, t in enumerate(terms)) + "\n"
 
 
 def sequence_from_bfile(text: str) -> list[Scalar]:

@@ -100,7 +100,9 @@ class ERArray:
                                                     g.truncate(n - 1) * self.f.derivative()]))
 
     def column(self, k: int) -> tuple[Scalar, ...]:
-        return tuple(self.entries[n][k] for n in range(self.order + 1))
+        """Column k, rows 0..order, off the series g f^k alone (g for k = 0)."""
+        col = self._columns[k] if k else self.g
+        return (ZERO,) * k + tuple(_egf_columns([col], k)[0])
 
     def moments(self) -> tuple[Scalar, ...]:
         """First column: the moment sequence the array generates."""

@@ -614,6 +614,14 @@ def _rational_scalars(ns, d: int) -> list[Scalar]:
     return out
 
 
+def _integer(s: Scalar) -> int | None:
+    """The value of ``s`` as an int, or None when it is not an integer."""
+    p = s.num
+    if s.den is not POLY_ONE or len(p._prim) > 1 or p._den != 1:
+        return None
+    return p._num
+
+
 def _euclid_gcd(a: PolyZ, b: PolyZ) -> PolyZ:
     """Monic gcd by primitive Euclid: every remainder is kept primitive."""
     while not b.is_zero:

@@ -174,12 +174,15 @@ class Series:
         return other - self
 
     def scale(self, factor) -> Series:
-        f = _as_scalar(factor, "a series coefficient")
         q = self._q
-        r = _rational(f) if q else None
-        if r is None:
-            return _series(f * c for c in self.coeffs)
-        n, d = r
+        if q and isinstance(factor, (int, Fraction)):
+            n, d = factor.numerator, factor.denominator
+        else:
+            f = _as_scalar(factor, "a series coefficient")
+            r = _rational(f) if q else None
+            if r is None:
+                return _series(f * c for c in self.coeffs)
+            n, d = r
         return _reduce(q[0] * d, [c * n for c in q[1]])
 
     def __mul__(self, other):
@@ -229,13 +232,19 @@ class Series:
             raise ValueError("series power needs an integer exponent")
         if exponent < 0:
             return (Series.one(self.order) / self) ** (-exponent)
-        result = Series.one(self.order)
+        if not exponent:
+            return Series.one(self.order)
+        # Square up to the lowest set bit, then once per higher bit:
+        # floor(log2 e) + popcount(e) - 1 products.
         base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
+        while not exponent & 1:
             base = base * base
             exponent >>= 1
+        result = base
+        while exponent := exponent >> 1:
+            base = base * base
+            if exponent & 1:
+                result = result * base
         return result
 
     def compose(self, inner: Series) -> Series:
@@ -596,12 +605,13 @@ def _chain(g: Series, f: Series) -> list[Series]:
     return cols
 
 
-def _egf_columns(cols: list[Series]) -> list[list[Scalar]]:
-    """(r!/k!) [x^r] cols[k] for r = k..order, for each k: column k of an
-    array from row k down, and the e.g.f. coefficients of cols[0]."""
+def _egf_columns(cols: list[Series], first: int = 0) -> list[list[Scalar]]:
+    """(r!/k!) [x^r] cols[i] for r = k..order, k = first + i, for each i:
+    column k of an array from row k down, and the e.g.f. coefficients of
+    cols[0] for first = 0."""
     n = cols[0].order
     out = []
-    for k, col in enumerate(cols):
+    for k, col in enumerate(cols, first):
         q = col._q
         cs = q[1] if q else col.coeffs
         column, weight = [], 1  # weight = r!/k!

@@ -19,7 +19,10 @@ Jacobi recovery) chain one ring operation per term, the Stieltjes tableau
 is also kept with one ``dot`` per entry (the route the packed rows
 replaced), the binomial transform
 sums term by term, Jacobi data is recovered from moments by the Stieltjes
-procedure, and the random generators only build inputs.  Scalar sums and products canonicalise the
+procedure, closed forms are parsed by a peek/advance parser and
+evaluated with every leaf a Series (and z-only forms by their own walk),
+a b-file reads each entry back from its string, and the random generators
+only build inputs.  Scalar sums and products canonicalise the
 full cross product by the Euclid gcd.  Each library call computes one
 route; the tests compare it with these.
 """
@@ -33,6 +36,7 @@ from math import comb, factorial
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from erarray.expr import BinOp, Call, EvalError, Neg, Num, ParseError, Pow, VarX, VarZ
 from erarray.hankel import hankel_matrix
 from erarray.orthopoly import JacobiParams, JacobiRecovery, MomentSequence
 from erarray.riordan import ERArray, ProductionMatrix, er_build
@@ -778,6 +782,284 @@ def jacobi_by_stieltjes(moments) -> JacobiRecovery:
         n += 1
     params = JacobiParams(tuple(alpha), tuple(beta), a0=terms[0])
     return JacobiRecovery(params=params, depth=len(alpha), finite_support=finite_support)
+
+
+# Closed forms read and evaluated as before constant folding: a tokenizer
+# object and a parser that calls peek/advance for every token, and an
+# evaluator that makes every leaf a Series (a constant series for a number
+# or z) and cuts both operands of every operation to their common order.
+# The b-file writer formats each entry and reads the integer back.
+
+class _TokenizerByPeek:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens: list[tuple[str, str, int]] = []  # (kind, value, offset)
+        self._scan()
+
+    def _scan(self):
+        text = self.text
+        i = 0
+        while i < len(text):
+            ch = text[i]
+            if ch.isspace():
+                i += 1
+                continue
+            if ch in "+-*/^()":
+                self.tokens.append((ch, ch, i))
+                i += 1
+                continue
+            if ch.isdigit():
+                j = i
+                while j < len(text) and text[j].isdigit():
+                    j += 1
+                self.tokens.append(("uint", text[i:j], i))
+                i = j
+                continue
+            if ch.isalpha():
+                j = i
+                while j < len(text) and text[j].isalnum():
+                    j += 1
+                word = text[i:j]
+                if word in ("x", "z", "exp", "log", "ln"):
+                    self.tokens.append((word, word, i))
+                    i = j
+                    continue
+                raise ParseError(i, "'x', 'z', 'exp', 'log' or a number", repr(word))
+            raise ParseError(i, "a token", repr(ch))
+        self.tokens.append(("eof", "", len(text)))
+
+
+_TOKEN_NAMES = {
+    "+": "'+'", "-": "'-'", "*": "'*'", "/": "'/'", "^": "'^'",
+    "(": "'('", ")": "')'",
+}
+
+
+class _ParserByPeek:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _TokenizerByPeek(text).tokens
+        self.pos = 0
+
+    def peek(self, ahead: int = 0):
+        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        if tok[0] != "eof":
+            self.pos += 1
+        return tok
+
+    def expect(self, kind: str):
+        tok = self.peek()
+        if tok[0] != kind:
+            raise ParseError(
+                tok[2],
+                _TOKEN_NAMES.get(kind, f"'{kind}'"),
+                "end of input" if tok[0] == "eof" else repr(tok[1]),
+            )
+        return self.advance()
+
+    def parse(self):
+        node = self.expr()
+        tok = self.peek()
+        if tok[0] != "eof":
+            raise ParseError(tok[2], "end of input", repr(tok[1]))
+        return node
+
+    def expr(self):
+        node = self.term()
+        while self.peek()[0] in ("+", "-"):
+            op = self.advance()[0]
+            right = self.term()
+            node = BinOp(op, node, right, (node.span[0], right.span[1]))
+        return node
+
+    def term(self):
+        node = self.factor()
+        while self.peek()[0] in ("*", "/"):
+            op = self.advance()[0]
+            right = self.factor()
+            node = BinOp(op, node, right, (node.span[0], right.span[1]))
+        return node
+
+    def factor(self):
+        tok = self.peek()
+        if tok[0] == "-":
+            self.advance()
+            child = self.factor()
+            return Neg(child, (tok[2], child.span[1]))
+        node = self.atom()
+        if self.peek()[0] == "^":
+            self.advance()
+            exponent, end = self.exponent()
+            node = Pow(node, exponent, (node.span[0], end))
+        return node
+
+    def exponent(self) -> tuple[int, int]:
+        if self.peek()[0] == "(":
+            self.advance()
+            value, _ = self._sint()
+            closing = self.expect(")")
+            return value, closing[2] + 1
+        return self._sint()
+
+    def _sint(self) -> tuple[int, int]:
+        negative = False
+        if self.peek()[0] == "-":
+            self.advance()
+            negative = True
+        tok = self.expect("uint")
+        value = int(tok[1])
+        return (-value if negative else value), tok[2] + len(tok[1])
+
+    def atom(self):
+        tok = self.peek()
+        kind, value, offset = tok
+        if kind == "uint":
+            self.advance()
+            end = offset + len(value)
+            numerator = int(value)
+            if self.peek()[0] == "/" and self.peek(1)[0] == "uint":
+                self.advance()
+                dtok = self.advance()
+                if int(dtok[1]) == 0:
+                    raise ParseError(dtok[2], "a nonzero denominator", repr(dtok[1]))
+                return Num(
+                    Fraction(numerator, int(dtok[1])), (offset, dtok[2] + len(dtok[1]))
+                )
+            return Num(Fraction(numerator), (offset, end))
+        if kind == "x":
+            self.advance()
+            return VarX((offset, offset + 1))
+        if kind == "z":
+            self.advance()
+            return VarZ((offset, offset + 1))
+        if kind in ("exp", "log", "ln"):
+            self.advance()
+            self.expect("(")
+            arg = self.expr()
+            closing = self.expect(")")
+            func = "log" if kind == "ln" else kind
+            return Call(func, arg, (offset, closing[2] + 1))
+        if kind == "(":
+            self.advance()
+            node = self.expr()
+            self.expect(")")
+            return node
+        raise ParseError(
+            offset,
+            "a number, 'x', 'z', '(', 'exp', 'log' or '-'",
+            "end of input" if kind == "eof" else repr(value),
+        )
+
+
+def parse_by_peek(text: str):
+    """The AST of ``text``, or its ParseError."""
+    return _ParserByPeek(text).parse()
+
+
+def _eval_by_series(node, order: int) -> Series:
+    if isinstance(node, Num):
+        return Series.constant(node.value, order)
+    if isinstance(node, VarX):
+        return Series.x(order)
+    if isinstance(node, VarZ):
+        return Series.constant(Z, order)
+    if isinstance(node, Neg):
+        return -_eval_by_series(node.child, order)
+    if isinstance(node, BinOp):
+        left = _eval_by_series(node.left, order)
+        right = _eval_by_series(node.right, order)
+        common = min(left.order, right.order)
+        left, right = left.truncate(common), right.truncate(common)
+        try:
+            if node.op == "+":
+                return left + right
+            if node.op == "-":
+                return left - right
+            if node.op == "*":
+                return left * right
+            return left / right
+        except (ValueError, ZeroDivisionError) as exc:
+            raise EvalError(str(exc), node.span) from None
+    if isinstance(node, Pow):
+        base = _eval_by_series(node.base, order)
+        try:
+            return base**node.exponent
+        except (ValueError, ZeroDivisionError) as exc:
+            raise EvalError(str(exc), node.span) from None
+    if isinstance(node, Call):
+        arg = _eval_by_series(node.arg, order)
+        try:
+            return arg.exp() if node.func == "exp" else arg.log()
+        except ValueError as exc:
+            raise EvalError(str(exc), node.span) from None
+    raise TypeError(f"not an AST node: {type(node).__name__}")
+
+
+def eval_series_by_series(node, order: int) -> Series:
+    """The Series of an AST at ``order``, every leaf a Series; raises the
+    working order past valuation-cancelling divisions as ``eval_series``."""
+    if order < 1:
+        raise ValueError("eval_series needs order >= 1")
+    working = order
+    for _ in range(8):
+        result = _eval_by_series(node, working)
+        if result.order >= order:
+            return result.truncate(order)
+        working += order - result.order
+    raise ArithmeticError("expression keeps losing truncation order")
+
+
+def eval_scalar_by_scalars(node) -> Scalar:
+    """The Scalar of a z-only AST, its own walk apart from the series one."""
+    if isinstance(node, Num):
+        return Scalar(node.value)
+    if isinstance(node, VarZ):
+        return Z
+    if isinstance(node, VarX):
+        raise EvalError("x is not allowed in a scalar context", node.span)
+    if isinstance(node, Neg):
+        return -eval_scalar_by_scalars(node.child)
+    if isinstance(node, BinOp):
+        left = eval_scalar_by_scalars(node.left)
+        right = eval_scalar_by_scalars(node.right)
+        try:
+            if node.op == "+":
+                return left + right
+            if node.op == "-":
+                return left - right
+            if node.op == "*":
+                return left * right
+            return left / right
+        except ZeroDivisionError as exc:
+            raise EvalError(str(exc), node.span) from None
+    if isinstance(node, Pow):
+        base = eval_scalar_by_scalars(node.base)
+        try:
+            return base**node.exponent
+        except (ValueError, ZeroDivisionError) as exc:
+            raise EvalError(str(exc), node.span) from None
+    if isinstance(node, Call):
+        raise EvalError(f"{node.func} is not allowed in a scalar context", node.span)
+    raise TypeError(f"not an AST node: {type(node).__name__}")
+
+
+def triangle_to_bfile_by_strings(entries, lower: bool = True) -> str:
+    """"n k value" lines, each value read back as ``int(str(entry))``."""
+    lines = []
+    for n, row in enumerate(entries):
+        for k, entry in enumerate(row[:n + 1] if lower else row):
+            cell = str(entry)
+            try:
+                value = int(cell)
+            except ValueError:
+                raise ValueError(
+                    f"bfile format requires integer entries, got {cell!r}"
+                ) from None
+            lines.append(f"{n} {k} {value}")
+    return "\n".join(lines) + "\n"
 
 
 def random_scalar(rng: random.Random, with_z: bool = False) -> Scalar:

@@ -10,7 +10,9 @@ name the rows that carry them.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from math import comb, factorial
+from types import SimpleNamespace
 
 import pytest
 
@@ -161,6 +163,36 @@ def test_inverse_row_reads_the_last_coefficient(monkeypatch, target, delta):
     monkeypatch.setattr(checks, "er_inverse", off)
     failed = [name for name, ok, _ in SUITES[target](6) if not ok]
     assert len(failed) == 1 and failed[0].startswith(f"{target}: inverse array is")
+
+
+def test_integer_rows_read_every_cell(monkeypatch):
+    # One expected cell off by one must fail the rows that read it and no
+    # other: the (signed) Laguerre terms in the examples and at z = 1 in
+    # thm2, and a displayed Charlier row.
+    real = checks._laguerre
+    monkeypatch.setattr(checks, "_laguerre", lambda r, k: real(r, k) + ((r, k) == (4, 2)))
+    monkeypatch.setattr(checks, "CHARLIER_ROWS", checks.CHARLIER_ROWS[:3] + ((1, 8, 7, 1),))
+    failed = [name for target in ("thm2", "examples")
+              for name, ok, _ in SUITES[target](6) if not ok]
+    assert failed == [
+        "thm2: entries at z = 1 equal the Laguerre-type array (n!/k!) C(n,k)",
+        "thm2: inverse entries at z = 1 are the signed Laguerre coefficients",
+        "examples: [1/(1-x), x/(1-x)] has general term (n!/k!) C(n,k)",
+        "examples: inverse of [1/(1-x), x/(1-x)] is the signed Laguerre array",
+        "examples: [e^x, log(1/(1-x))] matches the displayed rows",
+    ]
+
+
+@pytest.mark.parametrize("entry", [Scalar(Fraction(1, 2)), Scalar(Fraction(3, 2)), Z, Z / (Z + 1)])
+def test_integer_rows_refuse_a_non_integer_entry(entry):
+    # Each expected value is the integer part of the entry, or z's value at
+    # 0 or 1, so only reading the entry as an integer can fail the row.
+    entries = ((ONE, ZERO), (entry, ONE))
+    array = SimpleNamespace(order=1, entries=entries)
+    for term in (0, 1):
+        assert not checks._lower_is(array, lambda r, k: term if (r, k) == (1, 0) else int(r == k))
+        assert not checks._shows(entries, ((1,), (term, 1)), 2)
+    assert checks._shows(((ONE, ZERO), (Scalar(3), ONE)), ((1,), (3, 1)), 2)
 
 
 def test_criterion_10_z1_reduction(suite):

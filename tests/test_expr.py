@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from erarray.expr import (
     BinOp,
@@ -14,6 +17,7 @@ from erarray.expr import (
     Pow,
     VarX,
     VarZ,
+    eval_scalar,
     eval_series,
     parse,
     parse_scalar,
@@ -23,6 +27,8 @@ from erarray.expr import (
 from erarray.scalars import ONE, ZERO, Scalar, Z
 from erarray.sequences import NAMED_PAIR_NAMES, named_pair
 from erarray.series import Series
+
+from oracles import eval_scalar_by_scalars, eval_series_by_series, parse_by_peek
 
 S = (0, 0)  # spans are ignored in comparisons
 
@@ -200,3 +206,118 @@ class TestEvalScalar:
         for s in (Z**2 - 1, (Z + 2) / (Z**2 - 1), Scalar(Fraction(1, 2)) * Z - 1,
                   ZERO, -Z, -Z**2 + 1, (-Z**3) / (Z + 1)):
             assert parse_scalar(str(s)) == s
+
+
+# Differential tests against the parser and evaluator before constant
+# folding (tests/oracles.py).  Texts come from the grammar, with z,
+# rational literals (a zero denominator among them), unary minus, zero and
+# negative exponents, constant subexpressions that are zero, exp and log of
+# constants, and valuation-cancelling divisions; then with one character
+# dropped or inserted.
+
+_LEAVES = st.one_of(
+    st.integers(0, 12).map(str),
+    st.builds("{}/{}".format, st.integers(0, 9), st.sampled_from([1, 2, 3, 4, 0])),
+    st.sampled_from(["x", "z", "x^2", "(1-1)", "(z-z)", "(exp(x)-1)", "(1+z)", "(x-x^2)/x"]),
+)
+_EXPONENTS = st.sampled_from(["0", "1", "2", "3", "(-1)", "(-2)", "-1", "(0)"])
+
+
+def _extend(inner):
+    return st.one_of(
+        st.builds("{}{}{}".format, inner, st.sampled_from(["+", "-", "*", "/", " / ", " - "]),
+                  inner),
+        st.builds("({})".format, inner),
+        st.builds("-{}".format, inner),
+        st.builds("{}({})".format, st.sampled_from(["exp", "log", "ln"]), inner),
+        st.builds("({})^{}".format, inner, _EXPONENTS),
+        st.builds("{}^{}".format, _LEAVES, _EXPONENTS),
+    )
+
+
+_TEXTS = st.recursive(_LEAVES, _extend, max_leaves=8)
+
+
+@st.composite
+def _edited(draw):
+    """A grammar text with one character dropped or inserted."""
+    text = draw(_TEXTS)
+    i = draw(st.integers(0, len(text) - 1))
+    if draw(st.booleans()):
+        return text[:i] + text[i + 1:]
+    return text[:i] + draw(st.sampled_from("xz+-*/^()0123 el!")) + text[i:]
+
+
+_DIFFERENTIAL = settings(deadline=None, max_examples=150, derandomize=True)
+
+
+def _same_parse(text):
+    """parse(text) gives the oracle's AST, spans included, or its
+    ParseError; returns the AST or None."""
+    try:
+        want = parse_by_peek(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse(text)
+        assert (got.value.offset, got.value.expected, got.value.found) == (
+            exc.offset, exc.expected, exc.found)
+        return None
+    got = parse(text)
+    assert got == want and astuple(got) == astuple(want)
+    return got
+
+
+def _same_outcome(ours, oracle):
+    """Both give equal values, or exceptions of one class; an EvalError
+    over the same span and with the same message, except that a constant
+    divisor of zero may now say "scalar division by zero"."""
+    try:
+        want = oracle()
+    except (ValueError, ArithmeticError) as exc:
+        with pytest.raises(type(exc)) as got:
+            ours()
+        assert type(got.value) is type(exc)
+        if isinstance(exc, EvalError):
+            assert got.value.span == exc.span
+            if "division by zero" not in str(exc):
+                assert str(got.value) == str(exc)
+        return
+    assert ours() == want
+
+
+class TestAgainstOracle:
+    @_DIFFERENTIAL
+    @given(text=_TEXTS, order=st.integers(1, 5))
+    def test_grammar_texts(self, text, order):
+        ast = _same_parse(text)
+        if ast is not None:
+            _same_outcome(lambda: eval_series(ast, order),
+                          lambda: eval_series_by_series(ast, order))
+            _same_outcome(lambda: eval_scalar(ast), lambda: eval_scalar_by_scalars(ast))
+
+    @_DIFFERENTIAL
+    @given(text=_edited(), order=st.integers(1, 4))
+    def test_edited_texts(self, text, order):
+        ast = _same_parse(text)
+        if ast is not None:
+            _same_outcome(lambda: eval_series(ast, order),
+                          lambda: eval_series_by_series(ast, order))
+
+    @pytest.mark.parametrize("text", ["x/(1-1)", "z/(z-z)+x", "(1-1)^(-1)", "x/(x-x)", "1/x",
+                                      "exp(1)", "log(z)", "exp(z-z)*x", "log(1/(1-x+x))",
+                                      "(exp(x)-1)/x", "x^2/x^2", "z^(-2)*x", "3/0", "x^(-1)"])
+    def test_edge_cases(self, text):
+        ast = _same_parse(text)
+        if ast is not None:
+            _same_outcome(lambda: eval_series(ast, 4), lambda: eval_series_by_series(ast, 4))
+            _same_outcome(lambda: eval_scalar(ast), lambda: eval_scalar_by_scalars(ast))
+
+    def test_constant_divisor_of_zero(self):
+        # The only message that changed: a constant subexpression that
+        # divides by zero is now a Scalar division.
+        with pytest.raises(EvalError, match="scalar division by zero") as err:
+            parse_series("z/(z-z)+x", 4)
+        assert err.value.span == (0, 6)
+        with pytest.raises(EvalError, match="series division by zero") as err:
+            parse_series("x/(1-1)", 4)
+        assert err.value.span == (0, 6)

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 from erarray import formats
 from erarray.expr import parse_scalar
 from erarray.orthopoly import JacobiParams
-from erarray.riordan import er_build, production_from_pair
+from erarray.riordan import er_build, er_inverse, production_from_pair
 from erarray.scalars import ONE, ZERO, PolyZ, Scalar, Z
 from erarray.sequences import named_pair
 
-from oracles import ORACLE_SETTINGS, poly_scalars, rational_scalars
+from oracles import (ORACLE_SETTINGS, poly_scalars, rational_scalars,
+                     triangle_to_bfile_by_strings)
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +69,45 @@ class TestTriangleFormats:
         text = formats.triangle_to_json(p.entries[:4], lower=False)
         data = json.loads(text)
         assert data["rows"][0] == ["z", "1", "0", "0", "0"]
+
+
+def _bfile_outcome(write, entries, lower=True):
+    try:
+        return write(entries, lower=lower)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestBfileIntegers:
+    """The b-file writers read each entry's integer directly and give the
+    text, or the error, of formatting the entry and reading it back."""
+
+    @pytest.mark.parametrize("name", ["stirling2", "laguerre", "charlier", "sets_of_lists"])
+    def test_arrays_match_the_string_route(self, name):
+        a = er_build(*named_pair(name, 9))
+        for entries in (a.entries, er_inverse(a).entries):
+            text = formats.triangle_to_bfile(entries)
+            assert text == triangle_to_bfile_by_strings(entries)
+        p = production_from_pair(a).entries
+        assert formats.triangle_to_bfile(p, lower=False) == triangle_to_bfile_by_strings(
+            p, lower=False)
+
+    def test_large_integers(self):
+        entries = ((Scalar(-(10 ** 40)),), (Scalar(3 ** 90), ONE))
+        assert formats.triangle_to_bfile(entries) == triangle_to_bfile_by_strings(entries)
+
+    @pytest.mark.parametrize("cell", [Scalar(Fraction(1, 2)), Scalar(Fraction(-7, 3)), Z,
+                                      Z / (Z + 1), "pole at z = 1", 2 * Z - 1])
+    def test_non_integer_error_text(self, cell, thm1_array):
+        entries = ((ONE,), (cell, ONE))
+        got = _bfile_outcome(formats.triangle_to_bfile, entries)
+        assert got == _bfile_outcome(triangle_to_bfile_by_strings, entries)
+        assert got == f"ValueError: bfile format requires integer entries, got {str(cell)!r}"
+        with pytest.raises(ValueError) as err:
+            formats.sequence_to_bfile([ONE, cell])
+        assert str(err.value) == got.removeprefix("ValueError: ")
+        assert _bfile_outcome(formats.triangle_to_bfile, thm1_array.entries) == _bfile_outcome(
+            triangle_to_bfile_by_strings, thm1_array.entries)
 
 
 class TestSequenceFormats:

@@ -33,3 +33,10 @@ def test_series_routes_agree():
     # --check, under the lowest int-to-str digit limit.
     bench = _load("series_route")
     bench.check([case for case in bench.CASES if case[3] <= 32])
+
+
+def test_parse_routes_agree():
+    # Orders 6 and 12 only: order 32 runs in CI through the script's
+    # --check, under the lowest int-to-str digit limit.
+    bench = _load("parse_route")
+    bench.check([case for case in bench.CASES if case[2] <= 12])

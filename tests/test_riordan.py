@@ -187,6 +187,36 @@ class TestBuild:
         assert [er_build(g, f).entries for g, f in pairs] == expected
 
 
+class TestColumns:
+    """A column is read off its series g f^k, never off the entries; the
+    moments, column 0, off g alone."""
+
+    @staticmethod
+    def _pairs(data):
+        n = data.draw(st.integers(1, 8))
+        g, f = draw_general_pair(data, n, rational_scalars, rational_leads)
+        zg, zf = draw_rational_pair(data, n)
+        return [named_pair("thm1", n), named_pair("thm2", n), (g, f), (Series(zg), Series(zf))]
+
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_moments_build_neither_entries_nor_columns(self, data):
+        for g, f in self._pairs(data):
+            a = er_build(g, f)
+            moments = a.moments()
+            assert "entries" not in a.__dict__ and "_columns" not in a.__dict__
+            assert moments == tuple(row[0] for row in er_build(g, f).entries)
+
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_every_column_equals_the_entries(self, data):
+        for g, f in self._pairs(data):
+            a = er_build(g, f)
+            columns = [a.column(k) for k in range(a.order + 1)]
+            assert "entries" not in a.__dict__
+            assert columns == [tuple(row[k] for row in a.entries) for k in range(a.order + 1)]
+
+
 class TestGroupLaw:
     def test_binomial_squared(self):
         n = 6

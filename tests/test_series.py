@@ -267,6 +267,43 @@ class TestAgainstOracles:
         assert f.revert() == revert_newton(f)
 
 
+class TestPower:
+    """Binary powering starts from the lowest set bit of the exponent and
+    squares no further than its highest."""
+
+    @pytest.mark.parametrize("e, products", [(0, 0), (1, 0), (2, 1), (5, 3), (6, 3), (-1, 0),
+                                             (-2, 1)])
+    def test_product_count(self, monkeypatch, e, products):
+        g = geometric(6)
+        calls = []
+        real = Series.__mul__
+
+        def counting(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(Series, "__mul__", counting)
+        g ** e
+        assert len(calls) == products
+
+    @pytest.mark.parametrize("scalars, max_order", [(zfree_scalars, 12), (poly_scalars, 6),
+                                                    (rational_scalars, 4)],
+                             ids=["z-free", "polynomial", "rational"])
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_matches_repeated_products(self, scalars, max_order, data):
+        n = data.draw(st.integers(0, max_order))
+        e = data.draw(st.integers(-3, 7))
+        a = data.draw(series_of(scalars, n))
+        if e < 0 and a.coefficient(0).is_zero:
+            a = a + 1
+        base = a if e >= 0 else Series.one(n) / a
+        expected = Series.one(n)
+        for _ in range(abs(e)):
+            expected = expected * base
+        assert a ** e == expected
+
+
 def on_both_routes(op, *operands):
     """op on z-free operands, once on their integer form and once on the
     same coefficients over Scalars; the results must be equal, and the
