@@ -146,10 +146,18 @@ def triangle_to_bfile(entries, lower: bool = True) -> str:
 
 
 def _require_integer(cell) -> int:
-    """The integer value of a Scalar cell (an int or Fraction is read as
-    one); anything else is refused, naming the cell as it prints."""
+    """The integer value of a cell: a Scalar (or an int, Fraction or PolyZ)
+    is read directly, anything else as ``int(str(cell))``, so a string that
+    spells an integer is written.  A non-integer is refused, naming the
+    cell as it prints."""
     s = Scalar._coerce(cell)
-    value = None if s is None else _integer(s)
+    if s is not None:
+        value = _integer(s)
+    else:
+        try:
+            value = int(str(cell))
+        except ValueError:
+            value = None
     if value is None:
         raise ValueError(f"bfile format requires integer entries, got {str(cell)!r}")
     return value

@@ -174,15 +174,12 @@ class Series:
         return other - self
 
     def scale(self, factor) -> Series:
+        f = _as_scalar(factor, "a series coefficient")
         q = self._q
-        if q and isinstance(factor, (int, Fraction)):
-            n, d = factor.numerator, factor.denominator
-        else:
-            f = _as_scalar(factor, "a series coefficient")
-            r = _rational(f) if q else None
-            if r is None:
-                return _series(f * c for c in self.coeffs)
-            n, d = r
+        r = _rational(f) if q else None
+        if r is None:
+            return _series(f * c for c in self.coeffs)
+        n, d = r
         return _reduce(q[0] * d, [c * n for c in q[1]])
 
     def __mul__(self, other):

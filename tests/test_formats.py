@@ -92,6 +92,15 @@ class TestBfileIntegers:
         assert formats.triangle_to_bfile(p, lower=False) == triangle_to_bfile_by_strings(
             p, lower=False)
 
+    @pytest.mark.parametrize("cell", ["5", " -12 ", 7, Fraction(6, 2)])
+    def test_cells_that_spell_integers(self, cell):
+        # A string cell is read as int(cell), as formatting and reading
+        # back always did; an int or integral Fraction is read directly.
+        entries = ((ONE,), (cell, ONE))
+        text = formats.triangle_to_bfile(entries)
+        assert text == triangle_to_bfile_by_strings(entries)
+        assert formats.sequence_to_bfile([ONE, cell]) == f"0 1\n1 {int(str(cell))}\n"
+
     def test_large_integers(self):
         entries = ((Scalar(-(10 ** 40)),), (Scalar(3 ** 90), ONE))
         assert formats.triangle_to_bfile(entries) == triangle_to_bfile_by_strings(entries)
