@@ -115,10 +115,10 @@ def triangle_to_json(entries, lower: bool = True) -> str:
 
 def triangle_from_json(text: str):
     data = json.loads(text)
-    return tuple(
-        tuple(_read_cell(f"row {n} entry {k}", cell) for k, cell in enumerate(row))
-        for n, row in enumerate(data["rows"])
-    )
+    if not isinstance(data, dict) or not isinstance(data.get("rows"), list):
+        raise ValueError('triangle JSON must be an object with a "rows" list')
+    return tuple(tuple(_read_list(f"row {n}", f"row {n} entry", row))
+                 for n, row in enumerate(data["rows"]))
 
 
 def triangle_to_plain(entries, lower: bool = True) -> str:

@@ -33,13 +33,13 @@ Two exact kernels sit on top, for values in Q(z): ``dot``, the fused sum
 of products that the Chebyshev tableau, the binomial transform, and the
 products, quotients, exponentials and compositions of series over Q(z)
 run on, with the group law of arrays over Q(z); and ``solve_lower``, the
-one forward substitution, which the production data of arrays over Q(z),
-``production_direct``, triangular inverses and series reversion call.
-``riordan`` calls ``solve_lower`` itself only in ``production_direct``;
-its other operations reach both kernels through those of ``series``.
-z-free series and arrays call neither, except through composition,
-reversion and ``production_direct``, which run on Scalars whatever their
-input.
+one forward substitution, which the production data of arrays and the
+reversion of series over Q(z), ``production_direct`` and triangular
+inverses call.  ``riordan`` calls ``solve_lower`` itself only in
+``production_direct``; its other operations, and series composition and
+reversion, reach both kernels through those of ``series``.  z-free series
+and arrays call neither, except through ``production_direct``, which runs
+on Scalars whatever its input.
 """
 
 from __future__ import annotations

@@ -16,8 +16,7 @@ both operands have it, ``+``, ``-``, negation, rational ``scale``, ``*``,
 again, and the ``Scalar`` coefficients are built once, on first read of
 ``coeffs``.  A series with z anywhere in it, and every operation with such
 an operand, runs on ``Scalar``s through the exact kernels of ``scalars``:
-``dot``, and ``solve_lower`` for reversion.  Composition and reversion run
-on ``Scalar``s whatever the input.
+``dot``, and ``solve_lower`` for the triangular solve.
 
 The form is known to this module only.  ``riordan`` keeps an array's
 columns g f^k as series and calls the private kernels at the end of this
@@ -25,7 +24,10 @@ module for every array operation: the chain of columns, the entries
 (r!/k!) [x^r] g f^k, linear combinations of the columns, the triangular
 solve against them and the coefficients of several series over one
 denominator.  Each kernel runs on ints when every series it reads holds
-the form, and on ``Scalar``s otherwise.
+the form, and on ``Scalar``s otherwise.  ``compose`` and ``revert`` run on
+the same kernels, over the columns f^k of [1, f]: composition is one
+combination of them and reversion one solve against them, so on z-free
+operands both run on ints.
 """
 
 from __future__ import annotations
@@ -247,35 +249,31 @@ class Series:
     def compose(self, inner: Series) -> Series:
         """outer(inner(x)) truncated; inner must have zero constant term.
 
-        Reads [x^m] outer(inner) = sum_k a_k [x^m] inner^k off a table of
-        the powers of inner: at most order - 1 series products plus an
-        O(order^2) coefficient sum.
+        By the fundamental theorem of Riordan arrays, outer(inner) is the
+        image of outer under the columns inner^k of [1, inner], which stop
+        at outer's last nonzero index: one chain of columns and one
+        combination of them.
         """
         self._check_order(inner)
-        if not inner.coeffs[0].is_zero:
+        if inner.valuation() == 0:
             raise ValueError("composition needs valuation >= 1")
-        return _compose_powers(self, _powers(inner, _degree(self)))
+        q = self._q
+        top = max((k for k, c in enumerate(q[1] if q else self.coeffs) if c), default=0)
+        return _combine(_chain(Series.one(self.order), inner, top), [self])[0]
 
     def revert(self) -> Series:
         """Compositional inverse by Lagrange inversion in matrix form.
 
-        Needs f(0) = 0 and f'(0) != 0.  With the powers f^k tabled once
-        (order - 2 series products), x = sum_k b_k f^k is one triangular
-        solve, row m reading sum_{k<=m} b_k [x^m] f^k = [m = 1], with the
-        diagonal [x^m] f^m = f_1^m.  The solve is exact, so the result g
-        satisfies f(g) = x to the full order; the tests check that round
+        Needs f(0) = 0 and f'(0) != 0.  x = sum_k b_k f^k is one triangular
+        solve against the columns f^k of [1, f], whose diagonal entries
+        [x^m] f^m = f_1^m are nonzero.  The solve is exact, so the result
+        g satisfies f(g) = x to the full order; the tests check that round
         trip and compare with Newton reversion.
         """
         n = self.order
-        f = self.coeffs
-        if n < 1 or not f[0].is_zero or f[1].is_zero:
+        if n < 1 or self.valuation() != 1:
             raise ValueError("not revertible")
-        fpow = _powers(self, n - 1)
-        # Row i is m = i + 1, unknown i is b_{i+1}.
-        rows = [[fpow[k].coeffs[m] for k in range(1, m)] + [f[1] ** m]
-                for m in range(1, n + 1)]
-        unit = [(ONE,)] + [(ZERO,)] * (n - 1)
-        return _series([ZERO] + [x[0] for x in solve_lower(rows, unit)])
+        return _solve_columns(_chain(Series.one(n), self), [Series.x(n)])[0]
 
     def exp(self) -> Series:
         """Formal exponential via E' = a'E; needs zero constant term."""
@@ -534,61 +532,32 @@ def _support(coeffs) -> list[int]:
     return [k for k, c in enumerate(coeffs) if not c.is_zero]
 
 
-def _degree(a: Series) -> int:
-    """Index of the last nonzero coefficient (0 for the zero series)."""
-    for k in range(a.order, 0, -1):
-        if not a.coeffs[k].is_zero:
-            return k
-    return 0
-
-
-def _powers(inner: Series, count: int) -> list[Series]:
-    """inner^0 .. inner^count at inner's order: count - 1 series products."""
-    table = [Series.one(inner.order)]
-    if count >= 1:
-        table.append(inner)
-    for _ in range(count - 1):
-        table.append(table[-1] * inner)
-    return table
-
-
-def _compose_powers(outer: Series, powers: list[Series]) -> Series:
-    """sum_k a_k inner^k truncated, from a table of the powers of inner.
-
-    inner has zero constant term, so inner^k starts at x^k and row m needs
-    only k <= m; the table may stop at the last nonzero a_k.
-    """
-    a = outer.coeffs
-    top = len(powers) - 1
-    ka = [k for k in _support(a) if k <= top]
-    return _series(dot([(a[k], powers[k].coeffs[m]) for k in ka if k <= m])
-                   for m in range(outer.order + 1))
-
-
 # Kernels of the array operations of ``riordan``, on the columns g f^k of
 # an array: each runs on ints when every series it reads holds the integer
 # form, and on Scalars otherwise.
 
-def _chain(g: Series, f: Series) -> list[Series]:
-    """g f^k for k = 0..order, each from the last: g f^k = (g f^(k-1)) f.
+def _chain(g: Series, f: Series, top: int | None = None) -> list[Series]:
+    """g f^k for k = 0..top (top = order by default), each from the last:
+    g f^k = (g f^(k-1)) f.
 
     On ints, g f^k is held over one denominator D_k = D_(k-1) d_f, reduced
     by the gcd of the column, and [x^m] g f^k = sum_i [x^i] g f^(k-1) f_(m-i)
     runs only over the band max(k-1, m-t) <= i < m, since f(0) = 0 and
-    f_j = 0 past the last nonzero index t (t = 1 for f = x).  Otherwise it
-    is a chain of series products.
+    f_j = 0 past the last nonzero index t (t = 1 for f = x, and t = 0 for
+    f = 0).  Otherwise it is a chain of series products.
     """
     n = g.order
+    top = n if top is None else top
     cols = [g]
     if not (g._q and f._q):
-        for _ in range(n):
+        for _ in range(top):
             cols.append(cols[-1] * f)
         return cols
     d, col = g._q
     df, fs = f._q
-    t = max(j for j, c in enumerate(fs) if c)
+    t = max((j for j, c in enumerate(fs) if c), default=0)
     rf = fs[::-1]  # rf[n - j] = f_j
-    for k in range(1, n + 1):
+    for k in range(1, top + 1):
         prev, col = col, [0] * (n + 1)
         for m in range(k, n + 1):
             lo = max(k - 1, m - t)

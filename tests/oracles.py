@@ -5,12 +5,14 @@ polynomial kernel is a tuple of Fractions with schoolbook loops, the
 determinants are cofactor expansion and fraction-field elimination, the
 Hankel transform is one fraction-free elimination of the largest Hankel
 matrix, Bell numbers come from the binomial recurrence, composition is
-Horner's rule, an array is built from full series products g f^k, the
-group law composes through a table of the powers of f,
-the thm2 pair is divided as rational functions, reversion is Newton
-iteration, an array acts on a sequence through e.g.f.s, an array is
-specialised at a value of z entry by entry, the production
-series and the inverse array compose with the reversion of f, production
+Horner's rule and also reads a table of the powers of the inner series,
+an array is built from full series products g f^k, the group law
+composes through a table of the powers of f, the thm2 pair is divided as
+rational functions, reversion is Newton iteration and also Lagrange
+inversion over a table of powers, an array acts on a sequence through
+e.g.f.s, an array is specialised at a value of z entry by entry, the
+production series and the inverse array compose with the reversion of f,
+both by the tables of powers, production
 matrices are read off the bivariate generating function, triangular
 matrices are inverted column by column, moments come from inverting the
 monic coefficient array of the three-term recurrence, both tableaux (the
@@ -41,8 +43,8 @@ from erarray.hankel import hankel_matrix
 from erarray.orthopoly import JacobiParams, JacobiRecovery, MomentSequence
 from erarray.riordan import ERArray, ProductionMatrix, er_build
 from erarray.scalars import (ONE, POLY_ONE, POLY_ZERO, ZERO, PolyZ, Scalar, Z, _as_scalar,
-                             _clear_denominators, _polynomial, dot)
-from erarray.series import Series, _compose_powers, _degree, _powers, _series
+                             _clear_denominators, _polynomial, dot, solve_lower)
+from erarray.series import Series, _series
 
 
 # The polynomial kernel as a tuple of Fractions, the differential oracle for
@@ -457,12 +459,71 @@ def eval_z_by_entries(a: ERArray, v) -> tuple[tuple[Scalar, ...], ...]:
     return tuple(tuple(Scalar(e.eval_z(v)) for e in row) for row in a.entries)
 
 
+def _degree(a: Series) -> int:
+    """Index of the last nonzero coefficient (0 for the zero series)."""
+    for k in range(a.order, 0, -1):
+        if not a.coeffs[k].is_zero:
+            return k
+    return 0
+
+
+def _powers(inner: Series, count: int) -> list[Series]:
+    """inner^0 .. inner^count at inner's order: count - 1 series products."""
+    table = [Series.one(inner.order)]
+    if count >= 1:
+        table.append(inner)
+    for _ in range(count - 1):
+        table.append(table[-1] * inner)
+    return table
+
+
+def _compose_powers(outer: Series, powers: list[Series]) -> Series:
+    """sum_k a_k inner^k truncated, from a table of the powers of inner.
+
+    inner has zero constant term, so inner^k starts at x^k and row m needs
+    only k <= m; the table may stop at the last nonzero a_k.
+    """
+    a = outer.coeffs
+    top = len(powers) - 1
+    ka = [k for k in range(top + 1) if not a[k].is_zero]
+    return _series(dot([(a[k], powers[k].coeffs[m]) for k in ka if k <= m])
+                   for m in range(outer.order + 1))
+
+
+def compose_by_powers(outer: Series, inner: Series) -> Series:
+    """outer(inner(x)) truncated, read off a table of the powers of inner
+    up to outer's last nonzero index, on Scalars whatever the input."""
+    outer._check_order(inner)
+    if not inner.coeffs[0].is_zero:
+        raise ValueError("composition needs valuation >= 1")
+    return _compose_powers(outer, _powers(inner, _degree(outer)))
+
+
+def revert_by_powers(f: Series) -> Series:
+    """Compositional inverse by Lagrange inversion over a table of powers.
+
+    With the powers f^k tabled (order - 2 series products), x = sum_k b_k f^k
+    is one triangular solve, row m reading sum_{k<=m} b_k [x^m] f^k = [m = 1],
+    with the diagonal [x^m] f^m = f_1^m.
+    """
+    n = f.order
+    fc = f.coeffs
+    if n < 1 or not fc[0].is_zero or fc[1].is_zero:
+        raise ValueError("not revertible")
+    fpow = _powers(f, n - 1)
+    # Row i is m = i + 1, unknown i is b_{i+1}.
+    rows = [[fpow[k].coeffs[m] for k in range(1, m)] + [fc[1] ** m]
+            for m in range(1, n + 1)]
+    unit = [(ONE,)] + [(ZERO,)] * (n - 1)
+    return _series([ZERO] + [x[0] for x in solve_lower(rows, unit)])
+
+
 def production_cr_by_reversion(a: ERArray) -> tuple[Series, Series]:
     """c = (g'/g) o fbar and r = f' o fbar, with fbar the reversion of f."""
     n = a.order
-    fbar = a.f.revert().truncate(n - 1)
-    return (a.g.derivative() / a.g.truncate(n - 1)).compose(fbar), \
-        a.f.derivative().compose(fbar)
+    fbar = revert_by_powers(a.f).truncate(n - 1)
+    return compose_by_powers(a.g.derivative() / a.g.truncate(n - 1), fbar), \
+        compose_by_powers(a.f.derivative(), fbar)
 
 
 def er_build_by_series_products(g: Series, f: Series) -> ERArray:
@@ -485,8 +546,8 @@ def er_build_by_series_products(g: Series, f: Series) -> ERArray:
 
 def er_inverse_by_reversion(a: ERArray) -> ERArray:
     """The group inverse [1/(g o fbar), fbar], with fbar the reversion of f."""
-    fbar = a.f.revert()
-    return er_build(Series.one(a.order) / a.g.compose(fbar), fbar)
+    fbar = revert_by_powers(a.f)
+    return er_build(Series.one(a.order) / compose_by_powers(a.g, fbar), fbar)
 
 
 def er_mul_by_powers(a: ERArray, b: ERArray) -> ERArray:

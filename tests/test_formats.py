@@ -35,6 +35,16 @@ class TestTriangleFormats:
         for n, row in enumerate(reparsed):
             assert row == thm1_array.entries[n][: n + 1]
 
+    @pytest.mark.parametrize("text, message", [
+        ("[]", 'an object with a "rows" list'),
+        ("{}", 'an object with a "rows" list'),
+        ('{"rows": [1]}', "row 0 must be a list of terms, got an integer"),
+        ('{"rows": [["1"], ["z", 0.5]]}', "row 1 entry 1: expected a string or an integer"),
+    ])
+    def test_json_malformed(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            formats.triangle_from_json(text)
+
     def test_json_schema_fields(self, thm1_array):
         data = json.loads(formats.triangle_to_json(thm1_array.entries))
         assert data["order"] == 4

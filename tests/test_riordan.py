@@ -258,17 +258,14 @@ class TestGroupLaw:
             er_mul(identity(4), identity(5))
 
     def test_never_composes(self, monkeypatch):
-        # The group law reads the left factor's rows; no powers table of f.
+        # The group law combines the left factor's columns; it never
+        # composes or reverts a series.
         a = er_build(*named_pair("thm2", 6))
         b = er_build(*named_pair("charlier", 6))
         expected = er_mul_by_powers(a, b)
         calls = []
-        monkeypatch.setattr(Series, "compose", lambda *args: calls.append("compose"))
-        # A copy of _powers imported by name into riordan would bypass the
-        # patch of series._powers, so any such copy is patched too.
-        for module in (series, riordan):
-            monkeypatch.setattr(module, "_powers", lambda *args: calls.append("_powers"),
-                                raising=False)
+        for name in ("revert", "compose"):
+            monkeypatch.setattr(Series, name, lambda *args, name=name: calls.append(name))
         assert er_mul(a, b) == expected
         er_power(a, 3)
         er_power(b, -2)

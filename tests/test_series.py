@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from erarray import series
 from erarray.expr import parse_series
 from erarray.scalars import ONE, ZERO, Scalar, Z
 from erarray.series import Series, _rational_form
 
 from oracles import (
     ORACLE_SETTINGS,
+    compose_by_powers,
     compose_horner,
     over_scalars,
     poly_scalars,
@@ -21,18 +23,19 @@ from oracles import (
     random_series,
     rational_leads,
     rational_scalars,
+    revert_by_powers,
     revert_newton,
     series_of,
     zfree_scalars,
     zfree_series,
 )
 
-# z-polynomial coefficients up to order 8, rational functions of z up to
-# order 6, f'(0) a rational: the Newton oracle takes seconds to minutes per
-# case beyond that.
+# Rational constants up to order 12, z-polynomial coefficients up to order
+# 8, rational functions of z up to order 6, f'(0) a rational: the Newton
+# oracle takes seconds to minutes per case beyond that.
 COEFFICIENT_KINDS = pytest.mark.parametrize(
-    "scalars, max_order", [(poly_scalars, 8), (rational_scalars, 6)],
-    ids=["polynomial", "rational"],
+    "scalars, max_order", [(zfree_scalars, 12), (poly_scalars, 8), (rational_scalars, 6)],
+    ids=["z-free", "polynomial", "rational"],
 )
 
 
@@ -126,6 +129,49 @@ class TestCompose:
     def test_requires_valuation(self):
         with pytest.raises(ValueError, match="valuation >= 1"):
             Series.one(3).compose(Series.one(3))
+        with pytest.raises(ValueError, match="valuation >= 1"):
+            Series.x(3).compose(Series.constant(Z, 3))
+
+    def test_order_mismatch(self):
+        with pytest.raises(ValueError, match="order mismatch"):
+            Series.one(3).compose(Series.x(4))
+
+    def test_zero_inner_gives_the_constant(self):
+        n = 5
+        g = Series(scal(Fraction(-5, 2), 2, 1, 0, 0, 7))
+        got = on_both_routes(Series.compose, g, Series.zero(n))
+        assert got == Series.constant(Fraction(-5, 2), n)
+        gz = Series(scal(Z, 1, Z, 0, 0, 1))
+        assert gz.compose(Series.zero(n)) == Series.constant(Z, n)
+
+    def test_constant_and_zero_outer(self):
+        n = 5
+        for inner in (Series.x(n).exp() - 1, Series.x(n) * Z):
+            for outer in (Series.constant(Fraction(-5, 2), n), Series.constant(Z, n),
+                          Series.zero(n)):
+                assert outer.compose(inner) == outer
+        assert on_both_routes(Series.compose, Series.zero(n), Series.x(n).exp() - 1).is_zero
+
+    @pytest.mark.parametrize("degree", [0, 1, 3, 6])
+    @pytest.mark.parametrize("with_z", [False, True], ids=["z-free", "z"])
+    def test_builds_only_the_columns_it_reads(self, monkeypatch, degree, with_z):
+        # A polynomial outer of degree d reads the columns inner^0..inner^d.
+        n = 8
+        built = []
+        chain = series._chain
+
+        def counting(g, f, top=None):
+            cols = chain(g, f, top)
+            built.append(len(cols))
+            return cols
+
+        monkeypatch.setattr(series, "_chain", counting)
+        outer = Series(scal(*range(1, degree + 2)) + [ZERO] * (n - degree))
+        inner = Series.x(n).exp() - 1
+        if with_z:
+            inner = inner * Z
+        assert outer.compose(inner) == compose_horner(outer, inner)
+        assert built == [degree + 1]
 
 
 class TestRevert:
@@ -238,7 +284,9 @@ class TestProperties:
 
 
 class TestAgainstOracles:
-    """The powers-table routes equal Horner composition and Newton reversion."""
+    """Composition and reversion on the array kernels equal Horner
+    composition and Newton reversion, and both routes over a table of
+    powers."""
 
     @COEFFICIENT_KINDS
     @ORACLE_SETTINGS
@@ -247,7 +295,9 @@ class TestAgainstOracles:
         n = data.draw(st.integers(1, max_order))
         inner = data.draw(series_of(scalars, n, lead=scalars))
         outer = data.draw(series_of(scalars, n))
-        assert outer.compose(inner) == compose_horner(outer, inner)
+        got = outer.compose(inner)
+        assert got == compose_horner(outer, inner)
+        assert got == compose_by_powers(outer, inner)
 
     @COEFFICIENT_KINDS
     @ORACLE_SETTINGS
@@ -255,7 +305,9 @@ class TestAgainstOracles:
     def test_revert_matches_newton(self, scalars, max_order, data):
         n = data.draw(st.integers(1, max_order))
         f = data.draw(series_of(scalars, n, lead=rational_leads))
-        assert f.revert() == revert_newton(f)
+        got = f.revert()
+        assert got == revert_newton(f)
+        assert got == revert_by_powers(f)
 
     @ORACLE_SETTINGS
     @given(data=st.data())
@@ -264,7 +316,9 @@ class TestAgainstOracles:
         # Newton oracle's cost grows fastest with the order, so it stops at 5.
         n = data.draw(st.integers(1, 5))
         f = data.draw(series_of(rational_scalars, n, lead=rational_scalars))
-        assert f.revert() == revert_newton(f)
+        got = f.revert()
+        assert got == revert_newton(f)
+        assert got == revert_by_powers(f)
 
 
 class TestPower:
@@ -400,6 +454,17 @@ class TestIntegerForm:
                                      st.sampled_from([Fraction(-5, 2), Fraction(1, 3)])))
         on_both_routes(lambda a: a.scale(factor), a)
         on_both_routes(lambda a: a * factor, a)
+
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_compose_and_revert(self, data):
+        n = data.draw(st.integers(1, 32))
+        outer = data.draw(zfree_series(n))
+        inner = data.draw(zfree_series(n, 1))
+        on_both_routes(Series.compose, outer, inner)
+        f = data.draw(zfree_series(n, 1, constant=_nonzero))
+        g = on_both_routes(Series.revert, f)
+        assert f.compose(g) == Series.x(n)
 
     def test_z_operand_leaves_the_form(self):
         # exp(z x) exp(x) = exp((z + 1) x): the z-free factor meets z, and
