@@ -7,8 +7,10 @@ coefficients from raw moments.  The Stieltjes tableau of
 recurrence data is taken into Z[z] by ``scalars._clear_denominators`` and
 ``scalars._clear_contents``, and each row is packed at z = 2^w by
 ``scalars._pack``, with the slot width proved by the same tableau on
-1-norms.  The Chebyshev tableau of ``_walk`` divides, and forms each entry
-as one ``scalars.dot`` over Q(z).  ``invert_lower_triangular`` is one
+1-norms.  The Chebyshev tableau of ``_walk`` divides, a few times per
+step; it holds each row as polynomial numerators over one denominator, so
+each entry is one ``scalars.dot`` of polynomials, fused on ints with no
+gcd.  ``invert_lower_triangular`` is one
 ``scalars.solve_lower`` against the identity.  Values enter Q(z) through
 ``scalars._as_scalar``; every sequence argument, here and in ``hankel``,
 goes through ``_terms``.
@@ -26,8 +28,10 @@ from .scalars import (
     _as_scalar,
     _clear_contents,
     _clear_denominators,
+    _cofactors,
     _normal,
     _pack,
+    _polynomial,
     _unpack,
     dot,
     solve_lower,
@@ -275,8 +279,23 @@ def _walk(terms):
         beta_k = s_k/s_{k-1}
 
     (Gautschi, "On generating orthogonal polynomials", 1982).  That is
-    O(n^2) entries, each one ``dot`` of three pairs with -alpha and -beta
-    formed once per row, and two divisions per step.
+    O(n^2) entries and a few divisions per step.
+
+    Row k is held as polynomial numerators N_k(l) over one monic
+    denominator D_k, the one ``POLY_ONE`` while the row is polynomial, so
+    every entry is one ``dot`` of three polynomial pairs, which fuses on
+    ints and takes no gcd.  Row 0 is the terms over the lcm of their
+    denominators (``_clear_denominators``).  With alpha_k = an/ad,
+    beta_k = bn/bd, X = ad D_k, Y = bd D_{k-1} and g = gcd(X, Y), row k+1
+    is taken over D_{k+1} = X (Y/g):
+
+        N_{k+1}(l) = ad (Y/g) N_k(l+1) - an (Y/g) N_k(l) - bn (X/g) N_{k-1}(l).
+
+    D_{k+1} may hold more than the lcm of the row's denominators; it is
+    not trimmed.  When X and Y are both 1, as on every step of a
+    polynomial sequence, the multipliers are 1, -alpha_k and -beta_k.
+    Only s_k = N_k(k)/D_k, the ratio N_k(k+1)/N_k(k) (D_k cancels),
+    alpha_k and beta_k are canonicalised, and one gcd per step gives g.
 
     Yields (s_k, alpha_k, beta_k) for k = 0, 1, ... while 2k <= top, the
     last index of ``terms``; beta_0 is None.  The walk ends with a zero s_k
@@ -285,23 +304,51 @@ def _walk(terms):
     s_k are the Hankel determinants h_k = s_0 s_1 ... s_k.
     """
     top = len(terms) - 1
-    # Rows k-1 and k of the tableau, indexed by l; only l >= k is used.
+    den, nums = _clear_denominators(terms)
+    # Rows k-1 and k of the numerators, indexed by l; only l >= k is used.
     prev = [ZERO] * len(terms)
-    row = list(terms)
+    row = list(terms) if den is POLY_ONE else [_polynomial(n) for n in nums]
+    den_prev = POLY_ONE
     s_prev = ratio_prev = b = None
     for k in range(top // 2 + 1):
-        s = row[k]
+        n = row[k]
+        s = n if den is POLY_ONE else Scalar(n.num, den)
         if s.is_zero or 2 * k + 1 > top:
             yield s, None, None
             return
-        ratio = row[k + 1] / s
+        ratio = row[k + 1] / n
         a = ratio - ratio_prev if k else ratio
         if k:
             b = s / s_prev
         yield s, a, b
-        minus_a, minus_b = -a, -b if k else ZERO
+        x = _times(a.den, den)
+        y = _times(b.den, den_prev) if k else POLY_ONE
+        if x is POLY_ONE and y is POLY_ONE:
+            m_next, m_row, m_prev = ONE, -a, -b if k else ZERO
+        else:
+            # lcm(X, Y) = X (Y/g); a unit X or Y needs no gcd.
+            if x is POLY_ONE or y is POLY_ONE:
+                xg, yg = x, y
+            else:
+                xg, yg, _ = _cofactors(x, y)
+                if len(yg._prim) == 1:
+                    yg = POLY_ONE
+            m_next = _polynomial(_times(a.den, yg))
+            m_row = _polynomial(-a.num * yg)
+            m_prev = _polynomial(-b.num * xg) if k else ZERO
+            den_prev, den = den, _times(x, yg)
         nxt = [ZERO] * (top - k)
         for l in range(k + 1, top - k):
-            nxt[l] = dot(((row[l + 1], ONE), (row[l], minus_a), (prev[l], minus_b)))
+            nxt[l] = dot(((row[l + 1], m_next), (row[l], m_row), (prev[l], m_prev)))
         prev, row = row, nxt
         s_prev, ratio_prev = s, ratio
+
+
+def _times(p, q):
+    """The product of monic polynomials p and q, the one ``POLY_ONE`` when
+    both are it."""
+    if p is POLY_ONE:
+        return q
+    if q is POLY_ONE:
+        return p
+    return p * q

@@ -259,7 +259,7 @@ class Series:
             raise ValueError("composition needs valuation >= 1")
         q = self._q
         top = max((k for k, c in enumerate(q[1] if q else self.coeffs) if c), default=0)
-        return _combine(_chain(Series.one(self.order), inner, top), [self])[0]
+        return _combine(_columns_of(inner, top), [self])[0]
 
     def revert(self) -> Series:
         """Compositional inverse by Lagrange inversion in matrix form.
@@ -273,7 +273,7 @@ class Series:
         n = self.order
         if n < 1 or self.valuation() != 1:
             raise ValueError("not revertible")
-        return _solve_columns(_chain(Series.one(n), self), [Series.x(n)])[0]
+        return _solve_columns(_columns_of(self, n), [Series.x(n)])[0]
 
     def exp(self) -> Series:
         """Formal exponential via E' = a'E; needs zero constant term."""
@@ -569,6 +569,13 @@ def _chain(g: Series, f: Series, top: int | None = None) -> list[Series]:
             col = [c // h for c in col]
         cols.append(_ints(d, col))
     return cols
+
+
+def _columns_of(f: Series, top: int) -> list[Series]:
+    """The columns f^k, k = 0..top, of [1, f]: 1, then the chain from f
+    itself, so f^1 costs no product."""
+    one = Series.one(f.order)
+    return [one] + _chain(f, f, top - 1) if top else [one]
 
 
 def _egf_columns(cols: list[Series], first: int = 0) -> list[list[Scalar]]:

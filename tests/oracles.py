@@ -17,9 +17,9 @@ matrices are read off the bivariate generating function, triangular
 matrices are inverted column by column, moments come from inverting the
 monic coefficient array of the three-term recurrence, both tableaux (the
 Stieltjes one for moments, the Chebyshev one for the Hankel transform and
-Jacobi recovery) chain one ring operation per term, the Stieltjes tableau
-is also kept with one ``dot`` per entry (the route the packed rows
-replaced), the binomial transform
+Jacobi recovery) chain one ring operation per term, both are also kept
+with one ``dot`` per entry over Q(z) (the routes that the packed rows and
+the rows over one denominator replaced), the binomial transform
 sums term by term, Jacobi data is recovered from moments by the Stieltjes
 procedure, closed forms are parsed by a peek/advance parser and
 evaluated with every leaf a Series (and z-only forms by their own walk),
@@ -767,6 +767,36 @@ def walk_by_chained_tableau(terms):
             if k:
                 acc = acc - b * prev[l]
             nxt[l] = acc
+        prev, row = row, nxt
+        s_prev, ratio_prev = s, ratio
+
+
+def walk_by_dot_tableau(terms):
+    """The (s_k, alpha_k, beta_k) triples of the Chebyshev tableau of the
+    moments ``terms``, each entry one ``scalars.dot`` of three Scalar pairs
+    over Q(z), with -alpha_k and -beta_k formed once per row: the route
+    ``orthopoly._walk`` took before its rows were held as polynomial
+    numerators over one denominator.
+    """
+    top = len(terms) - 1
+    # Rows k-1 and k of the tableau, indexed by l; only l >= k is used.
+    prev = [ZERO] * len(terms)
+    row = list(terms)
+    s_prev = ratio_prev = b = None
+    for k in range(top // 2 + 1):
+        s = row[k]
+        if s.is_zero or 2 * k + 1 > top:
+            yield s, None, None
+            return
+        ratio = row[k + 1] / s
+        a = ratio - ratio_prev if k else ratio
+        if k:
+            b = s / s_prev
+        yield s, a, b
+        minus_a, minus_b = -a, -b if k else ZERO
+        nxt = [ZERO] * (top - k)
+        for l in range(k + 1, top - k):
+            nxt[l] = dot(((row[l + 1], ONE), (row[l], minus_a), (prev[l], minus_b)))
         prev, row = row, nxt
         s_prev, ratio_prev = s, ratio
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from erarray import orthopoly
+from erarray import orthopoly, scalars
 from erarray.expr import parse_scalar
 from erarray.hankel import hankel_transform
 from erarray.orthopoly import (
@@ -37,6 +37,7 @@ from oracles import (
     rational_leads,
     rational_scalars,
     walk_by_chained_tableau,
+    walk_by_dot_tableau,
 )
 
 
@@ -316,10 +317,10 @@ def tableau_cases(draw, kind):
 
 
 class TestTableauxAgainstChained:
-    """The packed Stieltjes tableau and the Chebyshev tableau of one ``dot``
-    per entry equal the chains of ring operations they replaced, on every
-    moment and every (s, alpha, beta) triple; the packed tableau also
-    equals the tableau of one ``dot`` per entry."""
+    """The packed Stieltjes tableau and the Chebyshev tableau over one
+    denominator per row equal the chains of ring operations and the
+    tableaux of one ``dot`` per entry that they replaced, on every moment
+    and every (s, alpha, beta) triple."""
 
     @pytest.mark.parametrize("kind", TABLEAU_KINDS)
     @ORACLE_SETTINGS
@@ -364,7 +365,99 @@ class TestTableauxAgainstChained:
         params, depth = data.draw(tableau_cases(kind))
         terms = moments_by_chained_tableau(params, depth).terms
         for prefix in (terms, terms[:-1]):
-            assert list(orthopoly._walk(prefix)) == list(walk_by_chained_tableau(prefix))
+            assert list(orthopoly._walk(prefix)) == list(walk_by_dot_tableau(prefix)) == \
+                list(walk_by_chained_tableau(prefix))
+
+
+def _walks_agree(terms) -> bool:
+    return list(orthopoly._walk(terms)) == list(walk_by_dot_tableau(terms)) == \
+        list(walk_by_chained_tableau(terms))
+
+
+#: Raw Q(z) entries that no Jacobi data was drawn for: contents such as
+#: 1/3, non-monic and repeated denominators such as 2z + 1, and zero.
+_raw_entries = st.builds(
+    lambda p, q: p / q,
+    st.one_of(poly_scalars, st.sampled_from((ZERO, ONE, Scalar(Fraction(1, 3)), Z))),
+    st.sampled_from((ONE, Scalar(3), Z * 2 + 1, Z + 1, Z * Z + 1, Z * 3 - 2)))
+
+
+class TestWalkOnRawSequences:
+    """The walk over one denominator per row equals the tableaux of one
+    ``dot`` per entry and of chained ring operations on raw Q(z)
+    sequences, which come from no Jacobi data."""
+
+    @ORACLE_SETTINGS
+    @given(terms=st.lists(_raw_entries, min_size=1, max_size=13))
+    def test_raw_sequences(self, terms):
+        assert _walks_agree(tuple(terms))
+
+    def test_explicit_sequences(self):
+        q = ONE / (Z * 2 + 1)
+        cases = (
+            # Polynomial, with the lcm cofactors that the first rational
+            # step needs when Y = 1.
+            [Scalar(2), ONE, Z, Z, Z * Z, ONE, ZERO],
+            # A rational a0 over a polynomial tail: the rows from l >= 1 on
+            # are polynomial, so their lcm turns constant while D_k does
+            # not.
+            [ONE / (Z + 1), ONE, Z, Z * Z, Z + 3, ONE, Z],
+            # A non-monic denominator and a constant one.
+            [q, Scalar(Fraction(1, 3)), Z * q, ONE, Z, Z / (Z + 1), ONE / (Z * Z + 1), Scalar(5)],
+            # Constant moments over 2z + 1: s_1 = 0 part-way.
+            [q] * 7,
+            # The two-point measure over 2z + 1: s_2 = 0 part-way.
+            [q, ZERO] * 4 + [q],
+        )
+        for terms in cases:
+            assert _walks_agree(tuple(terms))
+        assert [s.is_zero for s, _, _ in orthopoly._walk(tuple(cases[3]))] == [False, True]
+        assert [s.is_zero for s, _, _ in orthopoly._walk(tuple(cases[4]))] == \
+            [False, False, True]
+
+
+class TestWalkGcdCount:
+    """The walk takes its gcds per step, not per entry: on a polynomial
+    sequence it calls ``_cofactors`` exactly as often as the tableau of one
+    ``dot`` per entry, and on rational moments a bounded number of times
+    per step."""
+
+    @staticmethod
+    def _count(monkeypatch, walk, terms) -> int:
+        calls = []
+        cofactors = scalars._cofactors
+
+        def counted(a, b):
+            calls.append(1)
+            return cofactors(a, b)
+
+        monkeypatch.setattr(scalars, "_cofactors", counted)
+        monkeypatch.setattr(orthopoly, "_cofactors", counted)
+        list(walk(terms))
+        monkeypatch.undo()
+        return len(calls)
+
+    def test_polynomial_sequence(self, monkeypatch):
+        terms = moments_from_jacobi(thm2_params(17), 16).terms
+        got = self._count(monkeypatch, orthopoly._walk, terms)
+        assert got == self._count(monkeypatch, walk_by_dot_tableau, terms) > 0
+
+    def test_rational_moments(self, monkeypatch):
+        rng = random.Random(17)
+        depth = 17
+        alpha = tuple(Scalar(rng.randint(-3, 3)) + Z * rng.randint(1, 2) for _ in range(depth))
+        beta = tuple((Scalar(rng.randint(1, 3)) + Z * rng.randint(1, 2)) / (Z + rng.randint(1, 3))
+                     for _ in range(depth - 1))
+        terms = moments_from_jacobi(JacobiParams(alpha, beta), depth - 1).terms
+        steps = len(list(orthopoly._walk(terms)))
+        entries = sum(len(terms) - 2 * k - 2 for k in range(steps - 1))
+        got = self._count(monkeypatch, orthopoly._walk, terms)
+        # Row 0 takes one gcd per denominator, and each step canonicalises
+        # s, the ratio, alpha and beta and takes one gcd for D_{k+1}; the
+        # tableau of one ``dot`` per entry takes several per entry.
+        assert got <= len(terms) + 6 * steps
+        assert got < entries
+        assert 2 * entries < self._count(monkeypatch, walk_by_dot_tableau, terms)
 
 
 def _recover(route, moments):

@@ -158,20 +158,54 @@ class TestCompose:
         # A polynomial outer of degree d reads the columns inner^0..inner^d.
         n = 8
         built = []
-        chain = series._chain
+        columns_of = series._columns_of
 
-        def counting(g, f, top=None):
-            cols = chain(g, f, top)
+        def counting(f, top):
+            cols = columns_of(f, top)
             built.append(len(cols))
             return cols
 
-        monkeypatch.setattr(series, "_chain", counting)
+        monkeypatch.setattr(series, "_columns_of", counting)
         outer = Series(scal(*range(1, degree + 2)) + [ZERO] * (n - degree))
         inner = Series.x(n).exp() - 1
         if with_z:
             inner = inner * Z
         assert outer.compose(inner) == compose_horner(outer, inner)
         assert built == [degree + 1]
+
+
+class TestColumnProducts:
+    """The columns f^k of [1, f] start from f itself: over Q(z), a
+    composition with an outer of degree d and a reversion at order n take
+    d - 1 and n - 1 series products, not one per column."""
+
+    @staticmethod
+    def _products(monkeypatch, op, *args) -> int:
+        calls = []
+        real = Series.__mul__
+
+        def counting(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(Series, "__mul__", counting)
+        op(*args)
+        monkeypatch.undo()
+        return len(calls)
+
+    @pytest.mark.parametrize("degree", [1, 2, 5])
+    def test_compose(self, monkeypatch, degree):
+        n = 6
+        inner = (Series.x(n).exp() - 1) * Z
+        outer = Series(scal(*range(1, degree + 2)) + [ZERO] * (n - degree))
+        assert self._products(monkeypatch, Series.compose, outer, inner) == degree - 1
+        assert outer.compose(inner) == compose_horner(outer, inner)
+
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_revert(self, monkeypatch, n):
+        f = Series([ZERO, ONE + Z] + [Z / (Z + k) for k in range(1, n)])
+        assert self._products(monkeypatch, Series.revert, f) == n - 1
+        assert f.revert() == revert_newton(f)
 
 
 class TestRevert:
