@@ -292,10 +292,10 @@ def _walk(terms):
         N_{k+1}(l) = ad (Y/g) N_k(l+1) - an (Y/g) N_k(l) - bn (X/g) N_{k-1}(l).
 
     D_{k+1} may hold more than the lcm of the row's denominators; it is
-    not trimmed.  When X and Y are both 1, as on every step of a
-    polynomial sequence, the multipliers are 1, -alpha_k and -beta_k.
-    Only s_k = N_k(k)/D_k, the ratio N_k(k+1)/N_k(k) (D_k cancels),
-    alpha_k and beta_k are canonicalised, and one gcd per step gives g.
+    not trimmed.  Only s_k = N_k(k)/D_k, the ratio N_k(k+1)/N_k(k) (D_k
+    cancels), alpha_k and beta_k are canonicalised, and one gcd per step
+    gives g; when X or Y is 1, as on every step of a polynomial sequence,
+    g is 1 and no gcd is taken.
 
     Yields (s_k, alpha_k, beta_k) for k = 0, 1, ... while 2k <= top, the
     last index of ``terms``; beta_0 is None.  The walk ends with a zero s_k
@@ -321,22 +321,19 @@ def _walk(terms):
         if k:
             b = s / s_prev
         yield s, a, b
-        x = _times(a.den, den)
-        y = _times(b.den, den_prev) if k else POLY_ONE
-        if x is POLY_ONE and y is POLY_ONE:
-            m_next, m_row, m_prev = ONE, -a, -b if k else ZERO
+        x = _product(a.den, den)
+        y = _product(b.den, den_prev) if k else POLY_ONE
+        # lcm(X, Y) = X (Y/g); a unit X or Y needs no gcd.
+        if x is POLY_ONE or y is POLY_ONE:
+            xg, yg = x, y
         else:
-            # lcm(X, Y) = X (Y/g); a unit X or Y needs no gcd.
-            if x is POLY_ONE or y is POLY_ONE:
-                xg, yg = x, y
-            else:
-                xg, yg, _ = _cofactors(x, y)
-                if len(yg._prim) == 1:
-                    yg = POLY_ONE
-            m_next = _polynomial(_times(a.den, yg))
-            m_row = _polynomial(-a.num * yg)
-            m_prev = _polynomial(-b.num * xg) if k else ZERO
-            den_prev, den = den, _times(x, yg)
+            xg, yg, _ = _cofactors(x, y)
+            if len(yg._prim) == 1:
+                yg = POLY_ONE
+        m_next = _polynomial(_product(a.den, yg))
+        m_row = _polynomial(_product(-a.num, yg))
+        m_prev = _polynomial(_product(-b.num, xg)) if k else ZERO
+        den_prev, den = den, _product(x, yg)
         nxt = [ZERO] * (top - k)
         for l in range(k + 1, top - k):
             nxt[l] = dot(((row[l + 1], m_next), (row[l], m_row), (prev[l], m_prev)))
@@ -344,9 +341,9 @@ def _walk(terms):
         s_prev, ratio_prev = s, ratio
 
 
-def _times(p, q):
-    """The product of monic polynomials p and q, the one ``POLY_ONE`` when
-    both are it."""
+def _product(p, q):
+    """The polynomial p q, with a ``POLY_ONE`` factor skipped, so that the
+    product of two is the one ``POLY_ONE``."""
     if p is POLY_ONE:
         return q
     if q is POLY_ONE:
