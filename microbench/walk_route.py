@@ -1,9 +1,10 @@
 """Microbenchmark of two routes through the Chebyshev tableau of
 ``erarray.orthopoly._walk``, which ``hankel_transform`` and
-``jacobi_from_moments`` share: the library's rows of polynomial
-numerators over one denominator per row, and the tableau with one
-``scalars.dot`` of three Q(z) pairs per entry that it replaced (kept as
-``walk_by_dot_tableau`` in tests/oracles.py), on the same moments.
+``jacobi_from_moments`` share: the library's rows of integer coefficient
+vectors over one integer and one polynomial denominator per row, each
+entry one fused integer kernel, and the tableau with one ``scalars.dot``
+of three Q(z) pairs per entry (kept as ``walk_by_dot_tableau`` in
+tests/oracles.py), on the same moments.
 
 Usage, from the root of a checkout:
 

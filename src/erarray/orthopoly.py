@@ -8,10 +8,12 @@ recurrence data is taken into Z[z] by ``scalars._clear_denominators`` and
 ``scalars._clear_contents``, and each row is packed at z = 2^w by
 ``scalars._pack``, with the slot width proved by the same tableau on
 1-norms.  The Chebyshev tableau of ``_walk`` divides, a few times per
-step; it holds each row as polynomial numerators over one denominator, so
-each entry is one ``scalars.dot`` of polynomials, fused on ints with no
-gcd.  ``invert_lower_triangular`` is one
-``scalars.solve_lower`` against the identity.  Values enter Q(z) through
+step; it holds each row as integer coefficient vectors over one integer
+and one polynomial denominator, so each entry is one fused integer
+kernel, ``scalars._sum_of_products``, with no gcd, and on polynomial
+moments its divisions are exact and take none either.
+``invert_lower_triangular`` is one ``scalars.solve_lower`` against the
+identity.  Values enter Q(z) through
 ``scalars._as_scalar``; every sequence argument, here and in ``hankel``,
 goes through ``_terms``.
 """
@@ -19,10 +21,13 @@ goes through ``_terms``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from math import gcd, lcm
 
 from .scalars import (
     ONE,
     POLY_ONE,
+    POLY_ZERO,
     ZERO,
     Scalar,
     _as_scalar,
@@ -32,8 +37,8 @@ from .scalars import (
     _normal,
     _pack,
     _polynomial,
+    _sum_of_products,
     _unpack,
-    dot,
     solve_lower,
 )
 from .series import Series
@@ -281,21 +286,31 @@ def _walk(terms):
     (Gautschi, "On generating orthogonal polynomials", 1982).  That is
     O(n^2) entries and a few divisions per step.
 
-    Row k is held as polynomial numerators N_k(l) over one monic
-    denominator D_k, the one ``POLY_ONE`` while the row is polynomial, so
-    every entry is one ``dot`` of three polynomial pairs, which fuses on
-    ints and takes no gcd.  Row 0 is the terms over the lcm of their
-    denominators (``_clear_denominators``).  With alpha_k = an/ad,
-    beta_k = bn/bd, X = ad D_k, Y = bd D_{k-1} and g = gcd(X, Y), row k+1
-    is taken over D_{k+1} = X (Y/g):
+    Row k is held on ints: sigma_k(l) = V_k(l) / (e_k D_k), V_k(l) the
+    ascending integer coefficients, e_k > 0 one integer and D_k one monic
+    polynomial, the one ``POLY_ONE`` while the row is polynomial.  Row 0
+    is the terms over the lcm of their denominators
+    (``_clear_denominators``) and the lcm of the contents left
+    (``_clear_contents``).  With alpha_k = an/ad, beta_k = bn/bd,
+    X = ad D_k, Y = bd D_{k-1} and g = gcd(X, Y), row k+1 is taken over
+    D_{k+1} = X (Y/g), with the multipliers
 
-        N_{k+1}(l) = ad (Y/g) N_k(l+1) - an (Y/g) N_k(l) - bn (X/g) N_{k-1}(l).
+        m_next = ad (Y/g),  m_row = -an (Y/g),  m_prev = -bn (X/g).
 
-    D_{k+1} may hold more than the lcm of the row's denominators; it is
-    not trimmed.  Only s_k = N_k(k)/D_k, the ratio N_k(k+1)/N_k(k) (D_k
-    cancels), alpha_k and beta_k are canonicalised, and one gcd per step
-    gives g; when X or Y is 1, as on every step of a polynomial sequence,
-    g is 1 and no gcd is taken.
+    With E = lcm(e_k, e_{k-1}) and f the lcm of the denominators of the
+    contents of m_next E/e_k, m_row E/e_k and m_prev E/e_{k-1}, these
+    three times f are integer polynomials mu_next, mu_row and mu_prev, and
+
+        V_{k+1}(l) = mu_next V_k(l+1) + mu_row V_k(l) + mu_prev V_{k-1}(l)
+
+    over e_{k+1} = f E, each entry one ``scalars._sum_of_products`` on ints.
+    The gcd of e_{k+1} and every int of the row is divided out; D_{k+1}
+    may hold more than the lcm of the row's denominators and is not
+    trimmed.  Only V_k(k) and V_k(k+1) become polynomials, for s_k and
+    the ratio V_k(k+1)/V_k(k) (e_k D_k cancels).  On a polynomial sequence
+    every D_k is ``POLY_ONE``, so the step takes no polynomial gcd, and
+    both divisions are exact, which ``Scalar`` division takes without one.
+    On rational data one gcd per step gives g.
 
     Yields (s_k, alpha_k, beta_k) for k = 0, 1, ... while 2k <= top, the
     last index of ``terms``; beta_0 is None.  The walk ends with a zero s_k
@@ -305,18 +320,18 @@ def _walk(terms):
     """
     top = len(terms) - 1
     den, nums = _clear_denominators(terms)
-    # Rows k-1 and k of the numerators, indexed by l; only l >= k is used.
-    prev = [ZERO] * len(terms)
-    row = list(terms) if den is POLY_ONE else [_polynomial(n) for n in nums]
+    e, row = _clear_contents(nums)
+    # Rows k-1 and k, indexed by l; only l >= k is used.
+    prev, e_prev = [()] * len(terms), 1
     den_prev = POLY_ONE
     s_prev = ratio_prev = b = None
     for k in range(top // 2 + 1):
-        n = row[k]
-        s = n if den is POLY_ONE else Scalar(n.num, den)
+        n = _normal(row[k], 1, e)
+        s = _polynomial(n) if den is POLY_ONE else Scalar(n, den)
         if s.is_zero or 2 * k + 1 > top:
             yield s, None, None
             return
-        ratio = row[k + 1] / n
+        ratio = _polynomial(_normal(list(row[k + 1]), 1, e)) / _polynomial(n)
         a = ratio - ratio_prev if k else ratio
         if k:
             b = s / s_prev
@@ -330,13 +345,21 @@ def _walk(terms):
             xg, yg, _ = _cofactors(x, y)
             if len(yg._prim) == 1:
                 yg = POLY_ONE
-        m_next = _polynomial(_product(a.den, yg))
-        m_row = _polynomial(_product(-a.num, yg))
-        m_prev = _polynomial(_product(-b.num, xg)) if k else ZERO
+        common = lcm(e, e_prev)
+        u = common // e
+        f, (m_next, m_row, m_prev) = _clear_contents((
+            _product(a.den, yg)._times(u, 1), _product(-a.num, yg)._times(u, 1),
+            _product(-b.num, xg)._times(common // e_prev, 1) if k else POLY_ZERO))
         den_prev, den = den, _product(x, yg)
-        nxt = [ZERO] * (top - k)
-        for l in range(k + 1, top - k):
-            nxt[l] = dot(((row[l + 1], m_next), (row[l], m_row), (prev[l], m_prev)))
+        nxt = [()] * (k + 1) + [
+            _sum_of_products(((m_next, row[l + 1]), (m_row, row[l]), (m_prev, prev[l])))
+            for l in range(k + 1, top - k)]
+        e_prev, e = e, f * common
+        if e != 1:
+            g = gcd(e, *chain.from_iterable(nxt))
+            if g != 1:
+                e //= g
+                nxt = [[c // g for c in v] for v in nxt]
         prev, row = row, nxt
         s_prev, ratio_prev = s, ratio
 

@@ -11,7 +11,8 @@ The polynomial gcd is heuristic (GCDHEU) and returns the cofactors it
 proved, so ``_cofactors`` is the one place where a gcd is followed by a
 division, and only when the heuristic falls back to Euclid.  ``Scalar``
 sums and products follow Henrici's rules and keep every gcd on the small
-operands.
+operands, and a quotient of polynomials is first tried as an exact long
+division (``_exact_quotient``), which takes no gcd.
 
 The way into Q(z) is owned here too: ``_as_scalar`` coerces every input
 value the other modules accept, and ``_clear_denominators`` takes Scalars
@@ -21,18 +22,20 @@ denominator, and ``_rational_scalars`` makes its way back.
 
 Every integer-polynomial product goes through ``_multiply``: the
 classical double loop when the shorter operand has at most
-``_SCHOOLBOOK_MAX`` terms (most often a linear alpha_k or beta_k times a
-tableau entry), Kronecker substitution above that.  ``_pack`` evaluates an
-integer polynomial at z = 2^w and ``_unpack`` reads the signed base-2^w
-digits back; their callers are ``_kronecker``, the heuristic gcd and its
-``_divides``, and ``orthopoly.moments_from_jacobi``, whose whole Stieltjes
-tableau runs on packed ints over the integer polynomials that
-``_clear_contents`` gives.
+``_SCHOOLBOOK_MAX`` terms, Kronecker substitution above that.  Its fused
+form ``_sum_of_products`` adds short products into one sum without
+building them (most often a linear alpha_k or beta_k times an entry of
+the Chebyshev tableau, which ``orthopoly._walk`` holds on ints).
+``_pack`` evaluates an integer polynomial at z = 2^w and ``_unpack`` reads
+the signed base-2^w digits back; their callers are ``_kronecker``, the
+heuristic gcd and its ``_divides``, and ``orthopoly.moments_from_jacobi``,
+whose whole Stieltjes tableau runs on packed ints over the integer
+polynomials that ``_clear_contents`` gives.
 
 Two exact kernels sit on top, for values in Q(z): ``dot``, the fused sum
-of products that the Chebyshev tableau, the binomial transform, and the
-products, quotients, exponentials and compositions of series over Q(z)
-run on, with the group law of arrays over Q(z); and ``solve_lower``, the
+of products that the binomial transform and the products, quotients,
+exponentials and compositions of series over Q(z) run on, with the group
+law of arrays over Q(z); and ``solve_lower``, the
 one forward substitution, which the production data of arrays and the
 reversion of series over Q(z), ``production_direct`` and triangular
 inverses call.  ``riordan`` calls ``solve_lower`` itself only in
@@ -402,6 +405,35 @@ def _multiply(a: tuple, b: tuple) -> tuple:
     return _schoolbook(a, b)
 
 
+def _sum_of_products(pairs) -> list:
+    """sum a*b over pairs of integer polynomials, as a list of ints (an
+    empty operand is zero, and the list may end in zeros): the fused kernel
+    of one entry of a tableau held on ints.
+
+    A product whose shorter operand has at most ``_SCHOOLBOOK_MAX`` terms
+    is added into the sum by the double loop, so no product is built; a
+    longer one comes from ``_multiply``, by Kronecker substitution.
+    """
+    out = []
+    for a, b in pairs:
+        if not a or not b:
+            continue
+        if len(a) > len(b):
+            a, b = b, a
+        size = len(a) + len(b) - 1
+        if len(out) < size:
+            out += [0] * (size - len(out))
+        if len(a) > _SCHOOLBOOK_MAX:
+            for i, c in enumerate(_multiply(a, b)):
+                out[i] += c
+            continue
+        for i, c in enumerate(a):
+            if c:
+                for j, d in enumerate(b, i):
+                    out[j] += c * d
+    return out
+
+
 def _schoolbook(a, b) -> tuple:
     """Product of two nonzero integer polynomials by the classical double
     loop, one row per coefficient of ``a``, the shorter."""
@@ -536,6 +568,42 @@ def _divides(h, a: tuple, cofactor: int, w: int):
     return q if _multiply(h, q) == a else None
 
 
+def _exact_quotient(a: PolyZ, b: PolyZ) -> PolyZ | None:
+    """a/b when b, not a constant, divides a != 0 in Q[z], else None.
+
+    The primitive parts have positive leading coefficients, so by Gauss's
+    lemma an exact quotient of theirs is a primitive integer polynomial
+    with a positive leading coefficient: the long division divides exactly
+    by lc(b) at every step.  It gives up at the first step that does not,
+    and when the remainder left below deg b is not zero.  The quotient's
+    content is (an bd)/(ad bn), reduced by one integer gcd, for contents
+    an/ad of a and bn/bd of b, so no polynomial gcd is taken.
+    """
+    p, d = a._prim, b._prim
+    low = len(d) - 1
+    top = len(p) - 1 - low
+    if top < 0:
+        return None
+    lead = d[-1]
+    rem = list(p)
+    quo = [0] * (top + 1)
+    for k in range(top, -1, -1):
+        c, r = divmod(rem[k + low], lead)
+        if r:
+            return None
+        if c:
+            quo[k] = c
+            for j in range(low):
+                rem[k + j] -= c * d[j]
+    if any(rem[:low]):
+        return None
+    n, den = a._num * b._den, a._den * b._num
+    if den < 0:
+        n, den = -n, -den
+    g = gcd(n, den)
+    return _poly(n // g, den // g, tuple(quo))
+
+
 def _cofactors(a: PolyZ, b: PolyZ) -> tuple[PolyZ, PolyZ, PolyZ]:
     """(a/h, b/h, h) for nonzero a and b, with h their monic gcd.
 
@@ -648,7 +716,10 @@ class Scalar:
     operands' canonical form instead (Henrici; Knuth, TAOCP vol. 2,
     4.5.1): a sum over coprime denominators is already canonical and
     otherwise cancels only against g = gcd of the denominators, and a
-    product cross-cancels each numerator with the other denominator.
+    product cross-cancels each numerator with the other denominator.  A
+    quotient of two polynomials, the divisor not a constant, is first tried
+    as an exact division (``_exact_quotient``), which takes no gcd; only
+    when it fails is the numerator cross-cancelled with the divisor.
     """
 
     __slots__ = ("num", "den")
@@ -766,6 +837,10 @@ class Scalar:
             return _canonical(self.num._times(o._den, o._num), self.den)
         if not self.num._prim:
             return ZERO
+        if self.den is POLY_ONE and other.den is POLY_ONE:
+            q = _exact_quotient(self.num, o)
+            if q is not None:
+                return _polynomial(q)
         return _product(self.num, self.den, *_inverse(other))
 
     def __rtruediv__(self, other):

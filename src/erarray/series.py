@@ -266,14 +266,20 @@ class Series:
 
         Needs f(0) = 0 and f'(0) != 0.  x = sum_k b_k f^k is one triangular
         solve against the columns f^k of [1, f], whose diagonal entries
-        [x^m] f^m = f_1^m are nonzero.  The solve is exact, so the result
-        g satisfies f(g) = x to the full order; the tests check that round
+        [x^m] f^m = f_1^m are nonzero.  The solve reads only that diagonal
+        entry of the last column, and truncated at order n, f^n is exactly
+        f_1^n x^n since v(f) = 1, so columns 0..n-1 come from the chain and
+        the last is that monomial.  The solve is exact, so the result g
+        satisfies f(g) = x to the full order; the tests check that round
         trip and compare with Newton reversion.
         """
         n = self.order
         if n < 1 or self.valuation() != 1:
             raise ValueError("not revertible")
-        return _solve_columns(_columns_of(self, n), [Series.x(n)])[0]
+        q = self._q
+        last = (_reduce(q[0] ** n, [0] * n + [q[1][1] ** n]) if q
+                else _series([ZERO] * n + [self.coeffs[1] ** n]))
+        return _solve_columns(_columns_of(self, n - 1) + [last], [Series.x(n)])[0]
 
     def exp(self) -> Series:
         """Formal exponential via E' = a'E; needs zero constant term."""

@@ -25,8 +25,9 @@ procedure, closed forms are parsed by a peek/advance parser and
 evaluated with every leaf a Series (and z-only forms by their own walk),
 a b-file reads each entry back from its string, and the random generators
 only build inputs.  Scalar sums and products canonicalise the
-full cross product by the Euclid gcd.  Each library call computes one
-route; the tests compare it with these.
+full cross product by the Euclid gcd, and Scalar division is also kept
+as the gcd route it took before it tried an exact quotient.  Each
+library call computes one route; the tests compare it with these.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ from erarray.hankel import hankel_matrix
 from erarray.orthopoly import JacobiParams, JacobiRecovery, MomentSequence
 from erarray.riordan import ERArray, ProductionMatrix, er_build
 from erarray.scalars import (ONE, POLY_ONE, POLY_ZERO, ZERO, PolyZ, Scalar, Z, _as_scalar,
-                             _clear_denominators, _polynomial, dot, solve_lower)
+                             _canonical, _clear_denominators, _inverse, _polynomial, _product,
+                             dot, solve_lower)
 from erarray.series import Series, _series
 
 
@@ -273,6 +275,21 @@ def scalar_by_product(op: str, x: Scalar, y: Scalar) -> Scalar:
     canonical.num = PolyZ(num.coeffs)
     canonical.den = POLY_ONE if den.degree == 0 else PolyZ(den.coeffs)
     return canonical
+
+
+def divide_by_gcd(x: Scalar, y: Scalar) -> Scalar:
+    """x / y by the route Scalar division took before it tried an exact
+    quotient: a rational constant y scales x's numerator, and otherwise
+    x's numerator is cross-cancelled with y's and y's denominator with
+    x's, each by a polynomial gcd (``scalars._product`` of x and 1/y)."""
+    if y.is_zero:
+        raise ZeroDivisionError("scalar division by zero")
+    o = y.num
+    if y.is_polynomial and len(o._prim) == 1:
+        return _canonical(x.num._times(o._den, o._num), x.den)
+    if x.is_zero:
+        return ZERO
+    return _product(x.num, x.den, *_inverse(y))
 
 
 def det_cofactor(rows) -> Scalar:

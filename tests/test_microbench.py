@@ -54,6 +54,13 @@ def test_walk_routes_agree():
     bench.check([n for n in bench.ORDERS if n <= 32], [n for n in bench.DEPTHS if n <= 25])
 
 
+def test_division_routes_agree():
+    # Orders 9 and 32 only: orders 64-128 run in CI through the script's
+    # --check.
+    bench = _load("division_route")
+    bench.check([n for n in bench.ORDERS if n <= 32])
+
+
 def test_series_routes_agree():
     # Orders 12 and 32 only: order 64 runs in CI through the script's
     # --check.

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import erarray
 from erarray import orthopoly, scalars
 from erarray.expr import parse_scalar
 from erarray.hankel import hankel_transform
@@ -39,6 +42,9 @@ from oracles import (
     walk_by_chained_tableau,
     walk_by_dot_tableau,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import Hankel  # noqa: E402
 
 
 def thm1_params(depth):
@@ -418,29 +424,37 @@ class TestWalkOnRawSequences:
 
 class TestWalkGcdCount:
     """The walk takes its gcds per step, not per entry: on a polynomial
-    sequence it calls ``_cofactors`` exactly as often as the tableau of one
-    ``dot`` per entry, and on rational moments a bounded number of times
-    per step."""
+    sequence it calls neither ``_cofactors`` nor ``dot`` at all, since its
+    rows are integer vectors and its divisions exact, and on rational
+    moments it calls ``_cofactors`` a bounded number of times per step."""
 
     @staticmethod
-    def _count(monkeypatch, walk, terms) -> int:
+    def _count(monkeypatch, walk, terms, name="_cofactors") -> int:
         calls = []
-        cofactors = scalars._cofactors
+        real = getattr(scalars, name)
 
-        def counted(a, b):
+        def counted(*args):
             calls.append(1)
-            return cofactors(a, b)
+            return real(*args)
 
-        monkeypatch.setattr(scalars, "_cofactors", counted)
-        monkeypatch.setattr(orthopoly, "_cofactors", counted)
+        monkeypatch.setattr(scalars, name, counted)
+        if hasattr(orthopoly, name):
+            monkeypatch.setattr(orthopoly, name, counted)
         list(walk(terms))
         monkeypatch.undo()
         return len(calls)
 
     def test_polynomial_sequence(self, monkeypatch):
         terms = moments_from_jacobi(thm2_params(17), 16).terms
-        got = self._count(monkeypatch, orthopoly._walk, terms)
-        assert got == self._count(monkeypatch, walk_by_dot_tableau, terms) > 0
+        assert self._count(monkeypatch, orthopoly._walk, terms, "_cofactors") == 0
+        assert self._count(monkeypatch, orthopoly._walk, terms, "dot") == 0
+
+    def test_polynomial_hankel_job(self, monkeypatch):
+        n, params = next(job for job in Hankel().make_jobs(erarray, 1)
+                         if all(b.is_polynomial for b in job[1].beta))
+        terms = moments_from_jacobi(params, 2 * n).terms
+        assert self._count(monkeypatch, orthopoly._walk, terms, "_cofactors") == 0
+        assert self._count(monkeypatch, orthopoly._walk, terms, "dot") == 0
 
     def test_rational_moments(self, monkeypatch):
         rng = random.Random(17)

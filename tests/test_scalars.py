@@ -34,6 +34,7 @@ from erarray.series import Series
 from oracles import (
     ORACLE_SETTINGS,
     FractionPoly,
+    divide_by_gcd,
     invert_lower_by_columns,
     poly_scalars,
     random_fraction,
@@ -598,6 +599,81 @@ class TestPolynomialScalars:
         for r in results:
             assert r.is_polynomial and r.den is POLY_ONE
         assert (a / (Z + 1)).den is not POLY_ONE
+
+
+#: Rational coefficients of either sign, most of them not integers.
+_signed_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@st.composite
+def _division_polys(draw, min_degree=0, max_degree=4, monic=False):
+    """A nonzero PolyZ of degree min_degree..max_degree with rational
+    coefficients, whose leading coefficient is often negative; with
+    ``monic`` its primitive part has leading coefficient 1, so every step
+    of a long division by it is integral."""
+    degree = draw(st.integers(min_degree, max_degree))
+    if monic:
+        ints = draw(st.lists(st.integers(-9, 9), min_size=degree, max_size=degree))
+        return PolyZ(ints + [1]).scale(draw(_signed_fractions.filter(bool)))
+    coeffs = draw(st.lists(_signed_fractions, min_size=degree, max_size=degree))
+    return PolyZ(coeffs + [draw(_signed_fractions.filter(bool))])
+
+
+@st.composite
+def division_pairs(draw):
+    """(kind, x, y) for polynomial Scalars x and y: an exact multiple y q;
+    a near miss y q + r with deg r < deg y; one whose divisor's primitive
+    part is monic, so the division fails only at the low remainder; a zero
+    numerator; a constant divisor; a divisor of higher degree than x."""
+    kind = draw(st.sampled_from(("exact", "near", "low", "zero", "constant", "higher")))
+    y = draw(_division_polys(min_degree=1, monic=kind == "low"))
+    q = draw(_division_polys())
+    x = y * q
+    if kind in ("near", "low"):
+        x = x + draw(_division_polys(max_degree=y.degree - 1))
+    elif kind == "zero":
+        x = PolyZ()
+    elif kind == "constant":
+        y = PolyZ([draw(_signed_fractions.filter(bool))])
+    elif kind == "higher":
+        x, y = q, y * q
+    return kind, Scalar(x), Scalar(y)
+
+
+class TestExactQuotient:
+    """Scalar division tries an exact quotient of two polynomials before
+    the gcd route, and gives what that route gives on every input."""
+
+    @settings(deadline=None, max_examples=300, derandomize=True)
+    @given(division_pairs())
+    def test_equals_gcd_route(self, case):
+        kind, x, y = case
+        got = x / y
+        assert got == divide_by_gcd(x, y)
+        exact = scalars._exact_quotient(x.num, y.num) if kind not in ("zero", "constant") else None
+        if kind == "exact":
+            assert exact is not None and got.den is POLY_ONE and exact == got.num
+        elif kind in ("near", "low", "higher"):
+            assert exact is None and got.den is not POLY_ONE
+
+    @pytest.mark.parametrize("x, y", [
+        # Every step is integral, and only the low remainder 1 is left.
+        (Z * Z + 1, Z),
+        # The first step 3/2 is not integral; taking 1 for it leaves no
+        # remainder at all.
+        (3 * Z + 1, 2 * Z + 1),
+        (Z * Z * Z - 2, Z * Z + Z + 1),
+    ])
+    def test_inexact_is_not_a_polynomial(self, x, y):
+        assert scalars._exact_quotient(x.num, y.num) is None
+        got = x / y
+        assert got == divide_by_gcd(x, y) and got.den == y.num.monic()
+
+    def test_contents_and_signs(self):
+        y = Scalar(PolyZ([Fraction(3, 2), 0, Fraction(-9, 4)]))  # -(9/4) z^2 + 3/2
+        q = Scalar(PolyZ([Fraction(-5, 7), Fraction(10, 3)]))
+        assert (y * q) / y == q and ((y * q) / y).den is POLY_ONE
+        assert (y * q) / q == y
 
 
 # Factors for the dot kernel: zero, constants whose denominators are often
