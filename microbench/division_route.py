@@ -19,10 +19,15 @@ attempt, on fixed-seed pairs x / y of integer polynomials with deg x =
 the leading coefficient of x, so the attempt gives up at once, and
 ``inexact low remainder``, where y is monic and x = y q + 1, so every
 step is integral and only the remainder left below deg y fails.
-``check`` asserts that both routes give the same Scalar on every pair;
-``--check`` runs it alone, and ``main`` runs it before timing.  Under the
-interpreter's lowest int-to-str digit limit the check also shows that
-neither route turns a large int into a string.  A case's time is the best
+``check`` asserts that both routes give the same Scalar on every pair,
+and that ``PolyZ.exact_div``, which runs on ``_exact_quotient`` too,
+gives what the quotient of pseudo-division gave (kept as
+``exact_div_by_divmod`` in tests/oracles.py) on the exact divisions of
+``_clear_denominators`` in the 42 jobs (through ``moments_from_jacobi``
+and ``_walk``) and on those of ``sequences._over_one_minus_z`` in the
+thm2 pair at each order.  ``--check`` runs it alone, and ``main`` runs
+it before timing.  Under the interpreter's lowest int-to-str digit limit
+the check also shows that no route turns a large int into a string.  A case's time is the best
 of five passes over all its pairs, in milliseconds, the two routes taking
 turns.
 """
@@ -40,12 +45,13 @@ import erarray
 from erarray import scalars
 from erarray.orthopoly import _walk, moments_from_jacobi
 from erarray.scalars import PolyZ, Scalar
+from erarray.sequences import named_pair
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.insert(0, str(ROOT / "microbench"))
 sys.path.insert(0, str(ROOT / "tests"))
-from oracles import divide_by_gcd  # noqa: E402
+from oracles import divide_by_gcd, exact_div_by_divmod  # noqa: E402
 from walk_route import THEOREMS  # noqa: E402
 from workloads import Hankel  # noqa: E402
 
@@ -55,21 +61,39 @@ SIZE = 8
 ROUTES = {"exact first": lambda x, y: x / y, "gcd": divide_by_gcd}
 
 
-def walk_divisions(terms) -> list:
-    """The (x, y) pairs of every ``/`` that ``_walk`` makes on ``terms``."""
+def _calls(cls, name: str, run) -> list:
+    """The (x, y) pairs of every call of the method ``cls.name`` that
+    ``run()`` makes."""
     pairs = []
-    real = Scalar.__truediv__
+    real = getattr(cls, name)
 
     def recorded(x, y):
         pairs.append((x, y))
         return real(x, y)
 
-    Scalar.__truediv__ = recorded
+    setattr(cls, name, recorded)
     try:
-        list(_walk(terms))
+        run()
     finally:
-        Scalar.__truediv__ = real
+        setattr(cls, name, real)
     return pairs
+
+
+def walk_divisions(terms) -> list:
+    """The (x, y) pairs of every ``/`` that ``_walk`` makes on ``terms``."""
+    return _calls(Scalar, "__truediv__", lambda: list(_walk(terms)))
+
+
+def exact_divisions(orders=ORDERS) -> list:
+    """(case, order, pairs) of the ``PolyZ.exact_div`` calls that the
+    ``hankel`` jobs make, moments and walk, and that the thm2 pair makes at
+    each order."""
+    jobs = Hankel().make_jobs(erarray, 1)
+    out = [("hankel seed 1, 42 jobs", None, _calls(PolyZ, "exact_div", lambda: [
+        list(_walk(moments_from_jacobi(params, 2 * n).terms)) for n, params in jobs]))]
+    out += [("thm2 pair", n, _calls(PolyZ, "exact_div", lambda n=n: named_pair("thm2", n)))
+            for n in orders]
+    return out
 
 
 def inexact_pairs(low: bool, count: int = 20, seed: int = 1) -> list:
@@ -104,7 +128,9 @@ def cases(orders=ORDERS) -> list:
 def check(orders=ORDERS) -> None:
     """Assert that both routes give the same Scalar on every pair, that
     every division of a theorem's walk by a polynomial that is not a
-    constant is an exact quotient, and that no inexact pair is."""
+    constant is an exact quotient, that no inexact pair is, and that
+    ``PolyZ.exact_div`` equals ``exact_div_by_divmod`` on the exact
+    divisions of the ``hankel`` jobs and the thm2 pair."""
     for name, n, pairs in cases(orders):
         for i, (x, y) in enumerate(pairs):
             if x / y != divide_by_gcd(x, y):
@@ -114,6 +140,13 @@ def check(orders=ORDERS) -> None:
                 if exact != (name in THEOREMS):
                     raise AssertionError(f"{name} at order {n}: exact quotient is {exact} "
                                          f"on division {i}")
+    for name, n, pairs in exact_divisions(orders):
+        if not pairs:
+            raise AssertionError(f"{name} at order {n} makes no exact division")
+        for i, (a, b) in enumerate(pairs):
+            if a.exact_div(b) != exact_div_by_divmod(a, b):
+                raise AssertionError(f"exact division routes disagree on {name} at order {n}, "
+                                     f"division {i}")
 
 
 def _best_ms(runs: dict) -> dict:
@@ -133,7 +166,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     check()
     if "--check" in argv:
-        print("division_route: both routes agree on every case")
+        print("division_route: both routes agree on every case, and so do both exact divisions")
         return 0
     rows = []
     for name, n, pairs in cases():

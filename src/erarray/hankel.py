@@ -23,7 +23,7 @@ expansion.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, prod
 
 from .orthopoly import JacobiParams, MomentSequence, _chebyshev, _terms
 from .scalars import ONE, POLY_ONE, POLY_ZERO, PolyZ, Scalar, _as_scalar, _clear_denominators, dot
@@ -95,11 +95,7 @@ def det_scalar(rows) -> Scalar:
     """
     poly_rows, factors = _clear_columns(
         [[_as_scalar(e, "a matrix entry") for e in row] for row in rows])
-    cleared = POLY_ONE
-    for f in factors:
-        if f is not POLY_ONE:
-            cleared = cleared * f
-    return Scalar(det_bareiss(poly_rows), cleared)
+    return Scalar(det_bareiss(poly_rows), prod(factors, start=POLY_ONE))
 
 
 def hankel_matrix(seq, n: int):

@@ -168,8 +168,7 @@ def moments_from_jacobi(params: JacobiParams, count: int) -> MomentSequence:
     terms = [a0]
     dm, em = a0.den, 1
     for head in heads:
-        if d is not POLY_ONE:
-            dm = dm * d
+        dm = dm * d
         em *= e
         terms.append(Scalar(a0.num * _normal(_unpack(head, w), 1, em), dm))
     return MomentSequence(tuple(terms))
@@ -308,9 +307,10 @@ def _walk(terms):
     may hold more than the lcm of the row's denominators and is not
     trimmed.  Only V_k(k) and V_k(k+1) become polynomials, for s_k and
     the ratio V_k(k+1)/V_k(k) (e_k D_k cancels).  On a polynomial sequence
-    every D_k is ``POLY_ONE``, so the step takes no polynomial gcd, and
-    both divisions are exact, which ``Scalar`` division takes without one.
-    On rational data one gcd per step gives g.
+    every D_k is ``POLY_ONE``, which the ``PolyZ`` product keeps as its
+    identity, so s_k = V_k(k)/(e_k D_k) is built with no gcd, the step
+    takes no polynomial gcd, and both divisions are exact, which ``Scalar``
+    division takes without one.  On rational data one gcd per step gives g.
 
     Yields (s_k, alpha_k, beta_k) for k = 0, 1, ... while 2k <= top, the
     last index of ``terms``; beta_0 is None.  The walk ends with a zero s_k
@@ -327,7 +327,7 @@ def _walk(terms):
     s_prev = ratio_prev = b = None
     for k in range(top // 2 + 1):
         n = _normal(row[k], 1, e)
-        s = _polynomial(n) if den is POLY_ONE else Scalar(n, den)
+        s = Scalar(n, den)
         if s.is_zero or 2 * k + 1 > top:
             yield s, None, None
             return
@@ -336,8 +336,8 @@ def _walk(terms):
         if k:
             b = s / s_prev
         yield s, a, b
-        x = _product(a.den, den)
-        y = _product(b.den, den_prev) if k else POLY_ONE
+        x = a.den * den
+        y = b.den * den_prev if k else POLY_ONE
         # lcm(X, Y) = X (Y/g); a unit X or Y needs no gcd.
         if x is POLY_ONE or y is POLY_ONE:
             xg, yg = x, y
@@ -348,9 +348,9 @@ def _walk(terms):
         common = lcm(e, e_prev)
         u = common // e
         f, (m_next, m_row, m_prev) = _clear_contents((
-            _product(a.den, yg)._times(u, 1), _product(-a.num, yg)._times(u, 1),
-            _product(-b.num, xg)._times(common // e_prev, 1) if k else POLY_ZERO))
-        den_prev, den = den, _product(x, yg)
+            (a.den * yg)._times(u, 1), (-a.num * yg)._times(u, 1),
+            (-b.num * xg)._times(common // e_prev, 1) if k else POLY_ZERO))
+        den_prev, den = den, x * yg
         nxt = [()] * (k + 1) + [
             _sum_of_products(((m_next, row[l + 1]), (m_row, row[l]), (m_prev, prev[l])))
             for l in range(k + 1, top - k)]
@@ -362,13 +362,3 @@ def _walk(terms):
                 nxt = [[c // g for c in v] for v in nxt]
         prev, row = row, nxt
         s_prev, ratio_prev = s, ratio
-
-
-def _product(p, q):
-    """The polynomial p q, with a ``POLY_ONE`` factor skipped, so that the
-    product of two is the one ``POLY_ONE``."""
-    if p is POLY_ONE:
-        return q
-    if q is POLY_ONE:
-        return p
-    return p * q

@@ -11,8 +11,11 @@ The polynomial gcd is heuristic (GCDHEU) and returns the cofactors it
 proved, so ``_cofactors`` is the one place where a gcd is followed by a
 division, and only when the heuristic falls back to Euclid.  ``Scalar``
 sums and products follow Henrici's rules and keep every gcd on the small
-operands, and a quotient of polynomials is first tried as an exact long
-division (``_exact_quotient``), which takes no gcd.
+operands.  The one exact division is a long division that takes no gcd
+(``_exact_quotient``): ``PolyZ.exact_div`` runs on it, and a ``Scalar``
+quotient of polynomials tries it first.  The one ``POLY_ONE`` object is
+the identity of the ``PolyZ`` product, so a product of units is
+``POLY_ONE`` itself and callers multiply by it without a guard.
 
 The way into Q(z) is owned here too: ``_as_scalar`` coerces every input
 value the other modules accept, and ``_clear_denominators`` takes Scalars
@@ -202,6 +205,12 @@ class PolyZ:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
+        # The one POLY_ONE object is the identity, so a product of units is
+        # POLY_ONE itself.
+        if self is POLY_ONE:
+            return other
+        if other is POLY_ONE:
+            return self
         a, b = self._prim, other._prim
         if not a or not b:
             return POLY_ZERO
@@ -248,10 +257,10 @@ class PolyZ:
     def __divmod__(self, other: PolyZ):
         """Quotient and remainder over Q, by pseudo-division over Z.
 
-        The primitive parts are divided as integer polynomials.  The
-        remainder is multiplied up only when lc(other) fails to divide its
-        current leading coefficient, so an exact division (Gauss's lemma:
-        the quotient of primitive parts is integral) never scales.
+        The primitive parts are divided as integer polynomials, and the
+        remainder is multiplied up whenever lc(other) fails to divide its
+        current leading coefficient.  It serves ``%``, as in
+        ``_euclid_gcd``; an exact division takes ``exact_div``.
         """
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
@@ -289,8 +298,14 @@ class PolyZ:
         return divmod(self, other)[1]
 
     def exact_div(self, other: PolyZ) -> PolyZ:
-        quo, rem = divmod(self, other)
-        if not rem.is_zero:
+        """self/other when other divides self in Q[z], by
+        ``_exact_quotient``, the route of ``Scalar`` division too."""
+        if not other._prim:
+            raise ZeroDivisionError("polynomial division by zero")
+        if not self._prim:
+            return POLY_ZERO
+        quo = _exact_quotient(self, other)
+        if quo is None:
             raise ArithmeticError("inexact polynomial division")
         return quo
 
@@ -569,20 +584,22 @@ def _divides(h, a: tuple, cofactor: int, w: int):
 
 
 def _exact_quotient(a: PolyZ, b: PolyZ) -> PolyZ | None:
-    """a/b when b, not a constant, divides a != 0 in Q[z], else None.
+    """a/b when b divides a != 0 in Q[z], else None: the one exact division.
 
     The primitive parts have positive leading coefficients, so by Gauss's
-    lemma an exact quotient of theirs is a primitive integer polynomial
+    lemma an exact quotient of theirs is a primitive integer polynomial q
     with a positive leading coefficient: the long division divides exactly
-    by lc(b) at every step.  It gives up at the first step that does not,
-    and when the remainder left below deg b is not zero.  The quotient's
-    content is (an bd)/(ad bn), reduced by one integer gcd, for contents
-    an/ad of a and bn/bd of b, so no polynomial gcd is taken.
+    by lc(b) at every step.  It gives up before the first step when b(0)
+    does not divide a(0), since a(0) = b(0) q(0); at the first step that
+    does not divide exactly; and when the remainder left below deg b is
+    not zero.  The quotient's content is (an bd)/(ad bn), reduced by one
+    integer gcd, for contents an/ad of a and bn/bd of b, so no polynomial
+    gcd is taken.
     """
     p, d = a._prim, b._prim
     low = len(d) - 1
     top = len(p) - 1 - low
-    if top < 0:
+    if top < 0 or (p[0] % d[0] if d[0] else p[0]):
         return None
     lead = d[-1]
     rem = list(p)
@@ -643,7 +660,7 @@ def _clear_denominators(xs) -> tuple[PolyZ, tuple[PolyZ, ...]]:
     d = POLY_ONE
     for x in xs:
         if x.den is not POLY_ONE:
-            d = x.den if d is POLY_ONE else d * _cofactors(d, x.den)[1]
+            d = d * _cofactors(d, x.den)[1]
     if d is POLY_ONE:
         return d, tuple(x.num for x in xs)
     quotients = {POLY_ONE: d}
@@ -967,29 +984,19 @@ def dot(pairs) -> Scalar:
     added over a running common denominator (the constant products into one
     int, the others into one vector), and the sum is normalised once at the
     end, so no Scalar is built per term.  A pair with a rational-function
-    factor is multiplied as Scalars; those products are summed over the lcm
-    of their denominators and reduced once, with the polynomial part, at the
-    end.  Pairs with a zero factor are skipped.
+    factor is multiplied and added as Scalars, by Henrici's rules
+    (``_product`` and ``_sum``).  Pairs with a zero factor are skipped.
     """
     one = POLY_ONE
     den, const, vec = 1, 0, []
-    rnum = rden = None
+    rest = None
     for x, y in pairs:
         xn, yn = x.num, y.num
         xp, yp = xn._prim, yn._prim
         if not xp or not yp:
             continue
         if x.den is not one or y.den is not one:
-            term = x * y
-            tn, td = term.num, term.den
-            if rden is None:
-                rnum, rden = tn, td
-            elif td == rden:
-                rnum = rnum + tn
-            else:
-                # Over lcm(rden, td): one gcd of the denominators only.
-                tr, rt, _ = _cofactors(rden, td)
-                rnum, rden = rnum * rt + tn * tr, rden * rt
+            rest = x * y if rest is None else rest + x * y
             continue
         d = xn._den * yn._den
         if den % d:
@@ -1020,9 +1027,7 @@ def dot(pairs) -> Scalar:
         total = _polynomial(_poly(const // g, den // g, _UNIT))
     else:
         total = ZERO
-    if rden is None:
-        return total
-    return Scalar(rnum + total.num * rden, rden)
+    return total if rest is None else total + rest
 
 
 def solve_lower(rows, rhs) -> list[tuple[Scalar, ...]]:
@@ -1031,20 +1036,15 @@ def solve_lower(rows, rhs) -> list[tuple[Scalar, ...]]:
     Forward substitution against a lower-triangular matrix; entries above
     the diagonal are not read.  rhs[m] holds one entry per right-hand side
     and so does x_m.  Each row forms -rows[m][j]/rows[m][m] once for its
-    nonzero subdiagonal entries (just -rows[m][j] on a unit diagonal, as on
-    every named array), then each entry of x_m is one ``dot``.
+    nonzero subdiagonal entries, then each entry of x_m is one ``dot``.
     """
     x: list[tuple[Scalar, ...]] = []
     for m, b in enumerate(rhs):
         row = rows[m]
         if row[m].is_zero:
             raise ZeroDivisionError(f"singular diagonal entry at ({m}, {m})")
-        if row[m] == ONE:
-            inv = ONE
-            terms = [(x[j], -row[j]) for j in range(m) if not row[j].is_zero]
-        else:
-            inv = ONE / row[m]
-            terms = [(x[j], -row[j] * inv) for j in range(m) if not row[j].is_zero]
+        inv = ONE / row[m]
+        terms = [(x[j], -row[j] * inv) for j in range(m) if not row[j].is_zero]
         x.append(tuple(dot([(bk, inv)] + [(xj[k], c) for xj, c in terms])
                        for k, bk in enumerate(b)))
     return x

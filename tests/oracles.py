@@ -25,9 +25,11 @@ procedure, closed forms are parsed by a peek/advance parser and
 evaluated with every leaf a Series (and z-only forms by their own walk),
 a b-file reads each entry back from its string, and the random generators
 only build inputs.  Scalar sums and products canonicalise the
-full cross product by the Euclid gcd, and Scalar division is also kept
-as the gcd route it took before it tried an exact quotient.  Each
-library call computes one route; the tests compare it with these.
+full cross product by the Euclid gcd, Scalar division is also kept
+as the gcd route it took before it tried an exact quotient, and exact
+polynomial division as the quotient of pseudo-division (``divmod``) that
+it was before it took the exact long division.  Each library call
+computes one route; the tests compare it with these.
 """
 
 from __future__ import annotations
@@ -290,6 +292,16 @@ def divide_by_gcd(x: Scalar, y: Scalar) -> Scalar:
     if x.is_zero:
         return ZERO
     return _product(x.num, x.den, *_inverse(y))
+
+
+def exact_div_by_divmod(a: PolyZ, b: PolyZ) -> PolyZ:
+    """a/b by the route ``PolyZ.exact_div`` took before it ran on
+    ``scalars._exact_quotient``: the quotient of ``divmod``, which must
+    leave a zero remainder."""
+    quo, rem = divmod(a, b)
+    if not rem.is_zero:
+        raise ArithmeticError("inexact polynomial division")
+    return quo
 
 
 def det_cofactor(rows) -> Scalar:

@@ -2,19 +2,25 @@ from __future__ import annotations
 
 import random
 import signal
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import erarray
 from erarray import scalars
-from erarray.hankel import det_scalar, hankel_transform
+from erarray.checks import _hankel_closed_form
+from erarray.hankel import det_bareiss, det_scalar, hankel_matrix, hankel_transform
 from erarray.orthopoly import (
     JacobiParams,
     MomentSequence,
     invert_lower_triangular,
     jacobi_from_moments,
+    moments_from_jacobi,
 )
 from erarray.riordan import er_apply, er_build
 from erarray.scalars import (
@@ -29,18 +35,24 @@ from erarray.scalars import (
     dot,
     solve_lower,
 )
+from erarray.sequences import named_pair
 from erarray.series import Series
 
 from oracles import (
     ORACLE_SETTINGS,
     FractionPoly,
     divide_by_gcd,
+    exact_div_by_divmod,
     invert_lower_by_columns,
+    pair_thm2_by_quotient,
     poly_scalars,
     random_fraction,
     rational_scalars,
     scalar_by_product,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import Hankel  # noqa: E402
 
 
 def poly(*coeffs):
@@ -70,6 +82,14 @@ class TestPolyZ:
     def test_exact_div_raises(self):
         with pytest.raises(ArithmeticError):
             poly(1, 1).exact_div(poly(0, 1))
+        with pytest.raises(ZeroDivisionError):
+            poly(1, 1).exact_div(PolyZ())
+        assert PolyZ().exact_div(poly(0, 1)).is_zero
+
+    def test_poly_one_is_the_identity_of_the_product(self):
+        p = poly(Fraction(1, 2), -2, 3)
+        assert POLY_ONE * p is p and p * POLY_ONE is p
+        assert POLY_ONE * POLY_ONE is POLY_ONE
 
     def test_evaluate(self):
         assert poly(1, 2, 3).evaluate(2) == 17
@@ -663,17 +683,86 @@ class TestExactQuotient:
         # remainder at all.
         (3 * Z + 1, 2 * Z + 1),
         (Z * Z * Z - 2, Z * Z + Z + 1),
+        # b(0) = 2 does not divide a(0) = 1.
+        (Z * Z + 3 * Z + 1, Z + 2),
+        # b(0) = 0 and a(0) = 2.
+        (Z * Z * Z + 2, Z * Z + Z),
     ])
     def test_inexact_is_not_a_polynomial(self, x, y):
         assert scalars._exact_quotient(x.num, y.num) is None
         got = x / y
         assert got == divide_by_gcd(x, y) and got.den == y.num.monic()
 
+    @pytest.mark.parametrize("x, y", [
+        (Z * Z + 3 * Z + 1, Z + 2),
+        (Z * Z * Z + 2, Z * Z + Z),
+        (Z ** 4 + Z + 3, Z * Z + 2),
+    ])
+    def test_low_coefficients_give_up_before_the_long_division(self, x, y, monkeypatch):
+        # a(0) = b(0) q(0), so an exact quotient needs b(0) | a(0), and
+        # a(0) = 0 when b(0) = 0; each pair fails that before any step.
+        def refused(*args):
+            raise AssertionError("the long division ran")
+
+        monkeypatch.setattr(scalars, "divmod", refused, raising=False)
+        assert scalars._exact_quotient(x.num, y.num) is None
+
     def test_contents_and_signs(self):
         y = Scalar(PolyZ([Fraction(3, 2), 0, Fraction(-9, 4)]))  # -(9/4) z^2 + 3/2
         q = Scalar(PolyZ([Fraction(-5, 7), Fraction(10, 3)]))
         assert (y * q) / y == q and ((y * q) / y).den is POLY_ONE
         assert (y * q) / q == y
+
+
+@contextmanager
+def _without_divmod():
+    """Within the block, ``PolyZ.__divmod__`` (and so ``%``) raises."""
+    def refused(self, other):
+        raise AssertionError("an exact division took divmod")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PolyZ, "__divmod__", refused)
+        yield
+
+
+class TestOneExactDivision:
+    """Every exact division in Q[z] runs on ``_exact_quotient`` and none on
+    pseudo-division, and each gives what the quotient of ``divmod`` gave
+    (``exact_div_by_divmod``)."""
+
+    @ORACLE_SETTINGS
+    @given(a=_division_polys(), b=_division_polys(max_degree=6))
+    def test_exact_multiples(self, a, b):
+        p = a * b
+        expected = exact_div_by_divmod(p, b)
+        with _without_divmod():
+            assert p.exact_div(b) == expected == a
+            assert PolyZ().exact_div(b).is_zero
+
+    def test_clear_denominators_of_the_hankel_jobs(self):
+        jobs = [moments_from_jacobi(params, 2 * n).terms
+                for n, params in Hankel().make_jobs(erarray, 1)]
+        rational = [xs for xs in jobs if not all(x.is_polynomial for x in xs)]
+        assert rational
+        for xs in rational:
+            with _without_divmod():
+                d, nums = _clear_denominators(xs)
+            assert d is not POLY_ONE
+            assert list(nums) == [x.num * exact_div_by_divmod(d, x.den) for x in xs]
+
+    def test_bareiss_on_thm2(self):
+        n = 6
+        params = JacobiParams(alpha=tuple(Z * (k + 1) + k for k in range(2 * n)),
+                              beta=tuple(Z * (k * k) for k in range(1, 2 * n)))
+        rows = [[e.num for e in row] for row in hankel_matrix(moments_from_jacobi(params, 2 * n), n)]
+        with _without_divmod():
+            got = det_bareiss(rows)
+        assert Scalar(got) == _hankel_closed_form(Z, 2, n)[-1]
+
+    def test_thm2_pair(self):
+        with _without_divmod():
+            got = named_pair("thm2", 12)
+        assert got == pair_thm2_by_quotient(12)
 
 
 # Factors for the dot kernel: zero, constants whose denominators are often
@@ -762,8 +851,8 @@ class TestSolveLower:
     @settings(ORACLE_SETTINGS, max_examples=40)
     @given(system=lower_systems())
     def test_unit_diagonal_matches_general_path(self, system):
-        # Row m over its diagonal has a unit diagonal, which skips the
-        # reciprocal; the same row times Z + 2 takes the general path.
+        # Row m over its diagonal has a unit diagonal, and the same row
+        # times Z + 2 has none; both solve to the same x.
         rows, rhs = system
         unit = [tuple(e / row[-1] for e in row) for row in rows]
         unit_rhs = [tuple(e / row[-1] for e in b) for row, b in zip(rows, rhs)]
