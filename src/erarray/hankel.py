@@ -29,73 +29,48 @@ from .orthopoly import JacobiParams, MomentSequence, _chebyshev, _terms
 from .scalars import ONE, POLY_ONE, POLY_ZERO, PolyZ, Scalar, _as_scalar, _clear_denominators, dot
 
 
-def _square(m):
-    """``m`` itself, after checking that it is square."""
-    for row in m:
-        if len(row) != len(m):
-            raise ValueError("determinant needs a square matrix")
-    return m
-
-
-def _pivots(m):
-    """Yield the pivots of one-step Bareiss elimination of the square PolyZ
-    matrix ``m``, which is eliminated in place.
+def det_bareiss(rows) -> PolyZ:
+    """Fraction-free determinant of a square PolyZ matrix, by one-step
+    Bareiss elimination of a copy of it.
 
     Every division by the previous pivot is exact in Q[z] (Bareiss, Math.
-    Comp. 22, 1968).  A vanishing pivot is passed by swapping up, negated,
-    a row below with a nonzero entry in the pivot column, which keeps the
-    determinant, so the last pivot is the determinant; when there is no
-    such row the run ends with a zero.
+    Comp. 22, 1968), so the last pivot is the determinant.  A vanishing
+    pivot is passed by swapping up, negated, a row below with a nonzero
+    entry in the pivot column, which keeps the determinant; when there is
+    no such row the determinant is zero.
     """
+    m = [list(row) for row in rows]
     size = len(m)
-    prev = POLY_ONE
+    if any(len(row) != size for row in m):
+        raise ValueError("determinant needs a square matrix")
+    pivot = POLY_ONE
     for k in range(size):
         if m[k][k].is_zero:
             i = next((i for i in range(k + 1, size) if not m[i][k].is_zero), None)
             if i is None:
-                yield POLY_ZERO
-                return
+                return POLY_ZERO
             m[k], m[i] = [-e for e in m[i]], m[k]
-        pivot = m[k][k]
-        yield pivot
+        prev, pivot = pivot, m[k][k]
         for i in range(k + 1, size):
             for j in range(k + 1, size):
                 m[i][j] = (pivot * m[i][j] - m[i][k] * m[k][j]).exact_div(prev)
-            m[i][k] = POLY_ZERO
-        prev = pivot
-
-
-def det_bareiss(rows) -> PolyZ:
-    """Fraction-free determinant of a square PolyZ matrix.
-
-    Vanishing pivots are handled by row swaps; a fully zero pivot column
-    means the determinant is zero.
-    """
-    pivots = list(_pivots(_square([list(row) for row in rows])))
-    return pivots[-1] if pivots else POLY_ONE
-
-
-def _clear_columns(m) -> tuple[list[tuple[PolyZ, ...]], list[PolyZ]]:
-    """Scale each column of a square Scalar matrix by the lcm of its
-    denominators (``scalars._clear_denominators``).
-
-    Returns the polynomial matrix and the column factors.  A column of
-    polynomials has the factor ``POLY_ONE`` and keeps its numerators.
-    """
-    columns = [_clear_denominators([row[j] for row in m]) for j in range(len(_square(m)))]
-    return list(zip(*(nums for _, nums in columns))), [f for f, _ in columns]
+    return pivot
 
 
 def det_scalar(rows) -> Scalar:
     """Exact determinant of a square Scalar matrix.
 
-    Each column is cleared to polynomial form by its denominator lcm, and
-    the product of the column factors is divided back out of the
-    fraction-free result.
+    Each column is scaled by the lcm of its denominators
+    (``scalars._clear_denominators``; a column of polynomials keeps its
+    numerators, with the factor ``POLY_ONE``), and the product of the
+    column factors is divided back out of the fraction-free result.
     """
-    poly_rows, factors = _clear_columns(
-        [[_as_scalar(e, "a matrix entry") for e in row] for row in rows])
-    return Scalar(det_bareiss(poly_rows), prod(factors, start=POLY_ONE))
+    m = [[_as_scalar(e, "a matrix entry") for e in row] for row in rows]
+    if any(len(row) != len(m) for row in m):
+        raise ValueError("determinant needs a square matrix")
+    columns = [_clear_denominators([row[j] for row in m]) for j in range(len(m))]
+    poly_rows = list(zip(*(nums for _, nums in columns)))
+    return Scalar(det_bareiss(poly_rows), prod((f for f, _ in columns), start=POLY_ONE))
 
 
 def hankel_matrix(seq, n: int):
@@ -140,7 +115,9 @@ def hankel_transform(seq, nmax: int) -> list[Scalar]:
 def hankel_from_betas(params: JacobiParams, nmax: int) -> list[Scalar]:
     """Closed form h_n = a0^{n+1} prod_{k=1..n} beta_k^{n-k+1}.
 
-    The a0 exponent n+1 (rather than n) is forced by h_0 = a0 and is
+    It is built in Heilermann's ratio form, as the running product
+    h_n = h_{n-1} a0 B_n with B_n = B_{n-1} beta_n, so O(n) products.  The
+    a0 exponent n+1 (rather than n) is forced by h_0 = a0 and is
     validated against brute-force determinants in the test suite; for
     a0 = 1 the two conventions coincide.
     """
@@ -150,11 +127,12 @@ def hankel_from_betas(params: JacobiParams, nmax: int) -> list[Scalar]:
         raise ValueError(
             f"need {nmax} betas, have {len(params.beta)}"
         )
-    out = []
-    for n in range(nmax + 1):
-        h = params.a0 ** (n + 1)
-        for k in range(1, n + 1):
-            h = h * params.beta[k - 1] ** (n - k + 1)
+    a0 = h = params.a0
+    b = ONE
+    out = [h]
+    for beta in params.beta[:nmax]:
+        b = b * beta
+        h = h * a0 * b
         out.append(h)
     return out
 

@@ -343,8 +343,6 @@ def _walk(terms):
             xg, yg = x, y
         else:
             xg, yg, _ = _cofactors(x, y)
-            if len(yg._prim) == 1:
-                yg = POLY_ONE
         common = lcm(e, e_prev)
         u = common // e
         f, (m_next, m_row, m_prev) = _clear_contents((

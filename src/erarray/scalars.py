@@ -13,9 +13,13 @@ division, and only when the heuristic falls back to Euclid.  ``Scalar``
 sums and products follow Henrici's rules and keep every gcd on the small
 operands.  The one exact division is a long division that takes no gcd
 (``_exact_quotient``): ``PolyZ.exact_div`` runs on it, and a ``Scalar``
-quotient of polynomials tries it first.  The one ``POLY_ONE`` object is
-the identity of the ``PolyZ`` product, so a product of units is
-``POLY_ONE`` itself and callers multiply by it without a guard.
+quotient of polynomials tries it first.  The unit is canonical too:
+``_poly``, which builds every ``PolyZ`` from canonical parts, gives the
+one ``POLY_ONE`` object for 1, so a monic constant, a cofactor of 1 and
+``ONE.num`` are that object.  It is the identity of the ``PolyZ``
+product, so a product of units is ``POLY_ONE`` itself and callers
+multiply by it without a guard.  The constructor ``Scalar(num, den)`` is
+the quotient num / den, so canonical form is reached by one route.
 
 The way into Q(z) is owned here too: ``_as_scalar`` coerces every input
 value the other modules accept, and ``_clear_denominators`` takes Scalars
@@ -166,13 +170,6 @@ class PolyZ:
         g = gcd(ad, bd)
         den = ad // g * bd
         ma, mb = self._num * (bd // g), other._num * (ad // g)
-        if len(a) == 1 == len(b):
-            # Two constants: only the contents add.
-            num = ma + mb
-            if not num:
-                return POLY_ZERO
-            h = gcd(num, den)
-            return _poly(num // h, den // h, _UNIT)
         # The common factor of ma and mb stays in the content.
         h = gcd(ma, mb)
         ma, mb = ma // h, mb // h
@@ -369,7 +366,10 @@ class PolyZ:
 
 
 def _poly(num: int, den: int, prim: tuple) -> PolyZ:
-    """A PolyZ from parts that are already canonical."""
+    """A PolyZ from parts that are already canonical; the unit is the one
+    ``POLY_ONE`` object."""
+    if len(prim) == 1 and num == den == 1:
+        return POLY_ONE
     out = object.__new__(PolyZ)
     out._num, out._den, out._prim = num, den, prim
     return out
@@ -690,9 +690,12 @@ def _rational_scalars(ns, d: int) -> list[Scalar]:
         if not n:
             out.append(ZERO)
             continue
-        g = gcd(n, d) if d != 1 else 1
-        p = new(PolyZ)
-        p._num, p._den, p._prim = n // g, d // g, _UNIT
+        if n == d:
+            p = POLY_ONE
+        else:
+            g = gcd(n, d) if d != 1 else 1
+            p = new(PolyZ)
+            p._num, p._den, p._prim = n // g, d // g, _UNIT
         s = new(Scalar)
         s.num, s.den = p, POLY_ONE
         out.append(s)
@@ -716,8 +719,9 @@ def _euclid_gcd(a: PolyZ, b: PolyZ) -> PolyZ:
 
 _UNIT = (1,)
 
+POLY_ONE = object.__new__(PolyZ)
+POLY_ONE._num, POLY_ONE._den, POLY_ONE._prim = 1, 1, _UNIT
 POLY_ZERO = _poly(0, 1, ())
-POLY_ONE = _poly(1, 1, _UNIT)
 POLY_Z = _poly(1, 1, (0, 1))
 
 
@@ -729,14 +733,16 @@ class Scalar:
     denominator, so ``is_polynomial`` is an identity test.  Values are
     immutable.
 
-    The constructor reduces num/den by their gcd.  Arithmetic keeps the
-    operands' canonical form instead (Henrici; Knuth, TAOCP vol. 2,
-    4.5.1): a sum over coprime denominators is already canonical and
-    otherwise cancels only against g = gcd of the denominators, and a
-    product cross-cancels each numerator with the other denominator.  A
-    quotient of two polynomials, the divisor not a constant, is first tried
-    as an exact division (``_exact_quotient``), which takes no gcd; only
-    when it fails is the numerator cross-cancelled with the divisor.
+    Its numerator is the one ``POLY_ONE`` when the value is 1.  The
+    constructor ``Scalar(num, den)`` is the quotient of the polynomials
+    num and den by ``/``.  Arithmetic keeps the operands' canonical form
+    (Henrici; Knuth, TAOCP vol. 2, 4.5.1): a sum over coprime
+    denominators is already canonical and otherwise cancels only against
+    g = gcd of the denominators, and a product cross-cancels each
+    numerator with the other denominator.  A quotient of two polynomials,
+    the divisor not a constant, is first tried as an exact division
+    (``_exact_quotient``), which takes no gcd; only when it fails is the
+    numerator cross-cancelled with the divisor.
     """
 
     __slots__ = ("num", "den")
@@ -745,25 +751,16 @@ class Scalar:
         num = self._as_poly(num)
         den = POLY_ONE if den is None else self._as_poly(den)
         if den is not POLY_ONE:
-            if den.is_zero:
-                raise ZeroDivisionError("scalar division by zero")
-            if num.is_zero:
-                num, den = POLY_ZERO, POLY_ONE
-            else:
-                if den.degree >= 1:
-                    num, den, _ = _cofactors(num, den)
-                if den.leading != 1:
-                    num = num.scale(1 / den.leading)
-                    den = den.monic()
-                if den.degree == 0:
-                    den = POLY_ONE
+            q = _polynomial(num) / _polynomial(den)
+            num, den = q.num, q.den
         self.num: PolyZ = num
         self.den: PolyZ = den
 
     @staticmethod
     def _as_poly(value) -> PolyZ:
         if isinstance(value, PolyZ):
-            return value
+            # A public PolyZ([1]) is a unit of its own; a Scalar holds POLY_ONE.
+            return POLY_ONE if value._prim == _UNIT and value._num == value._den else value
         if isinstance(value, (int, Fraction)):
             return _const(value)
         raise TypeError(f"cannot build Scalar from {type(value).__name__}")
@@ -826,11 +823,6 @@ class Scalar:
                 return NotImplemented
         if self.den is POLY_ONE and other.den is POLY_ONE:
             return _polynomial(self.num * other.num)
-        # A rational constant times a rational function needs no gcd.
-        for a, b in ((self, other), (other, self)):
-            c = a.num
-            if a.den is POLY_ONE and len(c._prim) == 1:
-                return _canonical(b.num._times(c._num, c._den), b.den)
         if not self.num._prim or not other.num._prim:
             return ZERO
         return _product(self.num, self.den, other.num, other.den)
@@ -876,7 +868,7 @@ class Scalar:
             num, den = _inverse(self)
             exponent = -exponent
         # Powers of coprime polynomials are coprime, and of a monic one monic.
-        return _reduced(num**exponent, den**exponent)
+        return _canonical(num**exponent, den**exponent)
 
     def eval_z(self, v) -> Fraction:
         """Specialize z to a rational value; the denominator must not vanish."""
@@ -929,18 +921,12 @@ def _polynomial(num: PolyZ) -> Scalar:
     return _canonical(num, POLY_ONE)
 
 
-def _reduced(num: PolyZ, den: PolyZ) -> Scalar:
-    """The Scalar num/den from coprime parts with den monic; a constant den
-    becomes the one ``POLY_ONE``."""
-    return _canonical(num, den if len(den._prim) > 1 else POLY_ONE)
-
-
 def _inverse(s: Scalar) -> tuple[PolyZ, PolyZ]:
     """The coprime numerator and monic denominator of 1/s, for s != 0."""
     n = s.num
     prim = n._prim
     num = s.den._times(n._den, n._num * prim[-1])
-    return num, POLY_ONE if len(prim) == 1 else _poly(1, prim[-1], prim)
+    return num, _poly(1, prim[-1], prim)
 
 
 # Henrici's rules (Knuth, TAOCP vol. 2, 4.5.1) for canonical fractions: each
@@ -964,7 +950,7 @@ def _sum(an: PolyZ, ad: PolyZ, bn: PolyZ, bd: PolyZ) -> Scalar:
     if not t._prim:
         return ZERO
     t, g, _ = _cofactors(t, g)
-    return _reduced(t, ra * rb * g)
+    return _canonical(t, ra * rb * g)
 
 
 def _product(an: PolyZ, ad: PolyZ, bn: PolyZ, bd: PolyZ) -> Scalar:
@@ -974,7 +960,7 @@ def _product(an: PolyZ, ad: PolyZ, bn: PolyZ, bd: PolyZ) -> Scalar:
         bn, ad, _ = _cofactors(bn, ad)
     if bd is not POLY_ONE:
         an, bd, _ = _cofactors(an, bd)
-    return _reduced(an * bn, ad * bd)
+    return _canonical(an * bn, ad * bd)
 
 
 def dot(pairs) -> Scalar:

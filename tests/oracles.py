@@ -26,7 +26,9 @@ evaluated with every leaf a Series (and z-only forms by their own walk),
 a b-file reads each entry back from its string, and the random generators
 only build inputs.  Scalar sums and products canonicalise the
 full cross product by the Euclid gcd, Scalar division is also kept
-as the gcd route it took before it tried an exact quotient, and exact
+as the gcd route it took before it tried an exact quotient, the Scalar
+constructor as the gcd and monic scaling it did before it became that
+quotient, and exact
 polynomial division as the quotient of pseudo-division (``divmod``) that
 it was before it took the exact long division.  Each library call
 computes one route; the tests compare it with these.
@@ -46,8 +48,8 @@ from erarray.hankel import hankel_matrix
 from erarray.orthopoly import JacobiParams, JacobiRecovery, MomentSequence
 from erarray.riordan import ERArray, ProductionMatrix, er_build
 from erarray.scalars import (ONE, POLY_ONE, POLY_ZERO, ZERO, PolyZ, Scalar, Z, _as_scalar,
-                             _canonical, _clear_denominators, _inverse, _polynomial, _product,
-                             dot, solve_lower)
+                             _canonical, _clear_denominators, _cofactors, _inverse, _polynomial,
+                             _product, dot, solve_lower)
 from erarray.series import Series, _series
 
 
@@ -292,6 +294,24 @@ def divide_by_gcd(x: Scalar, y: Scalar) -> Scalar:
     if x.is_zero:
         return ZERO
     return _product(x.num, x.den, *_inverse(y))
+
+
+def scalar_by_cofactors(num, den) -> Scalar:
+    """Scalar(num, den) by the route its constructor took before it was the
+    quotient num / den: num and den divided by their gcd
+    (``scalars._cofactors``) when den is not a constant, then num scaled by
+    1/lc(den) and den made monic, a constant den replaced by ``POLY_ONE``."""
+    num, den = Scalar._as_poly(num), Scalar._as_poly(den)
+    if den.is_zero:
+        raise ZeroDivisionError("scalar division by zero")
+    if num.is_zero:
+        return ZERO
+    if den.degree >= 1:
+        num, den, _ = _cofactors(num, den)
+    if den.leading != 1:
+        num = num.scale(1 / den.leading)
+        den = den.monic()
+    return _canonical(num, POLY_ONE if den.degree == 0 else den)
 
 
 def exact_div_by_divmod(a: PolyZ, b: PolyZ) -> PolyZ:

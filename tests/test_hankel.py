@@ -19,7 +19,7 @@ from erarray.hankel import (
     hankel_from_betas,
 )
 from erarray.orthopoly import JacobiParams, moments_from_jacobi
-from erarray.scalars import ONE, ZERO, PolyZ, Scalar, Z
+from erarray.scalars import ONE, POLY_ONE, ZERO, PolyZ, Scalar, Z
 from erarray.sequences import bell_poly
 
 from oracles import (
@@ -71,6 +71,14 @@ class TestDeterminants:
     def test_bareiss_zero_column(self):
         rows = [[PolyZ(), PolyZ((1,))], [PolyZ(), PolyZ((2,))]]
         assert det_bareiss(rows).is_zero
+
+    def test_empty_and_non_square(self):
+        assert det_bareiss([]) is POLY_ONE and det_scalar([]) == ONE
+        for det in (det_bareiss, det_scalar):
+            with pytest.raises(ValueError, match="determinant needs a square matrix"):
+                det([[ONE.num, ONE.num]])
+            with pytest.raises(ValueError, match="determinant needs a square matrix"):
+                det([[ONE.num, ONE.num], [ONE.num]])
 
     def test_routes_agree_polynomial(self):
         rng = random.Random(11)

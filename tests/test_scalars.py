@@ -26,6 +26,7 @@ from erarray.riordan import er_apply, er_build
 from erarray.scalars import (
     ONE,
     POLY_ONE,
+    POLY_Z,
     ZERO,
     PolyZ,
     Scalar,
@@ -48,6 +49,7 @@ from oracles import (
     poly_scalars,
     random_fraction,
     rational_scalars,
+    scalar_by_cofactors,
     scalar_by_product,
 )
 
@@ -558,9 +560,11 @@ def assert_ops_match_oracle(x: Scalar, y: Scalar):
             continue
         got = fn(x, y)
         assert got == scalar_by_product(op, x, y)
-        # Canonical: a monic denominator, the one POLY_ONE when constant.
+        # Canonical: a monic denominator, the one POLY_ONE when constant,
+        # and a unit numerator is that object too.
         assert got.den.leading == 1
         assert (got.den is POLY_ONE) == (got.den.degree == 0)
+        assert (got.num == POLY_ONE) == (got.num is POLY_ONE)
 
 
 def assert_henrici(x: Scalar, y: Scalar):
@@ -658,6 +662,67 @@ def division_pairs(draw):
     elif kind == "higher":
         x, y = q, y * q
     return kind, Scalar(x), Scalar(y)
+
+
+@st.composite
+def constructor_parts(draw):
+    """(kind, num, den) for ``Scalar(num, den)``, PolyZ values with rational
+    contents and leading coefficients that are rarely 1: a zero den; a zero
+    num; a constant den; a den that divides num, so it cancels completely;
+    num equal to den; a common factor of degree >= 1; any two."""
+    kind = draw(st.sampled_from(
+        ("zero den", "zero num", "constant", "cancels", "equal", "common", "any")))
+    num, den = draw(_division_polys()), draw(_division_polys(min_degree=1))
+    if kind == "zero den":
+        den = PolyZ()
+    elif kind == "zero num":
+        num = PolyZ()
+    elif kind == "constant":
+        den = PolyZ([draw(_signed_fractions.filter(bool))])
+    elif kind == "cancels":
+        num = num * den
+    elif kind == "equal":
+        num = den
+    elif kind == "common":
+        common = draw(_division_polys(min_degree=1))
+        num, den = num * common, den * common
+    return kind, num, den
+
+
+class TestConstructorIsQuotient:
+    """``Scalar(num, den)`` is the quotient num / den, and its unit is the
+    one POLY_ONE object."""
+
+    @settings(ORACLE_SETTINGS, max_examples=150)
+    @given(parts=constructor_parts())
+    def test_matches_cofactor_route(self, parts):
+        kind, num, den = parts
+        if kind == "zero den":
+            for build in (Scalar, scalar_by_cofactors):
+                with pytest.raises(ZeroDivisionError, match="scalar division by zero"):
+                    build(num, den)
+            return
+        got = Scalar(num, den)
+        assert got == scalar_by_cofactors(num, den)
+        assert got.den.leading == 1
+        assert (got.den is POLY_ONE) == (got.den.degree == 0)
+        assert (got.num == POLY_ONE) == (got.num is POLY_ONE)
+        if kind in ("zero num", "cancels", "equal"):
+            assert got.den is POLY_ONE
+
+    def test_unit_is_one_object(self):
+        monic = (Z * Z + 1).num
+        units = [ONE.num, (ONE / ONE).num, (Z / Z).num, Scalar(POLY_Z, POLY_Z).num,
+                 Scalar(PolyZ([1]), PolyZ([1])).num, Scalar(monic, monic).num,
+                 *scalars._cofactors(monic, monic)[:2], PolyZ([3]).monic(),
+                 scalars._rational_scalars([4], 4)[0].num]
+        for unit in units:
+            assert unit is POLY_ONE
+        # The public constructor builds a unit of its own, which a Scalar
+        # does not keep.
+        assert PolyZ([1]) == POLY_ONE and PolyZ([1]) is not POLY_ONE
+        for s in (Scalar(PolyZ([1])), Scalar(PolyZ([2]), PolyZ([2])), Scalar(5, PolyZ([5]))):
+            assert s.num is POLY_ONE and s.den is POLY_ONE
 
 
 class TestExactQuotient:
@@ -861,6 +926,24 @@ class TestSolveLower:
         assert all(row[-1] == ONE for row in unit)
         assert solve_lower(unit, unit_rhs) == solve_lower(scaled, scaled_rhs)
         assert solve_lower(unit, unit_rhs) == solve_lower(rows, rhs)
+
+    def test_unit_diagonal_multipliers_take_the_identity(self, monkeypatch):
+        # A unit diagonal makes each multiplier -rows[m][j] times the one
+        # POLY_ONE, which PolyZ.__mul__ returns without a gcd.
+        rows = [(ONE,), (Z + 1, ONE), (Z * Z, 3 * Z - 2, ONE)]
+        rhs = [(Z,), (ONE,), (Z + 5,)]
+        expected = solve_lower(rows, rhs)
+        general = []
+        mul = PolyZ.__mul__
+
+        def counting(a, b):
+            if a is not POLY_ONE and b is not POLY_ONE:
+                general.append((a, b))
+            return mul(a, b)
+
+        monkeypatch.setattr(PolyZ, "__mul__", counting)
+        assert solve_lower(rows, rhs) == expected
+        assert general == []
 
     def test_solves_only_the_rows_of_rhs(self):
         rows = ((Z + 1,), (Z, ONE), (ONE, Z, ZERO))
