@@ -1,7 +1,10 @@
 """Microbenchmark of the two integer-polynomial product routes in
-``erarray.scalars``: the classical double loop (``_schoolbook``) and
-Kronecker substitution (``_kronecker``), on the same inputs, on each side
-of the cut ``_SCHOOLBOOK_MAX`` at which ``_multiply`` switches between them.
+``erarray.scalars``: the classical double loop and Kronecker substitution
+(``_kronecker``), on the same inputs, on each side of the cut
+``_SCHOOLBOOK_MAX`` at which ``_multiply`` switches between them.  The
+library runs the double loop only inside ``_sum_of_products`` and only
+below the cut, so the loop timed on both sides is its copy ``schoolbook``
+in tests/oracles.py.
 
 Usage, from the root of a checkout:
 
@@ -9,7 +12,9 @@ Usage, from the root of a checkout:
 
 Each case is a pair of random integer polynomials (seeded) of the given
 lengths whose coefficients have the given bit length.  ``check`` asserts
-that the routes agree on every case, and ``main`` runs it before timing.
+that the routes agree on every case, and that ``_multiply`` and the sum of
+one pair in ``_sum_of_products`` give the same product; ``main`` runs it
+before timing.
 A route's time is the best of five ``timeit`` repeats, each of the loop
 count ``autorange`` picks, in microseconds per product.
 """
@@ -21,8 +26,12 @@ import platform
 import random
 import sys
 import timeit
+from pathlib import Path
 
 from erarray import scalars
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import schoolbook  # noqa: E402
 
 #: (shorter length, longer length, coefficient bits): the shapes of the
 #: five products quoted when the cut was chosen, then a grid across it.
@@ -45,13 +54,15 @@ def _inputs():
 
 def check() -> None:
     """Assert that the cases lie on both sides of the cut, and that both
-    routes, and ``_multiply``, give the same product on every case."""
+    routes, ``_multiply`` and the one-pair ``_sum_of_products`` give the
+    same product on every case."""
     cut = scalars._SCHOOLBOOK_MAX
     if not min(c[0] for c in CASES) <= cut < max(c[0] for c in CASES):
         raise AssertionError(f"the cases do not straddle the cut {cut}")
     for (short, long, bits), a, b in _inputs():
-        product = scalars._schoolbook(a, b)
-        if product != scalars._kronecker(a, b) or product != scalars._multiply(a, b):
+        product = schoolbook(a, b)
+        if (product != scalars._kronecker(a, b) or product != scalars._multiply(a, b)
+                or list(product) != scalars._sum_of_products(((a, b),))):
             raise AssertionError(f"routes disagree on {short}x{long}, {bits} bits")
 
 
@@ -66,11 +77,11 @@ def main() -> int:
     rows = []
     for (short, long, bits), a, b in _inputs():
         kronecker = _best_us(scalars._kronecker, a, b)
-        schoolbook = _best_us(scalars._schoolbook, a, b)
+        double_loop = _best_us(schoolbook, a, b)
         rows.append({"shorter": short, "longer": long, "bits": bits,
                      "kronecker_us": round(kronecker, 2),
-                     "schoolbook_us": round(schoolbook, 2),
-                     "faster": "schoolbook" if schoolbook < kronecker else "kronecker",
+                     "schoolbook_us": round(double_loop, 2),
+                     "faster": "schoolbook" if double_loop < kronecker else "kronecker",
                      "chosen": "schoolbook" if short <= scalars._SCHOOLBOOK_MAX
                      else "kronecker"})
     json.dump({"cut": scalars._SCHOOLBOOK_MAX, "python": platform.python_version(),

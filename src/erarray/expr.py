@@ -94,12 +94,6 @@ class Call:
     span: Span = field(compare=False)
 
 
-_TOKEN_NAMES = {
-    "+": "'+'", "-": "'-'", "*": "'*'", "/": "'/'", "^": "'^'",
-    "(": "'('", ")": "')'",
-}
-
-
 _WORDS = ("x", "z", "exp", "log", "ln")
 
 
@@ -145,7 +139,7 @@ class _Parser:
     def expect(self, kind: str):
         tok = self.tokens[self.pos]
         if tok[0] != kind:
-            self.fail(_TOKEN_NAMES.get(kind, f"'{kind}'"))
+            self.fail(f"'{kind}'")
         self.pos += 1
         return tok
 

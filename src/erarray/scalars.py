@@ -11,15 +11,18 @@ The polynomial gcd is heuristic (GCDHEU) and returns the cofactors it
 proved, so ``_cofactors`` is the one place where a gcd is followed by a
 division, and only when the heuristic falls back to Euclid.  ``Scalar``
 sums and products follow Henrici's rules and keep every gcd on the small
-operands.  The one exact division is a long division that takes no gcd
-(``_exact_quotient``): ``PolyZ.exact_div`` runs on it, and a ``Scalar``
-quotient of polynomials tries it first.  The unit is canonical too:
-``_poly``, which builds every ``PolyZ`` from canonical parts, gives the
-one ``POLY_ONE`` object for 1, so a monic constant, a cofactor of 1 and
-``ONE.num`` are that object.  It is the identity of the ``PolyZ``
-product, so a product of units is ``POLY_ONE`` itself and callers
-multiply by it without a guard.  The constructor ``Scalar(num, den)`` is
-the quotient num / den, so canonical form is reached by one route.
+operands; a polynomial operand takes the same route, since its
+denominator ``POLY_ONE`` is the identity of the product and the gcd of a
+one-term operand returns at once.  The one exact division is a long
+division that takes no gcd (``_exact_quotient``): ``PolyZ.exact_div``
+runs on it, and a ``Scalar`` quotient of polynomials tries it first.
+The unit is canonical too: ``_poly``, which builds every ``PolyZ`` from
+canonical parts, gives the one ``POLY_ONE`` object for 1, so a monic
+constant, a cofactor of 1 and ``ONE.num`` are that object.  It is the
+identity of the ``PolyZ`` product, so a product of units is ``POLY_ONE``
+itself and callers multiply by it without a guard.  The constructor
+``Scalar(num, den)`` is the quotient num / den, so canonical form is
+reached by one route.
 
 The way into Q(z) is owned here too: ``_as_scalar`` coerces every input
 value the other modules accept, and ``_clear_denominators`` takes Scalars
@@ -29,10 +32,12 @@ denominator, and ``_rational_scalars`` makes its way back.
 
 Every integer-polynomial product goes through ``_multiply``: the
 classical double loop when the shorter operand has at most
-``_SCHOOLBOOK_MAX`` terms, Kronecker substitution above that.  Its fused
-form ``_sum_of_products`` adds short products into one sum without
-building them (most often a linear alpha_k or beta_k times an entry of
-the Chebyshev tableau, which ``orthopoly._walk`` holds on ints).
+``_SCHOOLBOOK_MAX`` terms, Kronecker substitution above that.  The double
+loop is written once, in the fused form ``_sum_of_products``, which adds
+short products into one sum without building them (most often a linear
+alpha_k or beta_k times an entry of the Chebyshev tableau, which
+``orthopoly._walk`` holds on ints); a short ``_multiply`` is its sum of
+one pair.
 ``_pack`` evaluates an integer polynomial at z = 2^w and ``_unpack`` reads
 the signed base-2^w digits back; their callers are ``_kronecker``, the
 heuristic gcd and its ``_divides``, and ``orthopoly.moments_from_jacobi``,
@@ -76,9 +81,12 @@ def _ratio(n: int, d: int) -> str:
     return str(n // d)
 
 
-def _format_terms(pairs) -> str:
-    """Render (coefficient text, degree) pairs, descending degree, canonical
-    form; each text is a nonzero rational as ``_ratio`` writes it."""
+def _format_terms(pairs, var: str) -> str:
+    """Render (coefficient text, degree) pairs as a sum of powers of
+    ``var``, in the order given: a leading "-" of a nonzero text is its
+    sign, and a coefficient 1 is elided.  ``PolyZ`` passes rationals as
+    ``_ratio`` writes them, descending; ``Series`` its coefficients'
+    texts, ascending."""
     chunks = []
     for coeff, deg in pairs:
         negative = coeff[0] == "-"
@@ -86,8 +94,8 @@ def _format_terms(pairs) -> str:
         if deg == 0:
             body = mag
         else:
-            var = "z" if deg == 1 else f"z^{deg}"
-            body = var if mag == "1" else f"{mag}*{var}"
+            power = var if deg == 1 else f"{var}^{deg}"
+            body = power if mag == "1" else f"{mag}*{power}"
         if not chunks:
             chunks.append(f"-{body}" if negative else body)
         else:
@@ -358,8 +366,8 @@ class PolyZ:
             if d == 1:
                 return str(n)
             return f"{n}/{d}"
-        return _format_terms((_ratio(n * c, d), k)
-                             for k, c in reversed(list(enumerate(prim))) if c)
+        return _format_terms(((_ratio(n * c, d), k)
+                              for k, c in reversed(list(enumerate(prim))) if c), "z")
 
     def __repr__(self):
         return f"PolyZ({self})"
@@ -400,7 +408,7 @@ def _normal(ints: list, num: int, den: int) -> PolyZ:
 
 #: The longest shorter operand that ``_multiply`` takes by the classical
 #: double loop; above it Kronecker packing is faster on coefficients of up
-#: to a few dozen bits (measured in BENCH_schoolbook_cut.json).
+#: to a few dozen bits (measured by microbench/product_cut.py).
 _SCHOOLBOOK_MAX = 5
 
 
@@ -408,8 +416,8 @@ def _multiply(a: tuple, b: tuple) -> tuple:
     """Product of two nonzero integer polynomials, the one product kernel.
 
     When the shorter operand has at most ``_SCHOOLBOOK_MAX`` terms the
-    classical double loop (``_schoolbook``) is faster than packing: its
-    len(a) len(b) products are of the coefficients themselves, and it
+    classical double loop of ``_sum_of_products`` is faster than packing:
+    its len(a) len(b) products are of the coefficients themselves, and it
     shifts no long integer (Knuth, TAOCP vol. 2, 4.3.3, on the classical
     method for short operands).  Longer operands go to ``_kronecker``.
     """
@@ -417,7 +425,7 @@ def _multiply(a: tuple, b: tuple) -> tuple:
         a, b = b, a
     if len(a) > _SCHOOLBOOK_MAX:
         return _kronecker(a, b)
-    return _schoolbook(a, b)
+    return tuple(_sum_of_products(((a, b),)))
 
 
 def _sum_of_products(pairs) -> list:
@@ -447,19 +455,6 @@ def _sum_of_products(pairs) -> list:
                 for j, d in enumerate(b, i):
                     out[j] += c * d
     return out
-
-
-def _schoolbook(a, b) -> tuple:
-    """Product of two nonzero integer polynomials by the classical double
-    loop, one row per coefficient of ``a``, the shorter."""
-    c = a[0]
-    out = [c * d for d in b] + [0] * (len(a) - 1)
-    for i in range(1, len(a)):
-        c = a[i]
-        if c:
-            for j, d in enumerate(b, i):
-                out[j] += c * d
-    return tuple(out)
 
 
 def _kronecker(a: tuple, b: tuple) -> tuple:
@@ -939,10 +934,6 @@ def _sum(an: PolyZ, ad: PolyZ, bn: PolyZ, bd: PolyZ) -> Scalar:
     bn (ad/g).  For g = 1 that is canonical; otherwise only gcd(t, g) can
     cancel.
     """
-    if ad is POLY_ONE:
-        return _canonical(an * bd + bn, bd)
-    if bd is POLY_ONE:
-        return _canonical(an + bn * ad, ad)
     ra, rb, g = _cofactors(ad, bd)
     t = an * rb + bn * ra
     if g is POLY_ONE:
@@ -956,10 +947,8 @@ def _sum(an: PolyZ, ad: PolyZ, bn: PolyZ, bd: PolyZ) -> Scalar:
 def _product(an: PolyZ, ad: PolyZ, bn: PolyZ, bd: PolyZ) -> Scalar:
     """(an/ad)(bn/bd), for canonical fractions with nonzero numerators:
     an is cross-cancelled with bd and bn with ad."""
-    if ad is not POLY_ONE:
-        bn, ad, _ = _cofactors(bn, ad)
-    if bd is not POLY_ONE:
-        an, bd, _ = _cofactors(an, bd)
+    bn, ad, _ = _cofactors(bn, ad)
+    an, bd, _ = _cofactors(an, bd)
     return _canonical(an * bn, ad * bd)
 
 

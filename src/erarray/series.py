@@ -37,7 +37,8 @@ from functools import partial
 from math import gcd, lcm
 from operator import mul
 
-from .scalars import ONE, POLY_ONE, ZERO, Scalar, _as_scalar, _rational_scalars, dot, solve_lower
+from .scalars import (ONE, POLY_ONE, ZERO, Scalar, _as_scalar, _format_terms, _rational_scalars,
+                      dot, solve_lower)
 
 
 class Series:
@@ -69,13 +70,11 @@ class Series:
 
     @classmethod
     def zero(cls, order: int) -> Series:
-        if order < 0:
-            raise ValueError("a series needs at least the constant coefficient")
-        return _ints(1, [0] * (order + 1))
+        return cls.constant(0, order)
 
     @classmethod
     def one(cls, order: int) -> Series:
-        return _ints(1, [1] + [0] * order)
+        return cls.constant(1, order)
 
     @classmethod
     def x(cls, order: int) -> Series:
@@ -85,6 +84,8 @@ class Series:
 
     @classmethod
     def constant(cls, value, order: int) -> Series:
+        if order < 0:
+            raise ValueError("a series needs at least the constant coefficient")
         if isinstance(value, (int, Fraction)):
             return _ints(value.denominator, [value.numerator] + [0] * order)
         c = _as_scalar(value, "a series coefficient")
@@ -341,30 +342,10 @@ class Series:
         return hash(("Series", self.coeffs))
 
     def __str__(self):
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c.is_zero:
-                continue
-            cs = str(c)
-            if k == 0:
-                parts.append(cs)
-                continue
-            var = "x" if k == 1 else f"x^{k}"
-            if cs == "1":
-                parts.append(var)
-            elif cs == "-1":
-                parts.append(f"-{var}")
-            else:
-                if " " in cs:
-                    cs = f"({cs})"
-                parts.append(f"{cs}*{var}")
-        if not parts:
-            body = "0"
-        else:
-            body = parts[0]
-            for part in parts[1:]:
-                body += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
-        return f"{body} + O(x^{self.order + 1})"
+        # A coefficient of x^k, k >= 1, whose text has a space is a sum.
+        texts = ((str(c), k) for k, c in enumerate(self.coeffs) if not c.is_zero)
+        body = _format_terms(((f"({t})" if k and " " in t else t, k) for t, k in texts), "x")
+        return f"{body or '0'} + O(x^{self.order + 1})"
 
     def __repr__(self):
         return f"Series({self})"

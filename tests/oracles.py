@@ -28,9 +28,12 @@ only build inputs.  Scalar sums and products canonicalise the
 full cross product by the Euclid gcd, Scalar division is also kept
 as the gcd route it took before it tried an exact quotient, the Scalar
 constructor as the gcd and monic scaling it did before it became that
-quotient, and exact
+quotient, exact
 polynomial division as the quotient of pseudo-division (``divmod``) that
-it was before it took the exact long division.  Each library call
+it was before it took the exact long division, the integer-polynomial
+product as the classical double loop of its own that it kept beside the
+fused sum of products, and a series' text as it was written before it
+shared the polynomial term formatter.  Each library call
 computes one route; the tests compare it with these.
 """
 
@@ -324,6 +327,21 @@ def exact_div_by_divmod(a: PolyZ, b: PolyZ) -> PolyZ:
     return quo
 
 
+def schoolbook(a: tuple, b: tuple) -> tuple:
+    """Product of two nonzero integer polynomials by the classical double
+    loop, one row per coefficient of ``a``: the loop ``scalars._multiply``
+    kept beside ``_sum_of_products`` before a short product became the sum
+    of one pair."""
+    c = a[0]
+    out = [c * d for d in b] + [0] * (len(a) - 1)
+    for i in range(1, len(a)):
+        c = a[i]
+        if c:
+            for j, d in enumerate(b, i):
+                out[j] += c * d
+    return tuple(out)
+
+
 def det_cofactor(rows) -> Scalar:
     """Determinant by first-row cofactor expansion (exponential but exact)."""
     size = len(rows)
@@ -495,6 +513,36 @@ def over_scalars(s: Series) -> Series:
     """The same coefficients without the integer form: every operation on
     the result runs on Scalars, the route that z-free series left."""
     return _series(s.coeffs)
+
+
+def series_str_by_parts(s: Series) -> str:
+    """``str`` of a series as ``Series.__str__`` wrote it before it called
+    the term formatter of ``PolyZ``: one part per nonzero coefficient, then
+    the parts joined, a leading "-" of a later part turned into " - "."""
+    parts = []
+    for k, c in enumerate(s.coeffs):
+        if c.is_zero:
+            continue
+        cs = str(c)
+        if k == 0:
+            parts.append(cs)
+            continue
+        var = "x" if k == 1 else f"x^{k}"
+        if cs == "1":
+            parts.append(var)
+        elif cs == "-1":
+            parts.append(f"-{var}")
+        else:
+            if " " in cs:
+                cs = f"({cs})"
+            parts.append(f"{cs}*{var}")
+    if not parts:
+        body = "0"
+    else:
+        body = parts[0]
+        for part in parts[1:]:
+            body += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
+    return f"{body} + O(x^{s.order + 1})"
 
 
 def er_build_over_scalars(g: Series, f: Series) -> ERArray:

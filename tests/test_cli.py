@@ -304,6 +304,16 @@ class TestTrianglePoly:
         assert code == 0
         assert json.loads(out) == ["0", "1", "4", "1"]
 
+    def test_poly_bell_latex(self, capsys):
+        code, out, _ = run(capsys, "poly", "bell", "--n", "4", "--format", "latex")
+        assert code == 0
+        assert out == "\\begin{pmatrix}0, 1, 7, 6, 1\\end{pmatrix}\n"
+
+    def test_poly_eulerian_bfile(self, capsys):
+        code, out, _ = run(capsys, "poly", "eulerian", "--n", "3", "--format", "bfile")
+        assert code == 0
+        assert out == "0 0\n1 1\n2 4\n3 1\n"
+
 
 class TestVerify:
     def test_thm1_passes(self, capsys):
@@ -361,6 +371,18 @@ class TestVerify:
 class TestUsage:
     def test_no_command(self, capsys):
         assert main([]) == 2
+
+    def test_parse_and_eval_errors_exit_2(self, capsys):
+        # ParseError and EvalError are ValueErrors: main reports both the
+        # same way as any other bad input.
+        for argv, message in (
+            (("array", "--g", "1/(1-x", "--f", "x"),
+             "syntax error at offset 6: expected ')', found end of input"),
+            (("hankel", "1", "x"), "x is not allowed in a scalar context (at offset 0..1)"),
+            (("hankel", "1", "1/(z-z)"), "scalar division by zero (at offset 0..6)"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

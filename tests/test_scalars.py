@@ -51,6 +51,7 @@ from oracles import (
     rational_scalars,
     scalar_by_cofactors,
     scalar_by_product,
+    schoolbook,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -505,9 +506,9 @@ def integer_polys(draw, max_length):
 
 
 class TestProductRoutes:
-    """The one integer-polynomial product: the classical double loop while
-    the shorter operand has at most ``_SCHOOLBOOK_MAX`` terms, Kronecker
-    packing above."""
+    """The one integer-polynomial product: the classical double loop of
+    ``_sum_of_products`` while the shorter operand has at most
+    ``_SCHOOLBOOK_MAX`` terms, Kronecker packing above."""
 
     def test_cut_is_between_the_drawn_lengths(self):
         # The draws below put the shorter operand at 1-6 terms.
@@ -528,7 +529,8 @@ class TestProductRoutes:
     @given(a=integer_polys(6), b=integer_polys(130))
     def test_routes_agree(self, a, b):
         product = scalars._kronecker(a, b)
-        assert scalars._schoolbook(a, b) == product
+        assert schoolbook(a, b) == product
+        assert tuple(scalars._sum_of_products(((a, b),))) == product
         assert scalars._multiply(a, b) == scalars._multiply(b, a) == product
 
 
@@ -586,6 +588,12 @@ class TestHenrici:
     @given(x=pool_scalars, y=pool_scalars)
     @example(x=ONE / FIRST_CANDIDATE_FAILS[0], y=Z / FIRST_CANDIDATE_FAILS[1])
     @example(x=Z / FIRST_SHORTCUT_FAILS[0], y=ONE / FIRST_SHORTCUT_FAILS[1])
+    # A polynomial operand on either side, whose denominator is POLY_ONE:
+    # polynomial + rational function, rational function + polynomial, and
+    # products in which only one operand has a denominator, which cancels.
+    @example(x=Z ** 2 - 1, y=Z / (Z + 1))
+    @example(x=(Z + 3) / (Z ** 2 + 1), y=2 * Z - 1)
+    @example(x=ONE / (Z - 1), y=Z ** 2 - 1)
     def test_matches_product_route(self, x, y):
         assert_henrici(x, y)
 

@@ -5,12 +5,13 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erarray import series
 from erarray.expr import parse_series
 from erarray.scalars import ONE, ZERO, Scalar, Z
+from erarray.sequences import NAMED_PAIR_NAMES, named_pair
 from erarray.series import Series, _rational_form
 
 from oracles import (
@@ -26,6 +27,7 @@ from oracles import (
     revert_by_powers,
     revert_newton,
     series_of,
+    series_str_by_parts,
     zfree_scalars,
     zfree_series,
 )
@@ -513,3 +515,49 @@ class TestIntegerForm:
                       x.scale(Z), x / (Series.one(n) - x * Z)):
             assert mixed._q is None
         assert x.exp() * (x * Z).exp() == got
+
+
+class TestLeaves:
+    @pytest.mark.parametrize("make", [
+        Series.zero, Series.one, lambda n: Series.constant(3, n),
+        lambda n: Series.constant(Fraction(-1, 2), n), lambda n: Series.constant(Z + 1, n),
+    ], ids=["zero", "one", "int", "Fraction", "Scalar with z"])
+    def test_negative_order_raises(self, make):
+        for order in (-1, -3):
+            with pytest.raises(ValueError, match="needs at least the constant coefficient"):
+                make(order)
+        assert make(0).order == 0
+
+
+#: Series coefficients of every kind a text can take: zero, +-1, negative
+#: and rational constants, polynomials in z and rational functions of z.
+_text_coefficients = st.builds(
+    lambda c, sign: c * sign,
+    st.one_of(st.sampled_from((ZERO, ONE, Z, Z - 1)), zfree_scalars, poly_scalars,
+              rational_scalars),
+    st.sampled_from((1, -1)))
+
+
+class TestStr:
+    """``str`` of a series through the term formatter of ``PolyZ`` equals
+    the text it had when it joined its own parts."""
+
+    @settings(ORACLE_SETTINGS, max_examples=150)
+    @given(order=st.integers(0, 6), data=st.data())
+    def test_matches_parts_route(self, order, data):
+        for s in (data.draw(zfree_series(order)), data.draw(series_of(_text_coefficients, order))):
+            assert str(s) == series_str_by_parts(s)
+
+    def test_texts(self):
+        assert str(Series.zero(0)) == "0 + O(x^1)"
+        assert str(Series.constant(-Z, 0)) == "-z + O(x^1)"
+        assert str(Series.zero(3)) == "0 + O(x^4)"
+        assert str(Series([0, 1, -1, Fraction(-1, 2)])) == "x - x^2 - 1/2*x^3 + O(x^4)"
+        assert str(Series([-Z - 1, -Z, Z + 1, 1 / (Z + 1)])) == (
+            "-z - 1 - z*x + (z + 1)*x^2 + ((1)/(z + 1))*x^3 + O(x^4)")
+        assert str(Series([0, -ONE / Z])) == "(-1)/(z)*x + O(x^2)"
+
+    @pytest.mark.parametrize("name", NAMED_PAIR_NAMES)
+    def test_named_pairs(self, name):
+        for s in named_pair(name, 6):
+            assert str(s) == series_str_by_parts(s)
