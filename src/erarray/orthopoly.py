@@ -108,23 +108,14 @@ def invert_lower_triangular(rows):
 def jfraction_expand(params: JacobiParams, order: int) -> Series:
     """Ordinary generating function of the moments, from the J-fraction.
 
-    Expanded bottom-up: the innermost level is 1 - alpha_{M-1} x, and level j
-    wraps 1 - alpha_j x - beta_{j+1} x^2 / (next level).
+    Its coefficients are the moments a_0..a_order, so it is the Stieltjes
+    tableau of ``moments_from_jacobi`` read as a series.
     """
-    depth = params.depth
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    if order > depth:
-        raise ValueError(f"insufficient parameters: order {order} > depth {depth}")
-    if depth == 0:
-        return Series.constant(params.a0, order)
-    x = Series.x(order) if order >= 1 else Series.zero(0)
-    level = Series.one(order) - x * params.alpha[depth - 1]
-    for j in range(depth - 2, -1, -1):
-        level = Series.one(order) - x * params.alpha[j] - (
-            (x * x) * params.beta[j] / level
-        )
-    return Series.constant(params.a0, order) / level
+    if order > params.depth:
+        raise ValueError(f"insufficient parameters: order {order} > depth {params.depth}")
+    return Series(moments_from_jacobi(params, order).terms)
 
 
 def moments_from_jacobi(params: JacobiParams, count: int) -> MomentSequence:
@@ -150,7 +141,7 @@ def moments_from_jacobi(params: JacobiParams, count: int) -> MomentSequence:
     head bound) + 1 holds every signed coefficient.  The tests compare it
     with the chained tableau and the one-``dot``-per-entry tableau it
     replaced, with the inverse of the monic coefficient array and with
-    ``jfraction_expand``.
+    the bottom-up expansion of the J-fraction.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")

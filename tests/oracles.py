@@ -15,7 +15,8 @@ production series and the inverse array compose with the reversion of f,
 both by the tables of powers, production
 matrices are read off the bivariate generating function, triangular
 matrices are inverted column by column, moments come from inverting the
-monic coefficient array of the three-term recurrence, both tableaux (the
+monic coefficient array of the three-term recurrence and from expanding
+the J-fraction bottom-up, level by level, both tableaux (the
 Stieltjes one for moments, the Chebyshev one for the Hankel transform and
 Jacobi recovery) chain one ring operation per term, both are also kept
 with one ``dot`` per entry over Q(z) (the routes that the packed rows and
@@ -750,6 +751,24 @@ def moments_by_inverse(params, count: int) -> tuple[Scalar, ...]:
     """Moments a0 (A^-1)[n][0], A the monic coefficient array of the data."""
     inv = invert_lower_by_columns(coeff_array_from_jacobi(params, count))
     return tuple(params.a0 * inv[n][0] for n in range(count + 1))
+
+
+def jfraction_by_levels(params: JacobiParams, order: int) -> Series:
+    """The J-fraction's series, expanded bottom-up as a continued fraction.
+
+    The innermost level is 1 - alpha_{M-1} x, and level j wraps
+    1 - alpha_j x - beta_{j+1} x^2 / (next level).
+    """
+    depth = params.depth
+    if depth == 0:
+        return Series.constant(params.a0, order)
+    x = Series.x(order) if order >= 1 else Series.zero(0)
+    level = Series.one(order) - x * params.alpha[depth - 1]
+    for j in range(depth - 2, -1, -1):
+        level = Series.one(order) - x * params.alpha[j] - (
+            (x * x) * params.beta[j] / level
+        )
+    return Series.constant(params.a0, order) / level
 
 
 def moments_by_chained_tableau(params: JacobiParams, count: int) -> MomentSequence:

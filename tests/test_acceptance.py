@@ -139,13 +139,30 @@ def test_criterion_09_inverses_and_factorization(suite):
     report(9, "inverse propositions and the factorization identity hold to order 12", ok)
 
 
+def failing(*targets, order: int = 6) -> list[str]:
+    """Names of the failing rows of ``targets``; each must show both values.
+
+    A failing row's detail is an ``expected:`` line and an ``actual:`` line,
+    and the two values shown differ.
+    """
+    failed = []
+    for target in targets:
+        for name, ok, detail in SUITES[target](order):
+            if ok:
+                continue
+            expected, actual = detail.split("\n")
+            assert expected.startswith("expected: ") and actual.startswith("actual:   "), name
+            assert expected[len("expected: "):] != actual[len("actual:   "):], name
+            failed.append(name)
+    return failed
+
+
 def test_factorization_row_reads_the_stirling_numbers(monkeypatch):
     # One wrong S(r, j) must fail the factorization row and no other.
     real = checks.stirling2
     monkeypatch.setattr(checks, "stirling2",
                         lambda r, j: real(r, j) + ((r, j) == (5, 3)))
-    failed = [name for name, ok, _ in SUITES["thm1"](6) if not ok]
-    assert failed == ["thm1: factorization L(n,k) = sum_j S(n,j) C(j,k) z^(j-k)"]
+    assert failing("thm1") == ["thm1: factorization L(n,k) = sum_j S(n,j) C(j,k) z^(j-k)"]
 
 
 @pytest.mark.parametrize("target, delta", [("thm1", ONE), ("thm2", Z - 1)])
@@ -161,8 +178,23 @@ def test_inverse_row_reads_the_last_coefficient(monkeypatch, target, delta):
         return er_build(inv.g, Series(f[:-1] + (f[-1] + delta,)))
 
     monkeypatch.setattr(checks, "er_inverse", off)
-    failed = [name for name, ok, _ in SUITES[target](6) if not ok]
+    failed = failing(target)
     assert len(failed) == 1 and failed[0].startswith(f"{target}: inverse array is")
+
+
+@pytest.mark.parametrize("target", ["thm1", "thm2"])
+def test_production_row_reads_every_entry(monkeypatch, target):
+    # A direct production matrix one entry off must fail the "production
+    # methods agree" row and no other.
+    real = checks.production_direct
+
+    def off(a):
+        rows = [list(row) for row in real(a).entries]
+        rows[3][2] += 1
+        return SimpleNamespace(entries=tuple(tuple(row) for row in rows))
+
+    monkeypatch.setattr(checks, "production_direct", off)
+    assert failing(target) == [f"{target}: production methods agree on rows 0..5"]
 
 
 def test_integer_rows_read_every_cell(monkeypatch):
@@ -172,9 +204,7 @@ def test_integer_rows_read_every_cell(monkeypatch):
     real = checks._laguerre
     monkeypatch.setattr(checks, "_laguerre", lambda r, k: real(r, k) + ((r, k) == (4, 2)))
     monkeypatch.setattr(checks, "CHARLIER_ROWS", checks.CHARLIER_ROWS[:3] + ((1, 8, 7, 1),))
-    failed = [name for target in ("thm2", "examples")
-              for name, ok, _ in SUITES[target](6) if not ok]
-    assert failed == [
+    assert failing("thm2", "examples") == [
         "thm2: entries at z = 1 equal the Laguerre-type array (n!/k!) C(n,k)",
         "thm2: inverse entries at z = 1 are the signed Laguerre coefficients",
         "examples: [1/(1-x), x/(1-x)] has general term (n!/k!) C(n,k)",
@@ -186,13 +216,18 @@ def test_integer_rows_read_every_cell(monkeypatch):
 @pytest.mark.parametrize("entry", [Scalar(Fraction(1, 2)), Scalar(Fraction(3, 2)), Z, Z / (Z + 1)])
 def test_integer_rows_refuse_a_non_integer_entry(entry):
     # Each expected value is the integer part of the entry, or z's value at
-    # 0 or 1, so only reading the entry as an integer can fail the row.
+    # 0 or 1, so only reading the entry as an integer can fail the row.  The
+    # reader serves the lower triangle (widths 1..order+1) and displayed rows
+    # (the widths of the rows shown).
     entries = ((ONE, ZERO), (entry, ONE))
-    array = SimpleNamespace(order=1, entries=entries)
+    lower = range(1, 3)
     for term in (0, 1):
-        assert not checks._lower_is(array, lambda r, k: term if (r, k) == (1, 0) else int(r == k))
-        assert not checks._shows(entries, ((1,), (term, 1)), 2)
-    assert checks._shows(((ONE, ZERO), (Scalar(3), ONE)), ((1,), (3, 1)), 2)
+        table = checks._table(lambda r, k: term if (r, k) == (1, 0) else int(r == k), lower)
+        assert checks._ints(entries, lower) != table
+        displayed = ((1,), (term, 1))
+        assert checks._ints(entries, map(len, displayed)) != [v for row in displayed for v in row]
+    assert checks._ints(entries, lower) == [1, None, 1]
+    assert checks._ints(((ONE, ZERO), (Scalar(3), ONE)), lower) == [1, 3, 1]
 
 
 def test_criterion_10_z1_reduction(suite):

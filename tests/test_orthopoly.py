@@ -31,6 +31,7 @@ from oracles import (
     coeff_array_from_jacobi,
     hankel_transform_by_elimination,
     jacobi_by_stieltjes,
+    jfraction_by_levels,
     matrix_product,
     moments_by_chained_tableau,
     moments_by_dot_tableau,
@@ -153,12 +154,20 @@ class TestJFraction:
 
     def test_matches_moment_route(self):
         params = laguerre_params(5)
-        assert jfraction_expand(params, 5).coeffs == \
+        assert jfraction_by_levels(params, 5).coeffs == \
             moments_from_jacobi(params, 5).terms
 
     def test_negative_order(self):
         with pytest.raises(ValueError, match="order must be >= 0, got -1"):
             jfraction_expand(thm1_params(3), -1)
+
+    def test_order_beyond_depth(self):
+        with pytest.raises(ValueError, match="insufficient parameters: order 4 > depth 3"):
+            jfraction_expand(thm1_params(3), 4)
+
+    def test_depth_zero_is_the_constant(self):
+        params = JacobiParams(alpha=(), beta=(), a0=Scalar(5))
+        assert jfraction_expand(params, 0) == jfraction_by_levels(params, 0)
 
 
 class TestJacobiRecovery:
@@ -282,7 +291,7 @@ class TestAgainstOracles:
         params, count = case
         got = moments_from_jacobi(params, count).terms
         assert got == moments_by_inverse(params, count)
-        assert got == jfraction_expand(params, count).coeffs
+        assert got == jfraction_by_levels(params, count).coeffs
 
 
 #: Jacobi data for the differential tests of the two tableaux: polynomial,
