@@ -15,6 +15,7 @@ order is the same condition as equal entries.
 
 from __future__ import annotations
 
+from itertools import islice
 from math import comb, factorial
 
 from .hankel import hankel_from_betas, hankel_transform
@@ -125,6 +126,23 @@ def _table(term, widths) -> list:
     return [term(r, k) for r, width in enumerate(widths) for k in range(width)]
 
 
+def _int_rows(name: str, expected: list, entries, widths):
+    """A row comparing ``expected``, one value per cell, with the cells that
+    ``_ints`` reads with the same widths.  A failure shows both broken at
+    the row widths, each with its value of the first cell (r, k) that differs."""
+    widths = list(widths)
+    actual = _ints(entries, widths)
+
+    def show(values):
+        rest = iter(values)
+        cells = [(r, k) for r, width in enumerate(widths) for k in range(width)]
+        i = next(i for i, (e, a) in enumerate(zip(expected, actual)) if e != a)
+        rows = _rows_text([list(islice(rest, width)) for width in widths])
+        return f"{rows}; first difference at (r, k) = {cells[i]}: {values[i]}"
+
+    return _equal(name, expected, actual, show)
+
+
 def _production(label: str, a, p, alpha_of, beta_of):
     n = a.order
     yield _equal(
@@ -224,13 +242,13 @@ def thm2(order: int):
     # g(0) and f'(0) stay 1, so the pair specialised at 1 builds the entries
     # specialised at 1, on the z-free route.
     lower = range(1, n + 2)
-    yield _equal(
+    yield _int_rows(
         "thm2: entries at z = 1 equal the Laguerre-type array (n!/k!) C(n,k)",
-        _table(_laguerre, lower), _ints(a.eval_z(1).entries, lower),
+        _table(_laguerre, lower), a.eval_z(1).entries, lower,
     )
-    yield _equal(
+    yield _int_rows(
         "thm2: inverse entries at z = 1 are the signed Laguerre coefficients",
-        _table(_signed_laguerre, lower), _ints(inv.eval_z(1).entries, lower),
+        _table(_signed_laguerre, lower), inv.eval_z(1).entries, lower,
     )
 
 
@@ -241,9 +259,9 @@ def examples(order: int):
     lower = range(1, n + 2)
 
     binomial = er_build(*named_pair("binomial", n))
-    yield _equal(
+    yield _int_rows(
         "examples: [e^x, x] realizes Pascal's triangle",
-        _table(comb, lower), _ints(binomial.entries, lower),
+        _table(comb, lower), binomial.entries, lower,
     )
     yield _equal(
         "examples: [e^x, x]^3 = [e^{3x}, x]",
@@ -251,17 +269,17 @@ def examples(order: int):
     )
 
     lah = er_build(*named_pair("lah_like", n))
-    yield _equal(
+    yield _int_rows(
         "examples: [1/(1-x), x] has general term n!/k!",
-        _table(lambda r, k: factorial(r) // factorial(k), lower), _ints(lah.entries, lower),
+        _table(lambda r, k: factorial(r) // factorial(k), lower), lah.entries, lower,
     )
     # Entries fixed by the generating function e^{tw}(1/(1-w) + t): the
     # array itself plus a unit superdiagonal.
     square = [n + 1] * n
-    yield _equal(
+    yield _int_rows(
         "examples: production of [1/(1-x), x] matches its generating function",
         _table(lambda i, j: factorial(i) // factorial(j) if j <= i else int(j == i + 1), square),
-        _ints(production_from_pair(lah).entries, square),
+        production_from_pair(lah).entries, square,
     )
     yield _equal(
         "examples: inverse of [1/(1-x), x] is [1-x, x]",
@@ -269,13 +287,13 @@ def examples(order: int):
     )
 
     sol = er_build(*named_pair("sets_of_lists", n))
-    yield _equal(
+    yield _int_rows(
         "examples: [1, x/(1-x)] has general term (n!/k!) C(n-1, n-k)",
         _table(
             lambda r, k: 1 if r == 0 else factorial(r) // factorial(k) * comb(r - 1, r - k),
             lower,
         ),
-        _ints(sol.entries, lower),
+        sol.entries, lower,
     )
     yield _equal(
         "examples: row sums of [1, x/(1-x)] count sets of lists",
@@ -286,26 +304,26 @@ def examples(order: int):
         [one, x / (one + x)], _pair(er_inverse(sol)),
     )
     rows = SETS_OF_LISTS_P[:n]
-    yield _equal(
+    yield _int_rows(
         "examples: production of [1, x/(1-x)] matches the displayed matrix",
         [v for row in rows for v in row],
-        _ints(production_from_pair(sol).entries, map(len, rows)),
+        production_from_pair(sol).entries, map(len, rows),
     )
 
     lag = er_build(*named_pair("laguerre", n))
-    yield _equal(
+    yield _int_rows(
         "examples: [1/(1-x), x/(1-x)] has general term (n!/k!) C(n,k)",
-        _table(_laguerre, lower), _ints(lag.entries, lower),
+        _table(_laguerre, lower), lag.entries, lower,
     )
     p_lag = production_from_pair(lag)
     rows = LAGUERRE_P[:n]
-    yield _equal(
+    yield _int_rows(
         "examples: production of [1/(1-x), x/(1-x)] matches the displayed matrix",
-        [v for row in rows for v in row], _ints(p_lag.entries, map(len, rows)),
+        [v for row in rows for v in row], p_lag.entries, map(len, rows),
     )
-    yield _equal(
+    yield _int_rows(
         "examples: inverse of [1/(1-x), x/(1-x)] is the signed Laguerre array",
-        _table(_signed_laguerre, lower), _ints(er_inverse(lag).entries, lower),
+        _table(_signed_laguerre, lower), er_inverse(lag).entries, lower,
     )
     params = extract_jacobi(p_lag)
     yield _equal(
@@ -320,9 +338,9 @@ def examples(order: int):
 
     charlier = er_build(*named_pair("charlier", n))
     rows = CHARLIER_ROWS[: n + 1]
-    yield _equal(
+    yield _int_rows(
         "examples: [e^x, log(1/(1-x))] matches the displayed rows",
-        [v for row in rows for v in row], _ints(charlier.entries, map(len, rows)),
+        [v for row in rows for v in row], charlier.entries, map(len, rows),
     )
     inv_charlier = er_inverse(charlier)
     emx = (x * (-1)).exp()

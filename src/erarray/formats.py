@@ -1,18 +1,21 @@
 """Serialization: JSON schemas, plain text, LaTeX and OEIS-style b-files.
 
 All emitters use the Scalar canonical string form, so JSON output reparses
-to identical values and re-serializes byte-identically.
+to identical values and re-serializes byte-identically.  The reader takes
+that form directly, checked once per cell as a whole; any other cell goes
+through the expression parser.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from math import lcm
+from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .expr import parse_scalar
 from .orthopoly import JacobiParams, MomentSequence
-from .scalars import PolyZ, Scalar, _integer
+from .scalars import POLY_ONE, PolyZ, Scalar, _canonical, _cofactors, _integer, _polynomial
 
 
 def _dump(obj) -> str:
@@ -21,48 +24,54 @@ def _dump(obj) -> str:
 
 # -- reading scalars --
 
-#: One term of a canonical polynomial: [-][c[/d]*]z[^k] or [-]c[/d].
-_TERM = re.compile(r"(-?)(?:(\d+)(?:/(\d+))?\*)?z(?:\^(\d+))?|(-?)(\d+)(?:/(\d+))?", re.ASCII)
+#: A canonical polynomial, as ``str(PolyZ)`` writes it: terms [c[/d]*]z[^k]
+#: or c[/d], d > 0, joined by " + " and " - ", the first one signed by "-".
+_TERM = r"(?:\d+(?:/0*[1-9]\d*)?\*)?z(?:\^\d+)?|\d+(?:/0*[1-9]\d*)?"
+_POLY = re.compile(rf"-?(?:{_TERM})(?: [-+] (?:{_TERM}))*", re.ASCII)
+
+#: The highest z-degree the reader builds, far above the z^528 erarray
+#: writes at order 64, so that a hostile exponent allocates nothing.
+MAX_DEGREE = 1 << 16
 
 
 def _read_poly(text: str) -> PolyZ | None:
-    """The polynomial written as ``str(PolyZ)`` writes it, or None.
-
-    Terms are joined by " + " and " - "; their order does not matter, and
-    repeated degrees add up.
-    """
-    coeffs = []  # (numerator, denominator, degree)
-    for piece in text.replace(" - ", " + -").split(" + "):
-        m = _TERM.fullmatch(piece)
-        if m is None:
-            return None
-        sign, num, den, deg, csign, cnum, cden = m.groups()
-        if cnum is not None:
-            sign, num, den, deg = csign, cnum, cden, 0
-        num = int(num) if num is not None else 1
-        den = int(den) if den is not None else 1
-        if not den:
-            return None
-        coeffs.append((-num if sign else num, den, 1 if deg is None else int(deg)))
-    common = lcm(*(den for _, den, _ in coeffs))
-    ints = [0] * (max(deg for _, _, deg in coeffs) + 1)
-    for num, den, deg in coeffs:
-        ints[deg] += num * (common // den)
-    return PolyZ.from_integers(ints, common)
+    """The polynomial written as ``str(PolyZ)`` writes it, or None; terms
+    may come in any order, repeated degrees add up, and a degree above
+    ``MAX_DEGREE`` raises ValueError."""
+    if _POLY.fullmatch(text) is None:
+        return None
+    value = Fraction if "/" in text else int
+    coeffs = [0]
+    for term in text.replace(" - ", " + -").split(" + "):
+        coeff, z, power = term.partition("z")
+        deg = 0
+        if z:
+            deg = int(power[1:]) if power else 1
+            if deg > MAX_DEGREE:
+                raise ValueError(f"z-degree {deg} exceeds the bound {MAX_DEGREE}")
+            if deg >= len(coeffs):
+                coeffs += [0] * (deg + 1 - len(coeffs))
+            coeff = coeff[:-1] if coeff[-1:] == "*" else coeff + "1"
+        coeffs[deg] += value(coeff)
+    return PolyZ.from_integers(coeffs) if value is int else PolyZ(coeffs)
 
 
 def _read_canonical(text: str) -> Scalar | None:
     """The Scalar written in the canonical ``str(Scalar)`` form, a
-    polynomial or "(num)/(den)", or None when ``text`` is not in that form."""
+    polynomial or "(num)/(den)", or None when ``text`` is not in that form.
+    A quotient is taken as it stands when its denominator is monic and one
+    gcd shows it coprime to the numerator, and divided out otherwise."""
     if not text.startswith("("):
         num = _read_poly(text)
-        return None if num is None else Scalar(num)
+        return None if num is None else _polynomial(num)
     num, sep, den = text[1:-1].partition(")/(")
     if not sep or not text.endswith(")"):
         return None
     num, den = _read_poly(num), _read_poly(den)
     if num is None or den is None or den.is_zero:
         return None
+    if num and den.leading == 1 and _cofactors(num, den)[2] is POLY_ONE:
+        return _canonical(num, den)
     return Scalar(num, den)
 
 
@@ -166,7 +175,10 @@ def _require_integer(cell) -> int:
 # -- sequences --
 
 def sequence_to_json(terms) -> str:
-    return _dump([str(t) for t in terms])
+    """The JSON list of the terms' strings, as ``json.dumps(..., indent=2)``
+    writes it, without its pure-Python encoder."""
+    cells = [_quote(str(t)) for t in terms]
+    return "[\n  " + ",\n  ".join(cells) + "\n]\n" if cells else "[]\n"
 
 
 def sequence_from_json(text: str) -> list[Scalar]:

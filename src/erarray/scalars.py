@@ -87,20 +87,19 @@ def _format_terms(pairs, var: str) -> str:
     sign, and a coefficient 1 is elided.  ``PolyZ`` passes rationals as
     ``_ratio`` writes them, descending; ``Series`` its coefficients'
     texts, ascending."""
-    chunks = []
+    pieces = []
     for coeff, deg in pairs:
-        negative = coeff[0] == "-"
-        mag = coeff[1:] if negative else coeff
-        if deg == 0:
-            body = mag
-        else:
+        sign = " + "
+        if coeff[0] == "-":
+            sign, coeff = " - ", coeff[1:]
+        if deg:
             power = var if deg == 1 else f"{var}^{deg}"
-            body = power if mag == "1" else f"{mag}*{power}"
-        if not chunks:
-            chunks.append(f"-{body}" if negative else body)
-        else:
-            chunks.append(f" - {body}" if negative else f" + {body}")
-    return "".join(chunks)
+            coeff = power if coeff == "1" else f"{coeff}*{power}"
+        pieces.append(sign)
+        pieces.append(coeff)
+    if pieces:
+        pieces[0] = "-" if pieces[0] == " - " else ""
+    return "".join(pieces)
 
 
 class PolyZ:
@@ -366,8 +365,9 @@ class PolyZ:
             if d == 1:
                 return str(n)
             return f"{n}/{d}"
-        return _format_terms(((_ratio(n * c, d), k)
-                              for k, c in reversed(list(enumerate(prim))) if c), "z")
+        top = len(prim) - 1
+        return _format_terms([(str(n * c) if d == 1 else _ratio(n * c, d), top - i)
+                              for i, c in enumerate(reversed(prim)) if c], "z")
 
     def __repr__(self):
         return f"PolyZ({self})"

@@ -33,21 +33,25 @@ quotient, exact
 polynomial division as the quotient of pseudo-division (``divmod``) that
 it was before it took the exact long division, the integer-polynomial
 product as the classical double loop of its own that it kept beside the
-fused sum of products, and a series' text as it was written before it
-shared the polynomial term formatter.  Each library call
+fused sum of products, a series' text as it was written before it
+shared the polynomial term formatter, a polynomial's text with one
+reduced fraction per coefficient, and a JSON cell as it was read before
+the reader checked it as a whole, one regex match per term.  Each library call
 computes one route; the tests compare it with these.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from erarray.expr import BinOp, Call, EvalError, Neg, Num, ParseError, Pow, VarX, VarZ
+from erarray.expr import (BinOp, Call, EvalError, Neg, Num, ParseError, Pow, VarX, VarZ,
+                          parse_scalar)
 from erarray.hankel import hankel_matrix
 from erarray.orthopoly import JacobiParams, JacobiRecovery, MomentSequence
 from erarray.riordan import ERArray, ProductionMatrix, er_build
@@ -1267,6 +1271,96 @@ def triangle_to_bfile_by_strings(entries, lower: bool = True) -> str:
                 ) from None
             lines.append(f"{n} {k} {value}")
     return "\n".join(lines) + "\n"
+
+
+# The text ends of a JSON sequence as they were before the reader checked a
+# cell once as a whole: one regex match per term, every quotient of a
+# rational cell taken by the constructor, and a polynomial written with one
+# gcd per coefficient and one chunk per term.
+
+#: One term of a canonical polynomial: [-][c[/d]*]z[^k] or [-]c[/d].
+_TERM_BY_TERMS = re.compile(
+    r"(-?)(?:(\d+)(?:/(\d+))?\*)?z(?:\^(\d+))?|(-?)(\d+)(?:/(\d+))?", re.ASCII)
+
+
+def read_poly_by_terms(text: str) -> PolyZ | None:
+    """The polynomial written as ``str(PolyZ)`` writes it, or None, one
+    regex match per term; terms may come in any order, repeated degrees add
+    up."""
+    coeffs = []  # (numerator, denominator, degree)
+    for piece in text.replace(" - ", " + -").split(" + "):
+        m = _TERM_BY_TERMS.fullmatch(piece)
+        if m is None:
+            return None
+        sign, num, den, deg, csign, cnum, cden = m.groups()
+        if cnum is not None:
+            sign, num, den, deg = csign, cnum, cden, 0
+        num = int(num) if num is not None else 1
+        den = int(den) if den is not None else 1
+        if not den:
+            return None
+        coeffs.append((-num if sign else num, den, 1 if deg is None else int(deg)))
+    common = lcm(*(den for _, den, _ in coeffs))
+    ints = [0] * (max(deg for _, _, deg in coeffs) + 1)
+    for num, den, deg in coeffs:
+        ints[deg] += num * (common // den)
+    return PolyZ.from_integers(ints, common)
+
+
+def read_scalar_by_terms(text: str) -> Scalar:
+    """One JSON cell's text read as ``formats._read_scalar`` read it: the
+    canonical form by ``read_poly_by_terms``, a quotient by the
+    constructor, anything else by the expression parser."""
+    if not text.startswith("("):
+        num = read_poly_by_terms(text)
+        return parse_scalar(text) if num is None else Scalar(num)
+    num, sep, den = text[1:-1].partition(")/(")
+    if sep and text.endswith(")"):
+        num, den = read_poly_by_terms(num), read_poly_by_terms(den)
+        if num is not None and den is not None and not den.is_zero:
+            return Scalar(num, den)
+    return parse_scalar(text)
+
+
+def _terms_by_chunks(pairs) -> str:
+    """(coefficient text, degree) pairs as a sum of powers of z, one chunk
+    per term, each with its sign."""
+    chunks = []
+    for coeff, deg in pairs:
+        negative = coeff[0] == "-"
+        mag = coeff[1:] if negative else coeff
+        if deg == 0:
+            body = mag
+        else:
+            power = "z" if deg == 1 else f"z^{deg}"
+            body = power if mag == "1" else f"{mag}*{power}"
+        if not chunks:
+            chunks.append(f"-{body}" if negative else body)
+        else:
+            chunks.append(f" - {body}" if negative else f" + {body}")
+    return "".join(chunks)
+
+
+def _ratio_by_gcd(n: int, d: int) -> str:
+    g = gcd(n, d)
+    return f"{n // g}/{d // g}" if g != d else str(n // d)
+
+
+def polyz_str_by_parts(p: PolyZ) -> str:
+    """``str(p)`` with one gcd per coefficient, also over an integer
+    content, and one chunk per term."""
+    n, d, prim = p._num, p._den, p._prim
+    if len(prim) <= 1:
+        return str(n) if d == 1 else f"{n}/{d}"
+    return _terms_by_chunks((_ratio_by_gcd(n * c, d), k)
+                            for k, c in reversed(list(enumerate(prim))) if c)
+
+
+def scalar_str_by_parts(s: Scalar) -> str:
+    """``str(s)`` with both polynomials written by ``polyz_str_by_parts``."""
+    if s.is_polynomial:
+        return polyz_str_by_parts(s.num)
+    return f"({polyz_str_by_parts(s.num)})/({polyz_str_by_parts(s.den)})"
 
 
 def random_scalar(rng: random.Random, with_z: bool = False) -> Scalar:

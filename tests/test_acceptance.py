@@ -213,6 +213,24 @@ def test_integer_rows_read_every_cell(monkeypatch):
     ]
 
 
+def test_integer_rows_name_the_wrong_cell(monkeypatch):
+    # A failing integer table shows its rows as rows and names the cell;
+    # at order 6 the Laguerre triangle has 28 cells.
+    real = checks._laguerre
+    monkeypatch.setattr(checks, "_laguerre", lambda r, k: real(r, k) + ((r, k) == (4, 2)))
+    details = {name: detail for name, ok, detail in checks.examples(6) if not ok}
+    detail = details["examples: [1/(1-x), x/(1-x)] has general term (n!/k!) C(n,k)"]
+    assert detail == (
+        "expected: [(1); (1, 1); (2, 4, 1); (6, 18, 9, 1); (24, 96, 73, 16, 1); "
+        "(120, 600, 600, 200, 25, 1); (720, 4320, 5400, 2400, 450, 36, 1)]; "
+        "first difference at (r, k) = (4, 2): 73\n"
+        "actual:   [(1); (1, 1); (2, 4, 1); (6, 18, 9, 1); (24, 96, 72, 16, 1); "
+        "(120, 600, 600, 200, 25, 1); (720, 4320, 5400, 2400, 450, 36, 1)]; "
+        "first difference at (r, k) = (4, 2): 72")
+    assert len(details) == 2
+    assert all(d.endswith("first difference at (r, k) = (4, 2): 72") for d in details.values())
+
+
 @pytest.mark.parametrize("entry", [Scalar(Fraction(1, 2)), Scalar(Fraction(3, 2)), Z, Z / (Z + 1)])
 def test_integer_rows_refuse_a_non_integer_entry(entry):
     # Each expected value is the integer part of the entry, or z's value at

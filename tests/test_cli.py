@@ -209,7 +209,9 @@ class TestSequencesCommands:
     def test_json_non_term_exit_2(self, capsys, tmp_path):
         seq = tmp_path / "m.json"
         for text, message in (("[1, 1.5, 2]", "term 1"), ('["1", {"z": 1}]', "term 1"),
-                              ('"12"', "must be a list")):
+                              ('"12"', "must be a list"),
+                              ('["1", "z^99999999999", "1"]',
+                               "term 1: z-degree 99999999999 exceeds the bound")):
             seq.write_text(text)
             for command in ("hankel", "jacobi"):
                 code, _, err = run(capsys, command, "--in", str(seq))

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import re
+import signal
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from erarray import formats
@@ -14,7 +16,8 @@ from erarray.riordan import er_build, er_inverse, production_from_pair
 from erarray.scalars import ONE, ZERO, PolyZ, Scalar, Z
 from erarray.sequences import named_pair
 
-from oracles import (ORACLE_SETTINGS, poly_scalars, rational_scalars,
+from oracles import (ORACLE_SETTINGS, poly_scalars, polyz_str_by_parts, rational_scalars,
+                     read_scalar_by_terms, scalar_str_by_parts,
                      triangle_to_bfile_by_strings)
 
 
@@ -234,11 +237,30 @@ _pieces = st.sampled_from([
 ])
 
 
+#: The wide polynomials times contents of up to 400 bits over up to 143
+#: bits, of either sign.
+_contented_polys = st.builds(
+    lambda p, c: p.scale(c), _wide_polys,
+    st.builds(Fraction, st.integers(-(2**400), 2**400).filter(bool), st.integers(1, 3**90)))
+
+#: Texts that ``int`` reads but a canonical term never holds: a digit
+#: separator, surrounding space, a "+" sign, a signed later term and a
+#: non-ASCII digit.
+_INT_ONLY_TEXTS = ["1_0*z", " 1", "+1", "1 + -2", "\u0661", "z^\u0662"]
+
+
 def _outcome(read, text):
     try:
         return read(text)
     except (ValueError, ArithmeticError) as exc:
         return type(exc)
+
+
+def _outcome_and_message(read, text):
+    try:
+        return read(text)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
 
 
 class TestCanonicalReader:
@@ -273,12 +295,100 @@ class TestCanonicalReader:
         else:
             assert read == parsed
 
+    @ORACLE_SETTINGS
+    @given(text=st.one_of(st.lists(_pieces, min_size=1, max_size=10).map("".join),
+                          _wide_scalars.map(str)))
+    @example(text="1_0*z")
+    @example(text=" 1")
+    @example(text="+1")
+    @example(text="1 + -2")
+    @example(text="\u0661")
+    @example(text="(z^2)/(z)")
+    @example(text="(z^2 - 1)/(z + 1)")
+    @example(text="(z)/(2*z + 1)")
+    @example(text="(0)/(z)")
+    @example(text="(z)/(1)")
+    @example(text="z + 3/0*z^2")
+    @example(text="z^0 + 1/2 - z + z")
+    def test_is_the_terms_route(self, text):
+        # Both read the same Scalar or raise the same error.  A run of
+        # digits after "^" stays short, so neither route builds a huge power.
+        assume(all(len(k) <= 4 for k in re.findall(r"\^[ (-]*(\d+)", text)))
+        assert _outcome_and_message(formats._read_scalar, text) == _outcome_and_message(
+            read_scalar_by_terms, text)
+
+    @pytest.mark.parametrize("text", _INT_ONLY_TEXTS)
+    def test_int_only_texts_reach_the_parser(self, text):
+        assert formats._read_canonical(text) is None
+
+    @pytest.mark.parametrize("text, value", [
+        ("(z^2)/(z)", Z), ("(z^2 - 1)/(z - 1)", Z + 1), ("(2*z)/(z + 1)", 2 * Z / (Z + 1)),
+        ("(z)/(2*z + 2)", Z / (2 * Z + 2)), ("(z)/(1)", Z), ("(0)/(z + 1)", ZERO),
+    ])
+    def test_quotient_cells_are_reduced(self, text, value):
+        # Only a monic denominator coprime to the numerator is taken as it
+        # stands; the Scalar read equals the quotient in structure too.
+        got = formats._read_canonical(text)
+        assert got == value and (got.num, got.den) == (value.num, value.den)
+
+    def test_a_hostile_exponent_fails_before_it_allocates(self):
+        # A list of 10^11 zeros would exhaust memory, or allocate gigabytes
+        # for a smaller exponent; the bound is checked first.  The timer
+        # turns a slow allocation into a failure.
+        def hang(*args):
+            raise AssertionError("reading z^99999999999 did not return")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            for text in ('["1", "z^99999999999", "1"]', '["1", "(1)/(z^99999999999 + 1)"]',
+                         f'["1", "z^{formats.MAX_DEGREE + 1} + 1"]'):
+                with pytest.raises(ValueError, match=r"^term 1: z-degree \d+ exceeds the bound "
+                                                     rf"{formats.MAX_DEGREE}$"):
+                    formats.sequence_from_json(text)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert formats._read_scalar(f"z^{formats.MAX_DEGREE} - 1").num.degree == formats.MAX_DEGREE
+
     def test_non_canonical_cells_use_the_parser(self):
         assert formats._read_canonical("z*(z + 1)") is None
         assert formats._read_scalar("z*(z + 1)") == Z * Z + Z
         assert formats._read_canonical("z+1") is None
         assert formats._read_scalar("(z)/(1 + z)") == Z / (Z + 1)
 
+
+
+class TestWriter:
+    """The text of a polynomial, a Scalar and a JSON sequence is byte for
+    byte what it was with one reduced fraction per coefficient and
+    ``json.dumps``."""
+
+    @settings(ORACLE_SETTINGS, max_examples=100)
+    @given(p=st.one_of(_wide_polys, _contented_polys))
+    @example(p=PolyZ([0, 0, 0, Fraction(-3, 7)]))
+    @example(p=PolyZ([Fraction(-(10**200), 3), 0, 0, 0, 0, 1]))
+    def test_polynomial_text_is_the_parts_route(self, p):
+        assert str(p) == polyz_str_by_parts(p)
+        assert str(Scalar(p)) == scalar_str_by_parts(Scalar(p))
+
+    @ORACLE_SETTINGS
+    @given(s=_wide_scalars)
+    def test_scalar_text_is_the_parts_route(self, s):
+        assert str(s) == scalar_str_by_parts(s)
+
+    @ORACLE_SETTINGS
+    @given(terms=st.lists(_wide_scalars, max_size=6))
+    def test_sequence_json_is_json_dumps(self, terms):
+        want = json.dumps([str(t) for t in terms], indent=2) + "\n"
+        assert formats.sequence_to_json(terms) == want
+
+    @pytest.mark.parametrize("terms", [
+        [], [ONE], ['say "z"', "back\\slash", "tab\tnew\nline", "\u00e9\u2028\U0001f600", "\x00"],
+    ])
+    def test_sequence_json_escapes_as_json_dumps(self, terms):
+        assert formats.sequence_to_json(terms) == json.dumps(
+            [str(t) for t in terms], indent=2) + "\n"
 
 
 class TestJacobiFormats:

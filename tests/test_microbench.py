@@ -70,3 +70,10 @@ def test_series_routes_agree():
 
 def test_parse_routes_agree():
     _load("parse_route").check()
+
+
+def test_text_routes_agree():
+    # Orders 32 and 64 only: orders 96-128 run in CI through the script's
+    # --check.
+    bench = _load("text_route")
+    bench.check([n for n in bench.ORDERS if n <= 64])
