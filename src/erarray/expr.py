@@ -29,6 +29,10 @@ from .series import Series
 
 Span = tuple[int, int]
 
+#: The highest z-degree of a Scalar power, and of a JSON cell: far above the
+#: z^528 erarray writes at order 64, so a hostile exponent fails at once.
+MAX_DEGREE = 1 << 16
+
 
 class ParseError(ValueError):
     """Syntax error with the byte offset and the expected token."""
@@ -320,6 +324,10 @@ def _eval(node, order: int | None):
             raise EvalError(str(exc), node.span) from None
     if kind is Pow:
         base = _eval(node.base, order)
+        if type(base) is Scalar:
+            deg = max(base.num.degree, base.den.degree) * abs(node.exponent)
+            if deg > MAX_DEGREE:
+                raise EvalError(f"z-degree {deg} exceeds the bound {MAX_DEGREE}", node.span)
         try:
             return base**node.exponent
         except (ValueError, ZeroDivisionError) as exc:

@@ -12,10 +12,11 @@ import json
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from math import lcm
 
-from .expr import parse_scalar
+from .expr import MAX_DEGREE, parse_scalar
 from .orthopoly import JacobiParams, MomentSequence
-from .scalars import POLY_ONE, PolyZ, Scalar, _canonical, _cofactors, _integer, _polynomial
+from .scalars import PolyZ, Scalar, _integer, _polynomial
 
 
 def _dump(obj) -> str:
@@ -28,10 +29,6 @@ def _dump(obj) -> str:
 #: or c[/d], d > 0, joined by " + " and " - ", the first one signed by "-".
 _TERM = r"(?:\d+(?:/0*[1-9]\d*)?\*)?z(?:\^\d+)?|\d+(?:/0*[1-9]\d*)?"
 _POLY = re.compile(rf"-?(?:{_TERM})(?: [-+] (?:{_TERM}))*", re.ASCII)
-
-#: The highest z-degree the reader builds, far above the z^528 erarray
-#: writes at order 64, so that a hostile exponent allocates nothing.
-MAX_DEGREE = 1 << 16
 
 
 def _read_poly(text: str) -> PolyZ | None:
@@ -53,14 +50,15 @@ def _read_poly(text: str) -> PolyZ | None:
                 coeffs += [0] * (deg + 1 - len(coeffs))
             coeff = coeff[:-1] if coeff[-1:] == "*" else coeff + "1"
         coeffs[deg] += value(coeff)
-    return PolyZ.from_integers(coeffs) if value is int else PolyZ(coeffs)
+    if value is int:
+        return PolyZ.from_integers(coeffs)
+    common = lcm(*(c.denominator for c in coeffs))
+    return PolyZ.from_integers([c.numerator * (common // c.denominator) for c in coeffs], common)
 
 
 def _read_canonical(text: str) -> Scalar | None:
     """The Scalar written in the canonical ``str(Scalar)`` form, a
-    polynomial or "(num)/(den)", or None when ``text`` is not in that form.
-    A quotient is taken as it stands when its denominator is monic and one
-    gcd shows it coprime to the numerator, and divided out otherwise."""
+    polynomial or "(num)/(den)", or None when ``text`` is not in that form."""
     if not text.startswith("("):
         num = _read_poly(text)
         return None if num is None else _polynomial(num)
@@ -70,8 +68,6 @@ def _read_canonical(text: str) -> Scalar | None:
     num, den = _read_poly(num), _read_poly(den)
     if num is None or den is None or den.is_zero:
         return None
-    if num and den.leading == 1 and _cofactors(num, den)[2] is POLY_ONE:
-        return _canonical(num, den)
     return Scalar(num, den)
 
 

@@ -75,6 +75,8 @@ def _as_fraction(value) -> Fraction:
 
 def _ratio(n: int, d: int) -> str:
     """n/d in lowest terms, for d > 0, as ``str`` of the Fraction reads it."""
+    if d == 1:
+        return str(n)
     g = gcd(n, d)
     if g != d:
         return f"{n // g}/{d // g}"
@@ -365,9 +367,8 @@ class PolyZ:
             if d == 1:
                 return str(n)
             return f"{n}/{d}"
-        top = len(prim) - 1
-        return _format_terms([(str(n * c) if d == 1 else _ratio(n * c, d), top - i)
-                              for i, c in enumerate(reversed(prim)) if c], "z")
+        return _format_terms(((_ratio(n * c, d), k)
+                              for k, c in reversed(list(enumerate(prim))) if c), "z")
 
     def __repr__(self):
         return f"PolyZ({self})"

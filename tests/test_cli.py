@@ -206,15 +206,18 @@ class TestSequencesCommands:
         data = json.loads(out)
         assert data["alpha"] == ["1", "2"] and data["beta"] == ["1"]
 
-    def test_json_non_term_exit_2(self, capsys, tmp_path):
+    def test_json_non_term_exit_2(self, capsys, tmp_path, deadline):
         seq = tmp_path / "m.json"
         for text, message in (("[1, 1.5, 2]", "term 1"), ('["1", {"z": 1}]', "term 1"),
                               ('"12"', "must be a list"),
                               ('["1", "z^99999999999", "1"]',
+                               "term 1: z-degree 99999999999 exceeds the bound"),
+                              ('["1", "z^99999999999*2", "1"]',
                                "term 1: z-degree 99999999999 exceeds the bound")):
             seq.write_text(text)
             for command in ("hankel", "jacobi"):
-                code, _, err = run(capsys, command, "--in", str(seq))
+                with deadline(5.0, f"{command} on {text}"):
+                    code, _, err = run(capsys, command, "--in", str(seq))
                 assert code == 2
                 assert message in err and "Traceback" not in err
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erarray.expr import (
+    MAX_DEGREE,
     BinOp,
     Call,
     EvalError,
@@ -201,6 +202,15 @@ class TestEvalScalar:
     def test_exp_rejected(self):
         with pytest.raises(EvalError, match="not allowed"):
             parse_scalar("exp(z)")
+
+    def test_power_past_the_degree_bound_fails_first(self, deadline):
+        # z^N is built by repeated squaring, so the bound is checked before;
+        # a truncated series power is not bounded.
+        with deadline(2.0, "a hostile power"):
+            with pytest.raises(EvalError, match=rf"^z-degree {MAX_DEGREE + 2} exceeds the bound "
+                                                rf"{MAX_DEGREE} \(at offset 1\.\.11\)$"):
+                parse_scalar(f"(z^2)^{MAX_DEGREE // 2 + 1}")
+            assert parse_series("exp(z*x)^99999999999", 2).coeffs[0] == ONE
 
     def test_round_trip_canonical(self):
         for s in (Z**2 - 1, (Z + 2) / (Z**2 - 1), Scalar(Fraction(1, 2)) * Z - 1,
