@@ -2,9 +2,9 @@
 ``erarray.scalars``: the classical double loop and Kronecker substitution
 (``_kronecker``), on the same inputs, on each side of the cut
 ``_SCHOOLBOOK_MAX`` at which ``_multiply`` switches between them.  The
-library runs the double loop only inside ``_sum_of_products`` and only
-below the cut, so the loop timed on both sides is its copy ``schoolbook``
-in tests/oracles.py.
+library runs the double loop only inside ``_multiply`` and only below the
+cut, so the loop timed on both sides is its copy ``schoolbook`` in
+tests/oracles.py.
 
 Usage, from the root of a checkout:
 
@@ -12,9 +12,8 @@ Usage, from the root of a checkout:
 
 Each case is a pair of random integer polynomials (seeded) of the given
 lengths whose coefficients have the given bit length.  ``check`` asserts
-that the routes agree on every case, and that ``_multiply`` and the sum of
-one pair in ``_sum_of_products`` give the same product; ``main`` runs it
-before timing.
+that the routes agree on every case, and that ``_multiply`` gives the
+same product; ``main`` runs it before timing.
 A route's time is the best of five ``timeit`` repeats, each of the loop
 count ``autorange`` picks, in microseconds per product.
 """
@@ -54,15 +53,13 @@ def _inputs():
 
 def check() -> None:
     """Assert that the cases lie on both sides of the cut, and that both
-    routes, ``_multiply`` and the one-pair ``_sum_of_products`` give the
-    same product on every case."""
+    routes and ``_multiply`` give the same product on every case."""
     cut = scalars._SCHOOLBOOK_MAX
     if not min(c[0] for c in CASES) <= cut < max(c[0] for c in CASES):
         raise AssertionError(f"the cases do not straddle the cut {cut}")
     for (short, long, bits), a, b in _inputs():
         product = schoolbook(a, b)
-        if (product != scalars._kronecker(a, b) or product != scalars._multiply(a, b)
-                or list(product) != scalars._sum_of_products(((a, b),))):
+        if product != scalars._kronecker(a, b) or product != scalars._multiply(a, b):
             raise AssertionError(f"routes disagree on {short}x{long}, {bits} bits")
 
 

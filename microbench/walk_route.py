@@ -1,10 +1,10 @@
 """Microbenchmark of two routes through the Chebyshev tableau of
 ``erarray.orthopoly._walk``, which ``hankel_transform`` and
-``jacobi_from_moments`` share: the library's rows of integer coefficient
-vectors over one integer and one polynomial denominator per row, each
-entry one fused integer kernel, and the tableau with one ``scalars.dot``
-of three Q(z) pairs per entry (kept as ``walk_by_dot_tableau`` in
-tests/oracles.py), on the same moments.
+``jacobi_from_moments`` share: the library's packed rows, each entry of
+row k one int V_k(l) at z = 2^w over one integer and one polynomial
+denominator per row, and the integer rows they replaced, each entry a
+vector of ints built by one fused sum of three products (kept as
+``walk_by_integer_rows`` in tests/oracles.py), on the same moments.
 
 Usage, from the root of a checkout:
 
@@ -14,17 +14,22 @@ Usage, from the root of a checkout:
 The moments are those of the paper's two theorems (thm1:
 alpha_n = z + n, beta_n = n z; thm2: alpha_n = (n+1) z + n,
 beta_n = n^2 z) at depth and count N for N in ORDERS, where every row is
-polynomial and both routes take the same steps; those of fixed-seed
-rational Jacobi data (alpha = c + d z, beta = (c + d z)/(q + z),
-q in {1, 2, 3}) of depth N and count N - 1 for N in DEPTHS; and those of
-the 42 jobs of the benchmark's ``hankel`` workload at seed 1 (count 2n).
-``check`` asserts that both routes yield the same (s, alpha, beta)
-triples on every case and on every job at every count up to its depth;
-``--check`` runs it alone, and ``main`` runs it before timing.  Under the
-interpreter's lowest int-to-str digit limit the check also shows that
-neither route turns a large int into a string.  A case's time is the best
-of five single walks, in milliseconds, the two routes taking turns; the
-``hankel`` row is the best of five passes over all 42 jobs.
+polynomial; those of fixed-seed rational Jacobi data (alpha = c + d z,
+beta = (c + d z)/(q + z), q in {1, 2, 3}) of depth N and count N - 1 for
+N in DEPTHS; the integer sequences of the Bell numbers and the central
+binomial coefficients to index N for N in INTEGER_ORDERS; raw sequences
+of 2 nmax + 1 fixed-seed terms c + d z (c, d in -3..3, not both 0) for
+nmax in RAW_NMAX, which come from no Jacobi data, and the same terms each
+over a drawn 1..4, so that the rows carry rational contents (e != 1);
+and those of the 42 jobs of the benchmark's ``hankel`` workload at seed 1
+(count 2n).  ``check`` asserts that both routes and the tableau of one
+``scalars.dot`` per entry (``walk_by_dot_tableau``) yield the same
+(s, alpha, beta) triples on every case and on every job at every count up
+to its depth; ``--check`` runs it alone, and ``main`` runs it before
+timing.  Under the interpreter's lowest int-to-str digit limit the check
+also shows that no route turns a large int into a string.  A case's time
+is the best of five single walks, in milliseconds, the two routes taking
+turns; the ``hankel`` row is the best of five passes over all 42 jobs.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ import platform
 import random
 import sys
 import time
+from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import erarray
@@ -43,19 +50,25 @@ from erarray.scalars import Z, Scalar
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.insert(0, str(ROOT / "tests"))
-from oracles import walk_by_dot_tableau  # noqa: E402
+from oracles import bell_numbers, walk_by_dot_tableau, walk_by_integer_rows  # noqa: E402
 from workloads import Hankel  # noqa: E402
 
 ORDERS = (9, 32, 64, 96, 128)
 DEPTHS = (9, 25, 41, 65)
+INTEGER_ORDERS = (64, 96, 128)
+RAW_NMAX = (8, 12, 16)
 THEOREMS = {
     "thm1": lambda n: JacobiParams(alpha=tuple(Z + k for k in range(n)),
                                    beta=tuple(Z * k for k in range(1, n))),
     "thm2": lambda n: JacobiParams(alpha=tuple(Z * (k + 1) + k for k in range(n)),
                                    beta=tuple(Z * (k * k) for k in range(1, n))),
 }
-ROUTES = {"rows": lambda terms: list(_walk(terms)),
-          "dot": lambda terms: list(walk_by_dot_tableau(terms))}
+INTEGERS = {
+    "bell": lambda n: tuple(map(Scalar, bell_numbers(n + 1))),
+    "central binomial": lambda n: tuple(Scalar(comb(2 * k, k)) for k in range(n + 1)),
+}
+ROUTES = {"packed": lambda terms: list(_walk(terms)),
+          "rows": lambda terms: list(walk_by_integer_rows(terms))}
 
 
 def rational_params(depth: int, seed: int = 1) -> JacobiParams:
@@ -74,13 +87,33 @@ def rational_params(depth: int, seed: int = 1) -> JacobiParams:
     return JacobiParams(alpha, beta)
 
 
-def cases(orders=ORDERS, depths=DEPTHS) -> list:
-    """(case, order, moments) for thm1 and thm2 at each order and for the
-    rational data at each depth."""
+def raw_terms(nmax: int, contents: bool, seed: int = 1) -> tuple:
+    """2 nmax + 1 terms c + d z, c and d in -3..3 and not both 0, drawn
+    from ``seed``; with ``contents`` each is divided by a drawn 1..4."""
+    rng = random.Random(f"walk_route/raw/{seed}")
+    out = []
+    for _ in range(2 * nmax + 1):
+        c, d = 0, 0
+        while not (c or d):
+            c, d = rng.randint(-3, 3), rng.randint(-3, 3)
+        term = Scalar(c) + Z * d
+        out.append(term * Scalar(Fraction(1, rng.randint(1, 4))) if contents else term)
+    return tuple(out)
+
+
+def cases(orders=ORDERS, depths=DEPTHS, integer_orders=INTEGER_ORDERS,
+          raw_nmax=RAW_NMAX) -> list:
+    """(case, order, moments) for thm1 and thm2 at each order, the rational
+    data at each depth, the integer sequences at each order and the raw
+    sequences, without and with contents, at each nmax."""
     out = [(name, n, moments_from_jacobi(params(n), n).terms)
            for name, params in THEOREMS.items() for n in orders]
     out += [("rational", n, moments_from_jacobi(rational_params(n), n - 1).terms)
             for n in depths]
+    out += [(name, n, terms(n)) for name, terms in INTEGERS.items() for n in integer_orders]
+    out += [(name, n, raw_terms(n, contents))
+            for name, contents in (("raw", False), ("raw with contents", True))
+            for n in raw_nmax]
     return out
 
 
@@ -90,13 +123,16 @@ def hankel_jobs() -> list:
 
 
 def _agree(terms) -> bool:
-    return list(_walk(terms)) == list(walk_by_dot_tableau(terms))
+    walk = list(_walk(terms))
+    return walk == list(walk_by_integer_rows(terms)) == list(walk_by_dot_tableau(terms))
 
 
-def check(orders=ORDERS, depths=DEPTHS, jobs=True) -> None:
-    """Assert that both routes yield the same triples on every case and,
-    with ``jobs``, on the moments of every ``hankel`` job at every count."""
-    for name, n, terms in cases(orders, depths):
+def check(orders=ORDERS, depths=DEPTHS, integer_orders=INTEGER_ORDERS,
+          raw_nmax=RAW_NMAX, jobs=True) -> None:
+    """Assert that both routes and the dot tableau yield the same triples
+    on every case and, with ``jobs``, on the moments of every ``hankel``
+    job at every count."""
+    for name, n, terms in cases(orders, depths, integer_orders, raw_nmax):
         if not _agree(terms):
             raise AssertionError(f"routes disagree on {name} at order {n}")
     for i, (_, params) in enumerate(hankel_jobs() if jobs else ()):
@@ -122,14 +158,15 @@ def _row(case: str, order, runs: dict) -> dict:
     ms = _best_ms(runs)
     return {"case": case, "order": order,
             **{f"{route}_ms": round(t, 3) for route, t in ms.items()},
-            "speedup": round(ms["dot"] / ms["rows"], 2)}
+            "speedup": round(ms["rows"] / ms["packed"], 2)}
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     check()
     if "--check" in argv:
-        print("walk_route: both routes agree on every case")
+        print("walk_route: the packed rows, the integer rows and the dot tableau "
+              "agree on every case")
         return 0
     rows = [_row(name, n, {route: (lambda f=f: f(terms)) for route, f in ROUTES.items()})
             for name, n, terms in cases()]

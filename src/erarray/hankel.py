@@ -4,8 +4,9 @@ The Hankel transform reads h_k = s_0 s_1 ... s_k off the Chebyshev tableau
 of the sequence (``orthopoly._chebyshev``), s_k = L(p_k^2) for the monic
 orthogonal polynomials p_k of the moment functional, so it needs O(n^2)
 ring operations and no determinant.  The tableau's rows are integer
-coefficient vectors over one denominator each, so its entries take no
-gcd, and on polynomial moments neither do its few divisions per step,
+polynomials, each packed into one int, over one denominator each, so its
+entries take no gcd, and on polynomial moments neither do its few
+divisions per step,
 which are exact.  The walk is shared with
 ``orthopoly.jacobi_from_moments`` through the one-slot memo of
 ``_chebyshev``, so the transform and the recovery of one sequence walk its

@@ -2,20 +2,25 @@
 
 Connects three-term recurrence data (Jacobi parameters) with moment
 sequences and J-fraction expansions, plus the exact recovery of recurrence
-coefficients from raw moments.  The Stieltjes tableau of
-``moments_from_jacobi`` divides nothing, so it runs on Python ints: the
-recurrence data is taken into Z[z] by ``scalars._clear_denominators`` and
-``scalars._clear_contents``, and each row is packed at z = 2^w by
-``scalars._pack``, with the slot width proved by the same tableau on
-1-norms.  The Chebyshev tableau of ``_walk`` divides, a few times per
-step; it holds each row as integer coefficient vectors over one integer
-and one polynomial denominator, so each entry is one fused integer
-kernel, ``scalars._sum_of_products``, with no gcd, and on polynomial
-moments its divisions are exact and take none either.
+coefficients from raw moments.  Both tableaux run on Python ints, each
+entry an integer polynomial packed into one int at z = 2^w
+(``scalars._pack``), with its multipliers entering through ``_factor``,
+which packs a multiplier into one int or, at slots far wider than its
+coefficients, multiplies by each coefficient and shifts.  The Stieltjes
+tableau of ``moments_from_jacobi`` divides nothing: the recurrence data
+is taken into Z[z] by ``scalars._clear_denominators`` and
+``scalars._clear_contents``, and one slot width, proved by the same
+tableau on 1-norms, serves the whole tableau.  The Chebyshev tableau of
+``_walk`` divides, a few times per step, so it holds each row over one
+integer and one polynomial denominator and carries a bound on the
+coefficients of its two live rows: the width is widened, and the rows
+repacked, only when that bound, measured again from the packed rows
+(``scalars._packed_bound``), passes it, and the integer denominator is
+trimmed by a gcd taken on the packed entries first.  On polynomial
+moments its divisions are exact and take no gcd.
 ``invert_lower_triangular`` is one ``scalars.solve_lower`` against the
-identity.  Values enter Q(z) through
-``scalars._as_scalar``; every sequence argument, here and in ``hankel``,
-goes through ``_terms``.
+identity.  Values enter Q(z) through ``scalars._as_scalar``; every
+sequence argument, here and in ``hankel``, goes through ``_terms``.
 """
 
 from __future__ import annotations
@@ -36,8 +41,8 @@ from .scalars import (
     _cofactors,
     _normal,
     _pack,
+    _packed_bound,
     _polynomial,
-    _sum_of_products,
     _unpack,
     solve_lower,
 )
@@ -118,6 +123,53 @@ def jfraction_expand(params: JacobiParams, order: int) -> Series:
     return Series(moments_from_jacobi(params, order).terms)
 
 
+#: How many bits wider than its largest coefficient a slot must be for
+#: ``_factor`` to take a multiplier by shifts: a product by the packed
+#: multiplier, a long int that is mostly zero bits, then costs more than a
+#: product by each short coefficient and a shift (measured by
+#: microbench/moments_route.py and microbench/walk_route.py).
+_SHIFT_CUT = 128
+
+
+class _Shifts:
+    """An integer polynomial mu as a factor of ints packed at z = 2^w:
+    ``mu * v`` is the sum of (c v) << j w over the nonzero coefficients
+    c = mu_j, so no long int is multiplied by another."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, mu, w: int):
+        self.terms = [(c, j * w) for j, c in enumerate(mu) if c]
+
+    def __mul__(self, v: int) -> int:
+        (c, shift), *rest = self.terms
+        out = c * v << shift if shift else c * v
+        for c, shift in rest:
+            out += c * v << shift
+        return out
+
+
+def _factor(mu, w: int):
+    """The integer polynomial ``mu`` as a factor of ints packed at z = 2^w:
+    ``_Shifts`` when the slot is wider than mu's largest coefficient by
+    more than ``_SHIFT_CUT`` bits, which no ``hankel`` job reaches, and
+    otherwise its value mu(2^w), one int.  The packed Stieltjes tableau
+    and the Chebyshev walk both multiply through it."""
+    # The first test spares the narrow slots of every hankel job the max.
+    if w > _SHIFT_CUT and len(mu) > 1 and w - max(map(abs, mu)).bit_length() > _SHIFT_CUT:
+        return _Shifts(mu, w)
+    return _pack(mu, w)
+
+
+def _width(bound: int) -> int:
+    """The slot width of the walk's rows for coefficients of absolute value
+    up to ``bound``: the least width that holds them, bound.bit_length() + 1,
+    and an eighth more, at least 16 bits, so that the bound, which grows
+    every step, passes it only every few steps."""
+    need = bound.bit_length() + 1
+    return need + max(16, need >> 3)
+
+
 def moments_from_jacobi(params: JacobiParams, count: int) -> MomentSequence:
     """Moments a_0..a_count, read off the Stieltjes tableau of the J-fraction.
 
@@ -131,10 +183,11 @@ def moments_from_jacobi(params: JacobiParams, count: int) -> MomentSequence:
     The rows run in Z[z], packed into ints.  With d the lcm of the
     denominators of the alphas and betas used and e the least integer that
     clears the rational contents left, D = e d, D alpha_k and D beta_{k+1}
-    are integer polynomials, and row m holds R[m] = D^m A[m].  Each is
-    evaluated once at z = 2^w (Kronecker substitution), so every entry
+    are integer polynomials, and row m holds R[m] = D^m A[m], evaluated at
+    z = 2^w (Kronecker substitution), so every entry
     D R[m-1][k-1] + (D alpha_k) R[m-1][k] + (D beta_{k+1}) R[m-1][k+1] is
-    three int products, and only the heads R[m][0] are unpacked.  The slot
+    three products by the multipliers of ``_factor``, and only the heads
+    R[m][0] are unpacked.  The slot
     width is proved, not guessed: the same tableau over the 1-norms of D,
     D alpha_k and D beta_{k+1} bounds the 1-norm, hence every coefficient,
     of each head (the 1-norm is submultiplicative), so w = bits(largest
@@ -154,7 +207,7 @@ def moments_from_jacobi(params: JacobiParams, count: int) -> MomentSequence:
     e, ints = _clear_contents((d,) + nums)
     norms = [sum(map(abs, c)) for c in ints]
     w = max(_stieltjes_heads(norms, half, count), default=0).bit_length() + 1
-    heads = _stieltjes_heads([_pack(c, w) for c in ints], half, count)
+    heads = _stieltjes_heads([_factor(c, w) for c in ints], half, count)
     a0 = params.a0
     terms = [a0]
     dm, em = a0.den, 1
@@ -169,10 +222,11 @@ def _stieltjes_heads(values, half: int, count: int) -> list:
     """The heads R[1][0] .. R[count][0] of the Stieltjes tableau over ints.
 
     ``values`` is [D, D alpha_0 .. D alpha_half, D beta_1 .. D beta_half],
-    each an int, and R[0] = [1],
+    each an int or a ``_Shifts``, and R[0] = [1],
     R[m][k] = D R[m-1][k-1] + (D alpha_k) R[m-1][k] + (D beta_{k+1}) R[m-1][k+1],
-    for k <= min(m, count - m).  Run on packed polynomials it gives the
-    packed heads; run on their 1-norms, a bound on each head's 1-norm.
+    for k <= min(m, count - m).  Run on the ``_factor`` of each polynomial
+    it gives the packed heads; run on their 1-norms, a bound on each
+    head's 1-norm.
     """
     shift, alpha, beta = values[0], values[1:half + 2], values[half + 2:]
     row = [1]
@@ -276,14 +330,14 @@ def _walk(terms):
     (Gautschi, "On generating orthogonal polynomials", 1982).  That is
     O(n^2) entries and a few divisions per step.
 
-    Row k is held on ints: sigma_k(l) = V_k(l) / (e_k D_k), V_k(l) the
-    ascending integer coefficients, e_k > 0 one integer and D_k one monic
-    polynomial, the one ``POLY_ONE`` while the row is polynomial.  Row 0
-    is the terms over the lcm of their denominators
-    (``_clear_denominators``) and the lcm of the contents left
-    (``_clear_contents``).  With alpha_k = an/ad, beta_k = bn/bd,
-    X = ad D_k, Y = bd D_{k-1} and g = gcd(X, Y), row k+1 is taken over
-    D_{k+1} = X (Y/g), with the multipliers
+    Row k is held on ints: sigma_k(l) = V_k(l) / (e_k D_k), V_k(l) an
+    integer polynomial, e_k > 0 one integer and D_k one monic polynomial,
+    the one ``POLY_ONE`` while the row is polynomial.  Row 0 is the terms
+    over the lcm of their denominators (``_clear_denominators``) and the
+    lcm of the contents left (``_clear_contents``).  With
+    alpha_k = an/ad, beta_k = bn/bd, X = ad D_k, Y = bd D_{k-1} and
+    g = gcd(X, Y), row k+1 is taken over D_{k+1} = X (Y/g), with the
+    multipliers
 
         m_next = ad (Y/g),  m_row = -an (Y/g),  m_prev = -bn (X/g).
 
@@ -293,15 +347,34 @@ def _walk(terms):
 
         V_{k+1}(l) = mu_next V_k(l+1) + mu_row V_k(l) + mu_prev V_{k-1}(l)
 
-    over e_{k+1} = f E, each entry one ``scalars._sum_of_products`` on ints.
-    The gcd of e_{k+1} and every int of the row is divided out; D_{k+1}
-    may hold more than the lcm of the row's denominators and is not
-    trimmed.  Only V_k(k) and V_k(k+1) become polynomials, for s_k and
-    the ratio V_k(k+1)/V_k(k) (e_k D_k cancels).  On a polynomial sequence
-    every D_k is ``POLY_ONE``, which the ``PolyZ`` product keeps as its
-    identity, so s_k = V_k(k)/(e_k D_k) is built with no gcd, the step
-    takes no polynomial gcd, and both divisions are exact, which ``Scalar``
-    division takes without one.  On rational data one gcd per step gives g.
+    over e_{k+1} = f E.  D_{k+1} may hold more than the lcm of the row's
+    denominators and is not trimmed.
+
+    Each V_k(l) is packed into one int, its value at z = 2^w (Kronecker
+    substitution), with one slot width w for the two live rows, so an
+    entry is three int products and two sums, and the multipliers enter
+    through ``_factor``.  Only V_k(k) and V_k(k+1) are unpacked, for s_k
+    and the ratio V_k(k+1)/V_k(k) (e_k D_k cancels).  The width is proved:
+    B_k bounds every coefficient of row k, so
+
+        B_{k+1} = (|mu_next|_1 + |mu_row|_1) B_k + |mu_prev|_1 B_{k-1}
+
+    bounds row k+1 (the 1-norm bounds a product's coefficients), and
+    every slot holds its signed digit while B_{k+1} < 2^(w-1).  A step
+    whose bound passes that first measures B_k and B_{k-1} again from the
+    packed rows (``scalars._packed_bound``), since the walk's
+    cancellation leaves the carried bounds loose, and repacks the two
+    rows at a wider ``_width`` only if the measured bound still passes.
+    When e_{k+1} != 1 the gcd of e_{k+1} with every packed entry comes
+    first: the gcd t of e_{k+1} with every coefficient divides it, so a
+    gcd of 1 leaves the row packed, and only a larger one unpacks the row
+    to find t, divide it out and measure B_{k+1} again.  On a polynomial
+    sequence every D_k is ``POLY_ONE``, which the ``PolyZ`` product keeps
+    as its identity, so s_k = V_k(k)/(e_k D_k) is built with no gcd, the
+    step takes no polynomial gcd, and both divisions are exact, which
+    ``Scalar`` division takes without one.  On rational data one gcd per
+    step gives g.  The integer rows this replaced are kept as
+    ``walk_by_integer_rows`` in tests/oracles.py.
 
     Yields (s_k, alpha_k, beta_k) for k = 0, 1, ... while 2k <= top, the
     last index of ``terms``; beta_0 is None.  The walk ends with a zero s_k
@@ -311,18 +384,22 @@ def _walk(terms):
     """
     top = len(terms) - 1
     den, nums = _clear_denominators(terms)
-    e, row = _clear_contents(nums)
-    # Rows k-1 and k, indexed by l; only l >= k is used.
-    prev, e_prev = [()] * len(terms), 1
+    e, ints = _clear_contents(nums)
+    bound = max(map(abs, chain.from_iterable(ints)), default=0)
+    w = _width(bound)
+    row = [_pack(v, w) for v in ints]
+    # Rows k-1 and k, indexed by l, and their coefficient bounds; only
+    # l >= k is used.
+    prev, e_prev, bound_prev = [0] * len(terms), 1, 0
     den_prev = POLY_ONE
     s_prev = ratio_prev = b = None
     for k in range(top // 2 + 1):
-        n = _normal(row[k], 1, e)
+        n = _normal(_unpack(row[k], w), 1, e)
         s = Scalar(n, den)
         if s.is_zero or 2 * k + 1 > top:
             yield s, None, None
             return
-        ratio = _polynomial(_normal(list(row[k + 1]), 1, e)) / _polynomial(n)
+        ratio = _polynomial(_normal(_unpack(row[k + 1], w), 1, e)) / _polynomial(n)
         a = ratio - ratio_prev if k else ratio
         if k:
             b = s / s_prev
@@ -336,18 +413,40 @@ def _walk(terms):
             xg, yg, _ = _cofactors(x, y)
         common = lcm(e, e_prev)
         u = common // e
-        f, (m_next, m_row, m_prev) = _clear_contents((
+        f, mus = _clear_contents((
             (a.den * yg)._times(u, 1), (-a.num * yg)._times(u, 1),
             (-b.num * xg)._times(common // e_prev, 1) if k else POLY_ZERO))
         den_prev, den = den, x * yg
-        nxt = [()] * (k + 1) + [
-            _sum_of_products(((m_next, row[l + 1]), (m_row, row[l]), (m_prev, prev[l])))
-            for l in range(k + 1, top - k)]
+        # B_{k+1} from B_k and B_{k-1} by the 1-norms of the multipliers.
+        grow = sum(map(abs, mus[0])) + sum(map(abs, mus[1]))
+        grow_prev = sum(map(abs, mus[2]))
+        bound_next = grow * bound + grow_prev * bound_prev
+        if bound_next.bit_length() >= w:
+            # Cancellation leaves the carried bounds loose: measure the
+            # entries the step reads before widening.
+            live = slice(k + 1, top - k + 1)
+            bound = _packed_bound(row[live], w)
+            bound_prev = _packed_bound(prev[live], w)
+            bound_next = grow * bound + grow_prev * bound_prev
+            if bound_next.bit_length() >= w:
+                wider = _width(bound_next)
+                row[live] = [_pack(_unpack(v, w), wider) for v in row[live]]
+                prev[live] = [_pack(_unpack(v, w), wider) for v in prev[live]]
+                w = wider
+        m_next, m_row, m_prev = (_factor(m, w) for m in mus)
+        nxt = [0] * (k + 1) + [m_next * row[l + 1] + m_row * row[l] + m_prev * prev[l]
+                               for l in range(k + 1, top - k)]
         e_prev, e = e, f * common
         if e != 1:
-            g = gcd(e, *chain.from_iterable(nxt))
+            # The gcd of e with every coefficient divides this one.
+            g = gcd(e, *nxt)
             if g != 1:
-                e //= g
-                nxt = [[c // g for c in v] for v in nxt]
+                digits = list(chain.from_iterable(_unpack(v, w) for v in nxt))
+                g = gcd(g, *digits)
+                bound_next = max(map(abs, digits), default=0) // g
+                if g != 1:
+                    e //= g
+                    nxt = [v // g for v in nxt]
         prev, row = row, nxt
+        bound_prev, bound = bound, bound_next
         s_prev, ratio_prev = s, ratio

@@ -31,18 +31,16 @@ integer form of z-free series in ``series`` runs on plain ints over one
 denominator, and ``_rational_scalars`` makes its way back.
 
 Every integer-polynomial product goes through ``_multiply``: the
-classical double loop when the shorter operand has at most
-``_SCHOOLBOOK_MAX`` terms, Kronecker substitution above that.  The double
-loop is written once, in the fused form ``_sum_of_products``, which adds
-short products into one sum without building them (most often a linear
-alpha_k or beta_k times an entry of the Chebyshev tableau, which
-``orthopoly._walk`` holds on ints); a short ``_multiply`` is its sum of
-one pair.
+classical double loop, one pair of operands, when the shorter operand has
+at most ``_SCHOOLBOOK_MAX`` terms, Kronecker substitution above that.
 ``_pack`` evaluates an integer polynomial at z = 2^w and ``_unpack`` reads
 the signed base-2^w digits back; their callers are ``_kronecker``, the
-heuristic gcd and its ``_divides``, and ``orthopoly.moments_from_jacobi``,
-whose whole Stieltjes tableau runs on packed ints over the integer
-polynomials that ``_clear_contents`` gives.
+heuristic gcd and its ``_divides``, and both tableaux of ``orthopoly``,
+the Stieltjes tableau of ``moments_from_jacobi`` and the Chebyshev walk,
+which run on packed ints over the integer polynomials that
+``_clear_contents`` gives.  ``_packed_bound`` bounds the coefficients of
+packed ints with a few linear int operations and no unpacking, for the
+walk's slot width.
 
 Two exact kernels sit on top, for values in Q(z): ``dot``, the fused sum
 of products that the binomial transform and the products, quotients,
@@ -417,45 +415,21 @@ def _multiply(a: tuple, b: tuple) -> tuple:
     """Product of two nonzero integer polynomials, the one product kernel.
 
     When the shorter operand has at most ``_SCHOOLBOOK_MAX`` terms the
-    classical double loop of ``_sum_of_products`` is faster than packing:
-    its len(a) len(b) products are of the coefficients themselves, and it
-    shifts no long integer (Knuth, TAOCP vol. 2, 4.3.3, on the classical
-    method for short operands).  Longer operands go to ``_kronecker``.
+    classical double loop is faster than packing: its len(a) len(b)
+    products are of the coefficients themselves, and it shifts no long
+    integer (Knuth, TAOCP vol. 2, 4.3.3, on the classical method for short
+    operands).  Longer operands go to ``_kronecker``.
     """
     if len(a) > len(b):
         a, b = b, a
     if len(a) > _SCHOOLBOOK_MAX:
         return _kronecker(a, b)
-    return tuple(_sum_of_products(((a, b),)))
-
-
-def _sum_of_products(pairs) -> list:
-    """sum a*b over pairs of integer polynomials, as a list of ints (an
-    empty operand is zero, and the list may end in zeros): the fused kernel
-    of one entry of a tableau held on ints.
-
-    A product whose shorter operand has at most ``_SCHOOLBOOK_MAX`` terms
-    is added into the sum by the double loop, so no product is built; a
-    longer one comes from ``_multiply``, by Kronecker substitution.
-    """
-    out = []
-    for a, b in pairs:
-        if not a or not b:
-            continue
-        if len(a) > len(b):
-            a, b = b, a
-        size = len(a) + len(b) - 1
-        if len(out) < size:
-            out += [0] * (size - len(out))
-        if len(a) > _SCHOOLBOOK_MAX:
-            for i, c in enumerate(_multiply(a, b)):
-                out[i] += c
-            continue
-        for i, c in enumerate(a):
-            if c:
-                for j, d in enumerate(b, i):
-                    out[j] += c * d
-    return out
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b, i):
+                out[j] += c * d
+    return tuple(out)
 
 
 def _kronecker(a: tuple, b: tuple) -> tuple:
@@ -500,6 +474,37 @@ def _unpack(v: int, w: int) -> list:
             v += 1
         out.append(c)
     return out
+
+
+def _packed_bound(values, w: int) -> int:
+    """A power of two that bounds the absolute value of every coefficient
+    of the ints ``values``, each an integer polynomial packed at z = 2^w
+    whose coefficients lie in [-2^(w-1), 2^(w-1)).
+
+    No digit is unpacked: adding 2^(w-1) to every slot makes each digit
+    c + 2^(w-1) a nonnegative w-bit slot with no borrow, the slots of
+    negative c are flipped to |c| - 1, and the bit length of the OR of all
+    slots, folded onto one, gives the power.  Each step is a linear int
+    operation, so a long row costs a few passes instead of the quadratic
+    shifts of ``_unpack``.
+    """
+    slots = max((v.bit_length() for v in values), default=0) // w + 1
+    ones = 1
+    filled = 1
+    while filled < slots:
+        ones |= ones << (filled * w)
+        filled *= 2
+    ones &= (1 << (slots * w)) - 1
+    top = ones << (w - 1)
+    acc = 0
+    for v in values:
+        biased = v + top
+        negative = (~biased >> (w - 1)) & ones
+        acc |= biased ^ top ^ ((negative << w) - negative)
+    while slots > 1:
+        slots = (slots + 1) // 2
+        acc = (acc & ((1 << (slots * w)) - 1)) | (acc >> (slots * w))
+    return 1 << acc.bit_length()
 
 
 #: Evaluation points the heuristic gcd tries (the first and up to six

@@ -20,7 +20,9 @@ the J-fraction bottom-up, level by level, both tableaux (the
 Stieltjes one for moments, the Chebyshev one for the Hankel transform and
 Jacobi recovery) chain one ring operation per term, both are also kept
 with one ``dot`` per entry over Q(z) (the routes that the packed rows and
-the rows over one denominator replaced), the binomial transform
+the rows over one denominator replaced), the Chebyshev walk is also kept
+on unpacked integer rows (the route its packed rows replaced), the
+binomial transform
 sums term by term, Jacobi data is recovered from moments by the Stieltjes
 procedure, closed forms are parsed by a peek/advance parser and
 evaluated with every leaf a Series (and z-only forms by their own walk),
@@ -32,8 +34,8 @@ constructor as the gcd and monic scaling it did before it became that
 quotient, exact
 polynomial division as the quotient of pseudo-division (``divmod``) that
 it was before it took the exact long division, the integer-polynomial
-product as the classical double loop of its own that it kept beside the
-fused sum of products, a series' text as it was written before it
+product as a classical double loop written apart from the library's, a
+series' text as it was written before it
 shared the polynomial term formatter, a polynomial's text with one
 reduced fraction per coefficient, and a JSON cell as it was read before
 the reader checked it as a whole, one regex match per term.  Each library call
@@ -56,8 +58,9 @@ from erarray.hankel import hankel_matrix
 from erarray.orthopoly import JacobiParams, JacobiRecovery, MomentSequence
 from erarray.riordan import ERArray, ProductionMatrix, er_build
 from erarray.scalars import (ONE, POLY_ONE, POLY_ZERO, ZERO, PolyZ, Scalar, Z, _as_scalar,
-                             _canonical, _clear_denominators, _cofactors, _inverse, _polynomial,
-                             _product, dot, solve_lower)
+                             _SCHOOLBOOK_MAX, _canonical, _clear_contents, _clear_denominators,
+                             _cofactors, _inverse, _multiply, _normal, _polynomial, _product, dot,
+                             solve_lower)
 from erarray.series import Series, _series
 
 
@@ -334,9 +337,9 @@ def exact_div_by_divmod(a: PolyZ, b: PolyZ) -> PolyZ:
 
 def schoolbook(a: tuple, b: tuple) -> tuple:
     """Product of two nonzero integer polynomials by the classical double
-    loop, one row per coefficient of ``a``: the loop ``scalars._multiply``
-    kept beside ``_sum_of_products`` before a short product became the sum
-    of one pair."""
+    loop, one row per coefficient of ``a``, the first row written out: a
+    copy, written apart, of the loop that ``scalars._multiply`` runs on
+    short operands."""
     c = a[0]
     out = [c * d for d in b] + [0] * (len(a) - 1)
     for i in range(1, len(a)):
@@ -921,6 +924,84 @@ def walk_by_dot_tableau(terms):
         s_prev, ratio_prev = s, ratio
 
 
+def _fused_entry(pairs) -> list:
+    """sum a*b over pairs of integer polynomials, as ascending ints (an
+    empty operand is zero, and the list may end in zeros): the fused
+    kernel that each entry of the integer rows was, the classical double
+    loop while the shorter operand has at most ``_SCHOOLBOOK_MAX`` terms
+    and ``scalars._multiply`` above, kept as it ran so that
+    microbench/walk_route.py times the integer rows at their own speed."""
+    out = []
+    for a, b in pairs:
+        if not a or not b:
+            continue
+        if len(a) > len(b):
+            a, b = b, a
+        size = len(a) + len(b) - 1
+        if len(out) < size:
+            out += [0] * (size - len(out))
+        if len(a) > _SCHOOLBOOK_MAX:
+            for i, c in enumerate(_multiply(a, b)):
+                out[i] += c
+            continue
+        for i, c in enumerate(a):
+            if c:
+                for j, d in enumerate(b, i):
+                    out[j] += c * d
+    return out
+
+
+def walk_by_integer_rows(terms):
+    """The (s_k, alpha_k, beta_k) triples of the Chebyshev tableau of the
+    moments ``terms``, with row k held as integer coefficient vectors
+    V_k(l) over one integer e_k and one polynomial D_k and each entry one
+    ``_fused_entry`` of three products: the route ``orthopoly._walk`` took
+    before each V_k(l) was packed into one int.  The multipliers, the
+    row denominators and the trim of e_k by the gcd of the row are those of
+    ``_walk`` (see its docstring)."""
+    top = len(terms) - 1
+    den, nums = _clear_denominators(terms)
+    e, row = _clear_contents(nums)
+    # Rows k-1 and k, indexed by l; only l >= k is used.
+    prev, e_prev = [()] * len(terms), 1
+    den_prev = POLY_ONE
+    s_prev = ratio_prev = b = None
+    for k in range(top // 2 + 1):
+        n = _normal(list(row[k]), 1, e)
+        s = Scalar(n, den)
+        if s.is_zero or 2 * k + 1 > top:
+            yield s, None, None
+            return
+        ratio = _polynomial(_normal(list(row[k + 1]), 1, e)) / _polynomial(n)
+        a = ratio - ratio_prev if k else ratio
+        if k:
+            b = s / s_prev
+        yield s, a, b
+        x = a.den * den
+        y = b.den * den_prev if k else POLY_ONE
+        if x is POLY_ONE or y is POLY_ONE:
+            xg, yg = x, y
+        else:
+            xg, yg, _ = _cofactors(x, y)
+        common = lcm(e, e_prev)
+        u = common // e
+        f, (m_next, m_row, m_prev) = _clear_contents((
+            (a.den * yg)._times(u, 1), (-a.num * yg)._times(u, 1),
+            (-b.num * xg)._times(common // e_prev, 1) if k else POLY_ZERO))
+        den_prev, den = den, x * yg
+        nxt = [()] * (k + 1) + [
+            _fused_entry(((m_next, row[l + 1]), (m_row, row[l]), (m_prev, prev[l])))
+            for l in range(k + 1, top - k)]
+        e_prev, e = e, f * common
+        if e != 1:
+            g = gcd(e, *(c for v in nxt for c in v))
+            if g != 1:
+                e //= g
+                nxt = [[c // g for c in v] for v in nxt]
+        prev, row = row, nxt
+        s_prev, ratio_prev = s, ratio
+
+
 def binomial_transform_by_sum(seq) -> tuple[Scalar, ...]:
     """b_n = sum_k C(n, k) a_k, one Scalar sum per term: the reference for
     ``hankel.binomial_transform``."""
@@ -1168,6 +1249,16 @@ class _ParserByPeek:
 def parse_by_peek(text: str):
     """The AST of ``text``, or its ParseError."""
     return _ParserByPeek(text).parse()
+
+
+def ast_with_spans(node):
+    """An AST as nested tuples, (class name, field, ..., span) per node, so
+    that two trees compare equal only when their spans agree too (the
+    nodes' own ``==`` ignores spans)."""
+    if not isinstance(node, (Num, VarX, VarZ, Neg, BinOp, Pow, Call)):
+        return node
+    return (type(node).__name__,) + tuple(
+        ast_with_spans(getattr(node, name)) for name in type(node).__slots__)
 
 
 def _eval_by_series(node, order: int) -> Series:

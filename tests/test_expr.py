@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -29,7 +28,7 @@ from erarray.scalars import ONE, ZERO, Scalar, Z
 from erarray.sequences import NAMED_PAIR_NAMES, named_pair
 from erarray.series import Series
 
-from oracles import eval_scalar_by_scalars, eval_series_by_series, parse_by_peek
+from oracles import ast_with_spans, eval_scalar_by_scalars, eval_series_by_series, parse_by_peek
 
 S = (0, 0)  # spans are ignored in comparisons
 
@@ -59,6 +58,17 @@ class TestParse:
 
     def test_ln_alias(self):
         assert parse("ln(1+x)") == parse("log(1+x)")
+
+    def test_equality_and_hash_ignore_spans(self):
+        spaced, tight = parse("exp( z * x ) ^ 2"), parse("exp(z*x)^2")
+        assert spaced == tight and hash(spaced) == hash(tight)
+        assert ast_with_spans(spaced) != ast_with_spans(tight)
+        assert len({spaced, tight, parse("exp(z*x)^3")}) == 2
+        assert VarX(S) != VarZ(S)
+        assert Num(Fraction(1), (0, 1)) == Num(Fraction(1), (5, 6)) != Num(Fraction(2), S)
+        assert BinOp("+", VarX(S), VarZ(S), S) != BinOp("-", VarX(S), VarZ(S), S)
+        assert spaced != "exp(z*x)^2"
+        assert repr(VarX((3, 4))) == "VarX(span=(3, 4))"
 
     def test_precedence(self):
         assert parse("1+2*x") == BinOp(
@@ -273,7 +283,7 @@ def _same_parse(text):
             exc.offset, exc.expected, exc.found)
         return None
     got = parse(text)
-    assert got == want and astuple(got) == astuple(want)
+    assert got == want and ast_with_spans(got) == ast_with_spans(want)
     return got
 
 

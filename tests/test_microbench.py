@@ -48,10 +48,12 @@ def test_moments_routes_agree():
 
 
 def test_walk_routes_agree():
-    # Orders 9 and 32 and depths 9 and 25 only: the deeper cases run in CI
+    # Orders 9 and 32, depths 9 and 25, the integer sequences at order 64
+    # and the raw sequences at nmax 8 only: the larger cases run in CI
     # through the script's --check.
     bench = _load("walk_route")
-    bench.check([n for n in bench.ORDERS if n <= 32], [n for n in bench.DEPTHS if n <= 25])
+    bench.check([n for n in bench.ORDERS if n <= 32], [n for n in bench.DEPTHS if n <= 25],
+                [n for n in bench.INTEGER_ORDERS if n <= 64], [n for n in bench.RAW_NMAX if n <= 8])
 
 
 def test_division_routes_agree():

@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given
@@ -26,6 +27,8 @@ from erarray.riordan import er_build, er_inverse, extract_jacobi, production_fro
 from erarray.scalars import ONE, ZERO, PolyZ, Scalar, Z
 from erarray.sequences import bell_poly, eulerian_poly, named_pair
 
+import oracles
+
 from oracles import (
     ORACLE_SETTINGS,
     coeff_array_from_jacobi,
@@ -42,6 +45,7 @@ from oracles import (
     rational_scalars,
     walk_by_chained_tableau,
     walk_by_dot_tableau,
+    walk_by_integer_rows,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -380,13 +384,13 @@ class TestTableauxAgainstChained:
         params, depth = data.draw(tableau_cases(kind))
         terms = moments_by_chained_tableau(params, depth).terms
         for prefix in (terms, terms[:-1]):
-            assert list(orthopoly._walk(prefix)) == list(walk_by_dot_tableau(prefix)) == \
-                list(walk_by_chained_tableau(prefix))
+            assert list(orthopoly._walk(prefix)) == list(walk_by_integer_rows(prefix)) == \
+                list(walk_by_dot_tableau(prefix)) == list(walk_by_chained_tableau(prefix))
 
 
 def _walks_agree(terms) -> bool:
-    return list(orthopoly._walk(terms)) == list(walk_by_dot_tableau(terms)) == \
-        list(walk_by_chained_tableau(terms))
+    return list(orthopoly._walk(terms)) == list(walk_by_integer_rows(terms)) == \
+        list(walk_by_dot_tableau(terms)) == list(walk_by_chained_tableau(terms))
 
 
 #: Raw Q(z) entries that no Jacobi data was drawn for: contents such as
@@ -429,6 +433,186 @@ class TestWalkOnRawSequences:
         assert [s.is_zero for s, _, _ in orthopoly._walk(tuple(cases[3]))] == [False, True]
         assert [s.is_zero for s, _, _ in orthopoly._walk(tuple(cases[4]))] == \
             [False, False, True]
+
+
+def _exact_width(bound: int) -> int:
+    """The walk's slot width with no headroom: the least that holds every
+    coefficient up to ``bound`` in absolute value."""
+    return bound.bit_length() + 1
+
+
+def _packed_walk_agrees(terms, width=None) -> bool:
+    """The packed walk equals the integer rows and the dot tableau on every
+    prefix of ``terms``, with the slot widths given by ``width`` (the
+    walk's own ``_width`` by default)."""
+    with patch.object(orthopoly, "_width", width or orthopoly._width):
+        for end in range(1, len(terms) + 1):
+            prefix = terms[:end]
+            walk = list(orthopoly._walk(prefix))
+            if walk != list(walk_by_integer_rows(prefix)) or \
+                    walk != list(walk_by_dot_tableau(prefix)):
+                return False
+    return True
+
+
+def _row_denominators(walk, module, terms) -> list:
+    """The integer denominators e_k that ``walk`` divides its unpacked
+    entries by, read off its calls of ``module._normal``."""
+    seen = []
+    normal = module._normal
+
+    def spy(ints, num, den):
+        seen.append(den)
+        return normal(ints, num, den)
+
+    with patch.object(module, "_normal", spy):
+        list(walk(terms))
+    return seen
+
+
+#: Polynomials under the rational contents 1/2, 2/3, 5/4 and 1/6, so that
+#: the rows carry an integer denominator e != 1.
+_content_entries = st.builds(
+    lambda p, c: p * Scalar(c), poly_scalars,
+    st.sampled_from((Fraction(1, 2), Fraction(2, 3), Fraction(5, 4), Fraction(1, 6))))
+#: Integers up to 2^70 in absolute value: one slot per entry.
+_integer_entries = st.integers(-(1 << 70), 1 << 70).map(Scalar)
+#: Rational constants: one slot per entry, over e != 1.
+_rational_entries = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 4, 6))).map(
+    Scalar)
+#: A small alphabet, so that some s_k vanishes part-way.
+_vanishing_entries = st.sampled_from((ZERO, ONE, -ONE, Scalar(2), Z))
+WIDTHS = pytest.mark.parametrize("width", [None, _exact_width], ids=["headroom", "exact"])
+
+
+class TestPackedWalk:
+    """The walk on packed rows equals the integer rows it replaced and the
+    tableau of one ``dot`` per entry at every prefix of the moments, both
+    with the walk's headroom and with none, every width then the least one
+    its coefficient bound proves; a width one bit narrower fails, and the
+    trim of e_k is the one the integer rows take."""
+
+    @WIDTHS
+    @pytest.mark.parametrize("kind", ("polynomial", "rational"))
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_jacobi_moments(self, width, kind, data):
+        params, depth = data.draw(tableau_cases(kind))
+        assert _packed_walk_agrees(moments_by_chained_tableau(params, depth).terms, width)
+
+    @WIDTHS
+    @pytest.mark.parametrize(
+        "entries", (_content_entries, _integer_entries, _rational_entries, _vanishing_entries),
+        ids=("contents", "integers", "rationals", "vanishing"))
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_raw_sequences(self, width, entries, data):
+        terms = tuple(data.draw(st.lists(entries, min_size=1, max_size=11)))
+        assert _packed_walk_agrees(terms, width)
+
+    def test_explicit_sequences_at_the_exact_width(self):
+        q = ONE / (Z * 2 + 1)
+        cases = ([q] * 7, [q, ZERO] * 4 + [q], [ONE, ZERO, ONE, ZERO, ONE],
+                 moments_from_jacobi(thm2_params(17), 16).terms,
+                 tuple(map(Scalar, (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975))),
+                 # A trim measures the row's bound again, and the next
+                 # step's width rests on it.
+                 tuple(parse_scalar(t) for t in (
+                     "1", "-6", "-7/4", "-2", "5/4", "1/2", "3/2", "-2/3", "5/2", "-1/3", "5/6")))
+        for terms in cases:
+            assert _packed_walk_agrees(tuple(terms), _exact_width)
+
+    def test_one_bit_narrower_fails(self):
+        """The largest coefficient of a_1 = 3z + 2^40 - 1 is 2^40 - 1, so
+        the least width is 41 bits; at 40 its slot reads back as the digit
+        -1 and a borrow, so alpha_0 comes out as 4z - 1."""
+        terms = (ONE, Z * 3 + ((1 << 40) - 1), Scalar(5) - Z, Z * 7, ONE, Z)
+        assert _packed_walk_agrees(terms, _exact_width)
+        with patch.object(orthopoly, "_width", lambda bound: bound.bit_length()):
+            walk = list(orthopoly._walk(terms))
+        assert walk[0][1] == Z * 4 - 1
+        assert walk != list(walk_by_integer_rows(terms))
+
+    def test_trim_divides_by_the_coefficient_gcd(self):
+        """Here the gcd of e_k with the packed entries is 4 at one step but
+        the gcd with their coefficients is 2: the walk divides by 2, and
+        its row denominators are those of the integer rows."""
+        terms = tuple(parse_scalar(t) for t in (
+            "-z + 9/4", "-z - 6", "z - 1", "1/2*z", "1/3*z + 3", "-z + 4/5"))
+        gcds = []
+        real = orthopoly.gcd
+
+        def spy(*args):
+            gcds.append(real(*args))
+            return gcds[-1]
+
+        with patch.object(orthopoly, "gcd", spy):
+            assert list(orthopoly._walk(terms)) == list(walk_by_integer_rows(terms))
+        assert (4, 2) in zip(gcds, gcds[1:])
+        assert _row_denominators(orthopoly._walk, orthopoly, terms) == \
+            _row_denominators(walk_by_integer_rows, oracles, terms)
+
+    @ORACLE_SETTINGS
+    @given(terms=st.lists(_content_entries, min_size=2, max_size=11))
+    def test_row_denominators_equal_the_integer_rows(self, terms):
+        terms = tuple(terms)
+        assert _row_denominators(orthopoly._walk, orthopoly, terms) == \
+            _row_denominators(walk_by_integer_rows, oracles, terms)
+
+    def test_unit_gcd_leaves_the_row_packed(self):
+        """Moments whose rows carry e_k = 2 and then 4, with packed entries
+        coprime to it at every step: the walk unpacks only V_k(k) and
+        V_k(k+1), and the last s_k."""
+        params = JacobiParams(
+            tuple(parse_scalar(t) for t in ("z + 1", "z - 3", "2*z - 3", "3/2*z + 3/2", "z")),
+            tuple(parse_scalar(t) for t in ("2*z + 3/2", "z + 1/2", "2*z + 3", "z + 1/2")))
+        terms = moments_from_jacobi(params, 4).terms
+        unpacked = []
+        real = orthopoly._unpack
+        with patch.object(orthopoly, "_unpack", lambda v, w: unpacked.append(v) or real(v, w)):
+            steps = len(list(orthopoly._walk(terms)))
+        assert max(_row_denominators(orthopoly._walk, orthopoly, terms)) > 1
+        assert len(unpacked) == 2 * steps - 1
+
+    def test_wide_slots_multiply_by_shifts(self):
+        """The walk of thm2 moments at order 48 packs at 227 bits, more than
+        128 bits wider than alpha_k's and beta_k's coefficients, so its
+        linear multipliers enter by shifts and the constant ones as ints;
+        the walk still equals the integer rows, also at the exact width."""
+        terms = moments_from_jacobi(thm2_params(48), 48).terms
+        kinds = []
+        real = orthopoly._factor
+        with patch.object(orthopoly, "_factor",
+                          lambda mu, w: kinds.append(type(real(mu, w))) or real(mu, w)):
+            assert list(orthopoly._walk(terms)) == list(walk_by_integer_rows(terms))
+        assert orthopoly._Shifts in kinds and int in kinds
+        with patch.object(orthopoly, "_width", _exact_width):
+            assert list(orthopoly._walk(terms)) == list(walk_by_integer_rows(terms))
+
+
+class TestPackedBound:
+    """``scalars._packed_bound`` is a power of two at least the largest
+    coefficient magnitude of packed ints, and at most twice it."""
+
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_against_the_digits(self, data):
+        w = data.draw(st.integers(2, 300))
+        half = 1 << (w - 1)
+        polys = data.draw(st.lists(
+            st.lists(st.integers(-half, half - 1), max_size=20), max_size=5))
+        values = [scalars._pack(p, w) for p in polys]
+        largest = max((abs(c) for p in polys for c in p), default=0)
+        bound = scalars._packed_bound(values, w)
+        assert bound & (bound - 1) == 0
+        assert largest <= bound <= max(2 * largest, 1)
+
+    def test_extreme_digits(self):
+        for w in (2, 3, 30, 64, 65):
+            half = 1 << (w - 1)
+            for digits, bound in (([-half], half), ([half - 1], half), ([0, 0, -1], 1),
+                                  ([1, -half, 0, half - 1], half), ([], 1)):
+                assert scalars._packed_bound([scalars._pack(digits, w)], w) == bound
 
 
 class TestWalkGcdCount:

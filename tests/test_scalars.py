@@ -496,9 +496,9 @@ def integer_polys(draw, max_length):
 
 
 class TestProductRoutes:
-    """The one integer-polynomial product: the classical double loop of
-    ``_sum_of_products`` while the shorter operand has at most
-    ``_SCHOOLBOOK_MAX`` terms, Kronecker packing above."""
+    """The one integer-polynomial product: the classical double loop while
+    the shorter operand has at most ``_SCHOOLBOOK_MAX`` terms, Kronecker
+    packing above."""
 
     def test_cut_is_between_the_drawn_lengths(self):
         # The draws below put the shorter operand at 1-6 terms.
@@ -520,7 +520,6 @@ class TestProductRoutes:
     def test_routes_agree(self, a, b):
         product = scalars._kronecker(a, b)
         assert schoolbook(a, b) == product
-        assert tuple(scalars._sum_of_products(((a, b),))) == product
         assert scalars._multiply(a, b) == scalars._multiply(b, a) == product
 
 
