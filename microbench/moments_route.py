@@ -1,7 +1,6 @@
 """Microbenchmark of two routes through the Stieltjes tableau of
 ``erarray.orthopoly.moments_from_jacobi``: the library's rows packed into
-ints at z = 2^w, with the slot width from the norm tableau and each
-multiplier entering through ``orthopoly._factor``, and the
+ints at z = 2^w, with the slot width from the norm tableau, and the
 tableau with one ``scalars.dot`` per entry that it replaced (kept as
 ``moments_by_dot_tableau`` in tests/oracles.py), on the same Jacobi data.
 
@@ -15,11 +14,8 @@ alpha_n = z + n, beta_n = n z; thm2: alpha_n = (n+1) z + n,
 beta_n = n^2 z) at depth and count N for N in ORDERS, and the 42 jobs of
 the benchmark's ``hankel`` workload at seed 1 (moments at count 2n).
 ``check`` asserts that both routes give equal moments on every theorem
-case and on every job at every count up to its depth, and ``main`` that
-the packed tableau ran on both sides of ``orthopoly._SHIFT_CUT``, the
-slot width above which ``_factor`` multiplies by shifts (every ``hankel``
-job and thm1 and thm2 to order 32 below it, orders 64-128 above);
-``--check`` runs both checks alone, and ``main`` runs them before timing.  Under the interpreter's lowest
+case and on every job at every count up to its depth; ``--check`` runs it
+alone, and ``main`` runs it before timing.  Under the interpreter's lowest
 int-to-str digit limit the check also shows that neither route turns a
 large int into a string.  A theorem case's time is the best of five
 single calls, in milliseconds; the ``hankel`` row is the best of five
@@ -35,7 +31,6 @@ import time
 from pathlib import Path
 
 import erarray
-from erarray import orthopoly
 from erarray.orthopoly import JacobiParams, moments_from_jacobi
 from erarray.scalars import Z
 
@@ -60,26 +55,17 @@ def hankel_jobs() -> list:
     return Hankel().make_jobs(erarray, 1)
 
 
-def check(orders=ORDERS, jobs=True) -> list:
+def check(orders=ORDERS, jobs=True) -> None:
     """Assert that both routes give equal moments on thm1 and thm2 at each
-    order and, with ``jobs``, on every ``hankel`` job at every count, and
-    return the slot widths at which the packed tableau multiplied, one
-    per ``orthopoly._factor`` call."""
-    widths = []
-    factor = orthopoly._factor
-    orthopoly._factor = lambda mu, w: widths.append(w) or factor(mu, w)
-    try:
-        for name, params in THEOREMS.items():
-            for n in orders:
-                if moments_from_jacobi(params(n), n) != moments_by_dot_tableau(params(n), n):
-                    raise AssertionError(f"routes disagree on {name} at order {n}")
-        for i, (_, params) in enumerate(hankel_jobs() if jobs else ()):
-            for count in range(params.depth + 1):
-                if moments_from_jacobi(params, count) != moments_by_dot_tableau(params, count):
-                    raise AssertionError(f"routes disagree on hankel job {i} at count {count}")
-    finally:
-        orthopoly._factor = factor
-    return widths
+    order and, with ``jobs``, on every ``hankel`` job at every count."""
+    for name, params in THEOREMS.items():
+        for n in orders:
+            if moments_from_jacobi(params(n), n) != moments_by_dot_tableau(params(n), n):
+                raise AssertionError(f"routes disagree on {name} at order {n}")
+    for i, (_, params) in enumerate(hankel_jobs() if jobs else ()):
+        for count in range(params.depth + 1):
+            if moments_from_jacobi(params, count) != moments_by_dot_tableau(params, count):
+                raise AssertionError(f"routes disagree on hankel job {i} at count {count}")
 
 
 def _best_ms(run) -> float:
@@ -100,11 +86,9 @@ def _row(case: str, order, runs: dict) -> dict:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    widths = check()
-    if not min(widths) <= orthopoly._SHIFT_CUT < max(widths):
-        raise AssertionError(f"the cases do not straddle the cut {orthopoly._SHIFT_CUT}")
+    check()
     if "--check" in argv:
-        print("moments_route: both routes agree on every case, on both sides of the cut")
+        print("moments_route: both routes agree on every case")
         return 0
     rows = []
     for name, params in THEOREMS.items():

@@ -28,6 +28,7 @@ import json
 import platform
 import sys
 import time
+from dataclasses import astuple
 from pathlib import Path
 
 from erarray.expr import eval_series, parse
@@ -37,8 +38,7 @@ from erarray.riordan import er_build, er_inverse
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.insert(0, str(ROOT / "tests"))
-from oracles import (ast_with_spans, eval_series_by_series, parse_by_peek,  # noqa: E402
-                     triangle_to_bfile_by_strings)
+from oracles import eval_series_by_series, parse_by_peek, triangle_to_bfile_by_strings  # noqa: E402
 from workloads import F_TEMPLATES, G_TEMPLATES  # noqa: E402
 
 FILLINGS = ({"a": 2, "b": "(-1)", "k": 2}, {"a": "(-2)", "b": 1, "k": 1})
@@ -65,7 +65,7 @@ def check(cases=CASES) -> None:
         where = f"[{g}, {f}] at order {n}"
         for text in (g, f):
             ast, want = parse(text), parse_by_peek(text)
-            if ast != want or ast_with_spans(ast) != ast_with_spans(want):
+            if ast != want or astuple(ast) != astuple(want):
                 raise AssertionError(f"the ASTs of {text} differ between the routes")
             if eval_series(ast, n) != eval_series_by_series(want, n):
                 raise AssertionError(f"the series of {text} differ between the routes at order {n}")

@@ -21,6 +21,7 @@ natural spelling).
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .scalars import Scalar, Z
@@ -53,79 +54,51 @@ class EvalError(ValueError):
         super().__init__(f"{message} (at offset {span[0]}..{span[1]})")
 
 
-class _Node:
-    """An AST node: its fields, then its source span ``span``, which ``==``
-    and ``hash`` ignore, so the trees of two texts that differ only in
-    spacing compare equal.  The nodes are plain slotted classes, so
-    building one is a single ``__init__`` that sets its slots."""
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__[:-1])
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash((type(self), self._fields()))
-
-    def __repr__(self):
-        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({args})"
+# AST nodes.  Slotted and not frozen, so building one is an ``__init__``
+# of plain assignments; ``==`` and ``hash`` ignore ``span``, so the trees of
+# two texts that differ only in spacing compare equal.
+@dataclass(slots=True, unsafe_hash=True)
+class Num:
+    value: Fraction
+    span: Span = field(compare=False)
 
 
-class Num(_Node):
-    __slots__ = ("value", "span")
-
-    def __init__(self, value: Fraction, span: Span):
-        self.value, self.span = value, span
+@dataclass(slots=True, unsafe_hash=True)
+class VarX:
+    span: Span = field(compare=False)
 
 
-class VarX(_Node):
-    __slots__ = ("span",)
-
-    def __init__(self, span: Span):
-        self.span = span
+@dataclass(slots=True, unsafe_hash=True)
+class VarZ:
+    span: Span = field(compare=False)
 
 
-class VarZ(_Node):
-    __slots__ = ("span",)
-
-    def __init__(self, span: Span):
-        self.span = span
-
-
-class Neg(_Node):
-    __slots__ = ("child", "span")
-
-    def __init__(self, child, span: Span):
-        self.child, self.span = child, span
+@dataclass(slots=True, unsafe_hash=True)
+class Neg:
+    child: object
+    span: Span = field(compare=False)
 
 
-class BinOp(_Node):
-    __slots__ = ("op", "left", "right", "span")
-
-    def __init__(self, op: str, left, right, span: Span):
-        # op is one of + - * /
-        self.op, self.left, self.right, self.span = op, left, right, span
-
-
-class Pow(_Node):
-    __slots__ = ("base", "exponent", "span")
-
-    def __init__(self, base, exponent: int, span: Span):
-        self.base, self.exponent, self.span = base, exponent, span
+@dataclass(slots=True, unsafe_hash=True)
+class BinOp:
+    op: str  # one of + - * /
+    left: object
+    right: object
+    span: Span = field(compare=False)
 
 
-class Call(_Node):
-    __slots__ = ("func", "arg", "span")
+@dataclass(slots=True, unsafe_hash=True)
+class Pow:
+    base: object
+    exponent: int
+    span: Span = field(compare=False)
 
-    def __init__(self, func: str, arg, span: Span):
-        # func is exp or log
-        self.func, self.arg, self.span = func, arg, span
+
+@dataclass(slots=True, unsafe_hash=True)
+class Call:
+    func: str  # exp or log
+    arg: object
+    span: Span = field(compare=False)
 
 
 _WORDS = ("x", "z", "exp", "log", "ln")

@@ -3,12 +3,10 @@
 Connects three-term recurrence data (Jacobi parameters) with moment
 sequences and J-fraction expansions, plus the exact recovery of recurrence
 coefficients from raw moments.  Both tableaux run on Python ints, each
-entry an integer polynomial packed into one int at z = 2^w
-(``scalars._pack``), with its multipliers entering through ``_factor``,
-which packs a multiplier into one int or, at slots far wider than its
-coefficients, multiplies by each coefficient and shifts.  The Stieltjes
-tableau of ``moments_from_jacobi`` divides nothing: the recurrence data
-is taken into Z[z] by ``scalars._clear_denominators`` and
+entry and each multiplier an integer polynomial packed into one int at
+z = 2^w (``scalars._pack``).  The Stieltjes tableau of
+``moments_from_jacobi`` divides nothing: the recurrence data is taken
+into Z[z] by ``scalars._clear_denominators`` and
 ``scalars._clear_contents``, and one slot width, proved by the same
 tableau on 1-norms, serves the whole tableau.  The Chebyshev tableau of
 ``_walk`` divides, a few times per step, so it holds each row over one
@@ -123,44 +121,6 @@ def jfraction_expand(params: JacobiParams, order: int) -> Series:
     return Series(moments_from_jacobi(params, order).terms)
 
 
-#: How many bits wider than its largest coefficient a slot must be for
-#: ``_factor`` to take a multiplier by shifts: a product by the packed
-#: multiplier, a long int that is mostly zero bits, then costs more than a
-#: product by each short coefficient and a shift (measured by
-#: microbench/moments_route.py and microbench/walk_route.py).
-_SHIFT_CUT = 128
-
-
-class _Shifts:
-    """An integer polynomial mu as a factor of ints packed at z = 2^w:
-    ``mu * v`` is the sum of (c v) << j w over the nonzero coefficients
-    c = mu_j, so no long int is multiplied by another."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, mu, w: int):
-        self.terms = [(c, j * w) for j, c in enumerate(mu) if c]
-
-    def __mul__(self, v: int) -> int:
-        (c, shift), *rest = self.terms
-        out = c * v << shift if shift else c * v
-        for c, shift in rest:
-            out += c * v << shift
-        return out
-
-
-def _factor(mu, w: int):
-    """The integer polynomial ``mu`` as a factor of ints packed at z = 2^w:
-    ``_Shifts`` when the slot is wider than mu's largest coefficient by
-    more than ``_SHIFT_CUT`` bits, which no ``hankel`` job reaches, and
-    otherwise its value mu(2^w), one int.  The packed Stieltjes tableau
-    and the Chebyshev walk both multiply through it."""
-    # The first test spares the narrow slots of every hankel job the max.
-    if w > _SHIFT_CUT and len(mu) > 1 and w - max(map(abs, mu)).bit_length() > _SHIFT_CUT:
-        return _Shifts(mu, w)
-    return _pack(mu, w)
-
-
 def _width(bound: int) -> int:
     """The slot width of the walk's rows for coefficients of absolute value
     up to ``bound``: the least width that holds them, bound.bit_length() + 1,
@@ -183,11 +143,10 @@ def moments_from_jacobi(params: JacobiParams, count: int) -> MomentSequence:
     The rows run in Z[z], packed into ints.  With d the lcm of the
     denominators of the alphas and betas used and e the least integer that
     clears the rational contents left, D = e d, D alpha_k and D beta_{k+1}
-    are integer polynomials, and row m holds R[m] = D^m A[m], evaluated at
-    z = 2^w (Kronecker substitution), so every entry
+    are integer polynomials, and row m holds R[m] = D^m A[m].  Each is
+    evaluated once at z = 2^w (Kronecker substitution), so every entry
     D R[m-1][k-1] + (D alpha_k) R[m-1][k] + (D beta_{k+1}) R[m-1][k+1] is
-    three products by the multipliers of ``_factor``, and only the heads
-    R[m][0] are unpacked.  The slot
+    three int products, and only the heads R[m][0] are unpacked.  The slot
     width is proved, not guessed: the same tableau over the 1-norms of D,
     D alpha_k and D beta_{k+1} bounds the 1-norm, hence every coefficient,
     of each head (the 1-norm is submultiplicative), so w = bits(largest
@@ -207,7 +166,7 @@ def moments_from_jacobi(params: JacobiParams, count: int) -> MomentSequence:
     e, ints = _clear_contents((d,) + nums)
     norms = [sum(map(abs, c)) for c in ints]
     w = max(_stieltjes_heads(norms, half, count), default=0).bit_length() + 1
-    heads = _stieltjes_heads([_factor(c, w) for c in ints], half, count)
+    heads = _stieltjes_heads([_pack(c, w) for c in ints], half, count)
     a0 = params.a0
     terms = [a0]
     dm, em = a0.den, 1
@@ -222,11 +181,10 @@ def _stieltjes_heads(values, half: int, count: int) -> list:
     """The heads R[1][0] .. R[count][0] of the Stieltjes tableau over ints.
 
     ``values`` is [D, D alpha_0 .. D alpha_half, D beta_1 .. D beta_half],
-    each an int or a ``_Shifts``, and R[0] = [1],
+    each an int, and R[0] = [1],
     R[m][k] = D R[m-1][k-1] + (D alpha_k) R[m-1][k] + (D beta_{k+1}) R[m-1][k+1],
-    for k <= min(m, count - m).  Run on the ``_factor`` of each polynomial
-    it gives the packed heads; run on their 1-norms, a bound on each
-    head's 1-norm.
+    for k <= min(m, count - m).  Run on packed polynomials it gives the
+    packed heads; run on their 1-norms, a bound on each head's 1-norm.
     """
     shift, alpha, beta = values[0], values[1:half + 2], values[half + 2:]
     row = [1]
@@ -352,19 +310,21 @@ def _walk(terms):
 
     Each V_k(l) is packed into one int, its value at z = 2^w (Kronecker
     substitution), with one slot width w for the two live rows, so an
-    entry is three int products and two sums, and the multipliers enter
-    through ``_factor``.  Only V_k(k) and V_k(k+1) are unpacked, for s_k
-    and the ratio V_k(k+1)/V_k(k) (e_k D_k cancels).  The width is proved:
+    entry is three int products, by the packed multipliers, and two sums.
+    Only V_k(k) and V_k(k+1) are unpacked, for s_k and the ratio
+    V_k(k+1)/V_k(k) (e_k D_k cancels).  The width is proved:
     B_k bounds every coefficient of row k, so
 
         B_{k+1} = (|mu_next|_1 + |mu_row|_1) B_k + |mu_prev|_1 B_{k-1}
 
     bounds row k+1 (the 1-norm bounds a product's coefficients), and
     every slot holds its signed digit while B_{k+1} < 2^(w-1).  A step
-    whose bound passes that first measures B_k and B_{k-1} again from the
-    packed rows (``scalars._packed_bound``), since the walk's
-    cancellation leaves the carried bounds loose, and repacks the two
-    rows at a wider ``_width`` only if the measured bound still passes.
+    whose bound passes that first measures B_k and B_{k-1} again, since
+    the walk's cancellation leaves the carried bounds loose; it measures
+    them on the packed rows (``scalars._packed_bound``, linear in their
+    length) rather than on their digits, which ``_unpack`` reads in
+    quadratic time, and repacks the two rows at a wider ``_width`` only
+    if the measured bound still passes.
     When e_{k+1} != 1 the gcd of e_{k+1} with every packed entry comes
     first: the gcd t of e_{k+1} with every coefficient divides it, so a
     gcd of 1 leaves the row packed, and only a larger one unpacks the row
@@ -433,7 +393,7 @@ def _walk(terms):
                 row[live] = [_pack(_unpack(v, w), wider) for v in row[live]]
                 prev[live] = [_pack(_unpack(v, w), wider) for v in prev[live]]
                 w = wider
-        m_next, m_row, m_prev = (_factor(m, w) for m in mus)
+        m_next, m_row, m_prev = (_pack(m, w) for m in mus)
         nxt = [0] * (k + 1) + [m_next * row[l + 1] + m_row * row[l] + m_prev * prev[l]
                                for l in range(k + 1, top - k)]
         e_prev, e = e, f * common

@@ -488,7 +488,9 @@ def _packed_bound(values, w: int) -> int:
     operation, so a long row costs a few passes instead of the quadratic
     shifts of ``_unpack``.
     """
-    slots = max((v.bit_length() for v in values), default=0) // w + 1
+    # One slot more than the bit length shows: a top digit 1 over a digit
+    # -2^(w-1) leaves the int a slot shorter than its digits.
+    slots = max((v.bit_length() for v in values), default=0) // w + 2
     ones = 1
     filled = 1
     while filled < slots:

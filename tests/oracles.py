@@ -1251,16 +1251,6 @@ def parse_by_peek(text: str):
     return _ParserByPeek(text).parse()
 
 
-def ast_with_spans(node):
-    """An AST as nested tuples, (class name, field, ..., span) per node, so
-    that two trees compare equal only when their spans agree too (the
-    nodes' own ``==`` ignores spans)."""
-    if not isinstance(node, (Num, VarX, VarZ, Neg, BinOp, Pow, Call)):
-        return node
-    return (type(node).__name__,) + tuple(
-        ast_with_spans(getattr(node, name)) for name in type(node).__slots__)
-
-
 def _eval_by_series(node, order: int) -> Series:
     if isinstance(node, Num):
         return Series.constant(node.value, order)

@@ -574,20 +574,13 @@ class TestPackedWalk:
         assert max(_row_denominators(orthopoly._walk, orthopoly, terms)) > 1
         assert len(unpacked) == 2 * steps - 1
 
-    def test_wide_slots_multiply_by_shifts(self):
-        """The walk of thm2 moments at order 48 packs at 227 bits, more than
-        128 bits wider than alpha_k's and beta_k's coefficients, so its
-        linear multipliers enter by shifts and the constant ones as ints;
-        the walk still equals the integer rows, also at the exact width."""
-        terms = moments_from_jacobi(thm2_params(48), 48).terms
-        kinds = []
-        real = orthopoly._factor
-        with patch.object(orthopoly, "_factor",
-                          lambda mu, w: kinds.append(type(real(mu, w))) or real(mu, w)):
-            assert list(orthopoly._walk(terms)) == list(walk_by_integer_rows(terms))
-        assert orthopoly._Shifts in kinds and int in kinds
-        with patch.object(orthopoly, "_width", _exact_width):
-            assert list(orthopoly._walk(terms)) == list(walk_by_integer_rows(terms))
+
+@st.composite
+def _digit_lists(draw):
+    """A slot width w and a few lists of signed base-2^w digits."""
+    w = draw(st.integers(2, 300))
+    half = 1 << (w - 1)
+    return w, draw(st.lists(st.lists(st.integers(-half, half - 1), max_size=20), max_size=5))
 
 
 class TestPackedBound:
@@ -595,12 +588,12 @@ class TestPackedBound:
     coefficient magnitude of packed ints, and at most twice it."""
 
     @ORACLE_SETTINGS
-    @given(data=st.data())
-    def test_against_the_digits(self, data):
-        w = data.draw(st.integers(2, 300))
-        half = 1 << (w - 1)
-        polys = data.draw(st.lists(
-            st.lists(st.integers(-half, half - 1), max_size=20), max_size=5))
+    @given(case=_digit_lists())
+    # A top digit 1 over the digit -2^(w-1) packs into 7, a 3-bit int
+    # whose digits fill three 2-bit slots.
+    @example(case=(2, [[-1, -2, 1]]))
+    def test_against_the_digits(self, case):
+        w, polys = case
         values = [scalars._pack(p, w) for p in polys]
         largest = max((abs(c) for p in polys for c in p), default=0)
         bound = scalars._packed_bound(values, w)
