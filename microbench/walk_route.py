@@ -2,9 +2,11 @@
 ``erarray.orthopoly._walk``, which ``hankel_transform`` and
 ``jacobi_from_moments`` share: the library's packed rows, each entry of
 row k one int V_k(l) at z = 2^w over one integer and one polynomial
-denominator per row, and the integer rows they replaced, each entry a
-vector of ints built by one fused sum of three products (kept as
-``walk_by_integer_rows`` in tests/oracles.py), on the same moments.
+denominator per row, with a step that runs on the PolyZ parts of its
+values, and the integer rows they replaced, each entry a vector of ints
+built by one fused sum of three products, with a step on Scalar
+operators (kept as ``walk_by_integer_rows`` in tests/oracles.py), on the
+same moments.
 
 Usage, from the root of a checkout:
 
@@ -29,7 +31,8 @@ to its depth; ``--check`` runs it alone, and ``main`` runs it before
 timing.  Under the interpreter's lowest int-to-str digit limit the check
 also shows that no route turns a large int into a string.  A case's time
 is the best of five single walks, in milliseconds, the two routes taking
-turns; the ``hankel`` row is the best of five passes over all 42 jobs.
+turns; the two ``hankel`` rows are the best of five passes over its 32
+polynomial jobs and over its 10 rational ones.
 """
 
 from __future__ import annotations
@@ -170,9 +173,12 @@ def main(argv=None) -> int:
         return 0
     rows = [_row(name, n, {route: (lambda f=f: f(terms)) for route, f in ROUTES.items()})
             for name, n, terms in cases()]
-    moments = [moments_from_jacobi(p, 2 * n).terms for n, p in hankel_jobs()]
-    rows.append(_row("hankel seed 1, 42 jobs", None, {
-        route: (lambda f=f: [f(terms) for terms in moments]) for route, f in ROUTES.items()}))
+    jobs = [(p, moments_from_jacobi(p, 2 * n).terms) for n, p in hankel_jobs()]
+    for kind in ("polynomial", "rational"):
+        moments = [terms for p, terms in jobs
+                   if all(b.is_polynomial for b in p.beta) == (kind == "polynomial")]
+        rows.append(_row(f"hankel seed 1, {len(moments)} {kind} jobs", None, {
+            route: (lambda f=f: [f(terms) for terms in moments]) for route, f in ROUTES.items()}))
     json.dump({"python": platform.python_version(), "cases": rows}, sys.stdout, indent=1)
     print()
     return 0

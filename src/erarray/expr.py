@@ -33,6 +33,11 @@ Span = tuple[int, int]
 #: z^528 erarray writes at order 64, so a hostile exponent fails at once.
 MAX_DEGREE = 1 << 16
 
+#: The most bits a Scalar power may take (``_power_bits``): a power that
+#: large takes about a second, so 2^99999999999 and (z + 1)^60000 fail at
+#: once instead of running until they are killed.
+MAX_POWER_BITS = 1 << 22
+
 
 class ParseError(ValueError):
     """Syntax error with the byte offset and the expected token."""
@@ -281,6 +286,25 @@ def render(node) -> str:
     raise TypeError(f"not an AST node: {type(node).__name__}")
 
 
+def _power_bits(base: Scalar, exponent: int) -> int:
+    """A bound on the bits of base**exponent, before it is computed.
+
+    An integer m >= 1 to the e-th power has at most e ceil(log2 m) + 1
+    bits.  For e = |exponent| and each of the numerator and the
+    denominator, a content n/d times a primitive part P with 1-norm
+    |P|_1, the power's content is (n/d)^e, and P^e has e deg(P) + 1
+    coefficients, each at most |P|_1^e in absolute value: a power of a
+    monomial has the coefficient 1, one of z + 1 the binomials.
+    """
+    e = abs(exponent)
+    bits = 0
+    for p in (base.num, base.den):
+        prim = p._prim
+        bits += e * ((abs(p._num) - 1).bit_length() + (p._den - 1).bit_length()) + 2
+        bits += (e * max(len(prim) - 1, 0) + 1) * (e * (sum(map(abs, prim)) - 1).bit_length() + 1)
+    return bits
+
+
 def _eval(node, order: int | None):
     """The value of ``node``: a Scalar when no x occurs in it, else a Series
     at ``order``, or below it past a valuation-cancelling division.  Order
@@ -331,6 +355,10 @@ def _eval(node, order: int | None):
             deg = max(base.num.degree, base.den.degree) * abs(node.exponent)
             if deg > MAX_DEGREE:
                 raise EvalError(f"z-degree {deg} exceeds the bound {MAX_DEGREE}", node.span)
+            bits = _power_bits(base, node.exponent)
+            if bits > MAX_POWER_BITS:
+                raise EvalError(f"a power of up to {bits} bits exceeds the bound of "
+                                f"{MAX_POWER_BITS} bits", node.span)
         try:
             return base**node.exponent
         except (ValueError, ZeroDivisionError) as exc:

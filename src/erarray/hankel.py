@@ -5,9 +5,10 @@ of the sequence (``orthopoly._chebyshev``), s_k = L(p_k^2) for the monic
 orthogonal polynomials p_k of the moment functional, so it needs O(n^2)
 ring operations and no determinant.  The tableau's rows are integer
 polynomials, each packed into one int, over one denominator each, so its
-entries take no gcd, and on polynomial moments neither do its few
-divisions per step,
-which are exact.  The walk is shared with
+entries take no gcd; its step runs on the ``PolyZ`` parts of its values
+and builds a Scalar only for each s_k, alpha_k and beta_k, and on
+polynomial moments its few divisions per step are exact and take no gcd
+either.  The walk is shared with
 ``orthopoly.jacobi_from_moments`` through the one-slot memo of
 ``_chebyshev``, so the transform and the recovery of one sequence walk its
 tableau once.  After the first zero s_k the larger determinants come one

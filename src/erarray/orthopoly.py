@@ -14,8 +14,12 @@ integer and one polynomial denominator and carries a bound on the
 coefficients of its two live rows: the width is widened, and the rows
 repacked, only when that bound, measured again from the packed rows
 (``scalars._packed_bound``), passes it, and the integer denominator is
-trimmed by a gcd taken on the packed entries first.  On polynomial
-moments its divisions are exact and take no gcd.
+trimmed by a gcd taken on the packed entries first.  Its step runs on
+the ``PolyZ`` numerators and denominators of its values, through the
+kernels of the ``Scalar`` operators (``scalars._quotient`` and
+``scalars._sum``), and builds a Scalar only for each s_k, alpha_k and
+beta_k it yields.  On polynomial moments its divisions are exact and take
+no gcd.
 ``invert_lower_triangular`` is one ``scalars.solve_lower`` against the
 identity.  Values enter Q(z) through ``scalars._as_scalar``; every
 sequence argument, here and in ``hankel``, goes through ``_terms``.
@@ -34,6 +38,7 @@ from .scalars import (
     ZERO,
     Scalar,
     _as_scalar,
+    _canonical,
     _clear_contents,
     _clear_denominators,
     _cofactors,
@@ -41,6 +46,8 @@ from .scalars import (
     _pack,
     _packed_bound,
     _polynomial,
+    _quotient,
+    _sum,
     _unpack,
     solve_lower,
 )
@@ -301,7 +308,9 @@ def _walk(terms):
 
     With E = lcm(e_k, e_{k-1}) and f the lcm of the denominators of the
     contents of m_next E/e_k, m_row E/e_k and m_prev E/e_{k-1}, these
-    three times f are integer polynomials mu_next, mu_row and mu_prev, and
+    three times f are integer polynomials mu_next, mu_row and mu_prev,
+    each the primitive part of ad (Y/g), an (Y/g) or bn (X/g) times one
+    integer, and
 
         V_{k+1}(l) = mu_next V_k(l+1) + mu_row V_k(l) + mu_prev V_{k-1}(l)
 
@@ -328,12 +337,21 @@ def _walk(terms):
     When e_{k+1} != 1 the gcd of e_{k+1} with every packed entry comes
     first: the gcd t of e_{k+1} with every coefficient divides it, so a
     gcd of 1 leaves the row packed, and only a larger one unpacks the row
-    to find t, divide it out and measure B_{k+1} again.  On a polynomial
-    sequence every D_k is ``POLY_ONE``, which the ``PolyZ`` product keeps
-    as its identity, so s_k = V_k(k)/(e_k D_k) is built with no gcd, the
-    step takes no polynomial gcd, and both divisions are exact, which
-    ``Scalar`` division takes without one.  On rational data one gcd per
-    step gives g.  The integer rows this replaced are kept as
+    to find t, divide it out and measure B_{k+1} again.
+
+    The step's algebra runs on the numerators and denominators of its
+    values, not on Scalars: s_k, the ratio V_k(k+1)/V_k(k) and beta_k are
+    ``scalars._quotient`` of the parts, an exact quotient first and
+    Henrici's ``_product`` only when it fails, and alpha_k is a difference
+    of ratios (a ``PolyZ`` sum, or ``scalars._sum`` over two
+    denominators when either is not ``POLY_ONE``); a Scalar is built
+    (``_canonical``) only for each s_k, alpha_k and beta_k yielded.  On a
+    polynomial sequence every D_k is ``POLY_ONE``, which the ``PolyZ``
+    product keeps as its identity, so s_k needs no division, the step
+    takes no polynomial gcd, and both divisions are exact.  On rational
+    data one gcd per step gives g, beside those of the quotients and the
+    difference that are not exact.  The integer rows this replaced, with
+    their step on the Scalar operators, are kept as
     ``walk_by_integer_rows`` in tests/oracles.py.
 
     Yields (s_k, alpha_k, beta_k) for k = 0, 1, ... while 2k <= top, the
@@ -352,17 +370,22 @@ def _walk(terms):
     # l >= k is used.
     prev, e_prev, bound_prev = [0] * len(terms), 1, 0
     den_prev = POLY_ONE
-    s_prev = ratio_prev = b = None
+    # The negated ratio V_{k-1}(k)/V_{k-1}(k-1) as (num, den); 0 at k = 0.
+    s_prev = b = None
+    neg_ratio = POLY_ZERO, POLY_ONE
     for k in range(top // 2 + 1):
         n = _normal(_unpack(row[k], w), 1, e)
-        s = Scalar(n, den)
+        s = _canonical(*_quotient(n, POLY_ONE, den, POLY_ONE))
         if s.is_zero or 2 * k + 1 > top:
             yield s, None, None
             return
-        ratio = _polynomial(_normal(_unpack(row[k + 1], w), 1, e)) / _polynomial(n)
-        a = ratio - ratio_prev if k else ratio
+        rn, rd = _quotient(_normal(_unpack(row[k + 1], w), 1, e), POLY_ONE, n, POLY_ONE)
+        if rd is POLY_ONE and neg_ratio[1] is POLY_ONE:
+            a = _polynomial(rn + neg_ratio[0])
+        else:
+            a = _canonical(*_sum(rn, rd, *neg_ratio))
         if k:
-            b = s / s_prev
+            b = _canonical(*_quotient(s.num, s.den, s_prev.num, s_prev.den))
         yield s, a, b
         x = a.den * den
         y = b.den * den_prev if k else POLY_ONE
@@ -373,13 +396,18 @@ def _walk(terms):
             xg, yg, _ = _cofactors(x, y)
         common = lcm(e, e_prev)
         u = common // e
-        f, mus = _clear_contents((
-            (a.den * yg)._times(u, 1), (-a.num * yg)._times(u, 1),
-            (-b.num * xg)._times(common // e_prev, 1) if k else POLY_ZERO))
+        # Each multiplier is p t f, p one of the products below with content
+        # c/d, t its integer scale and sign, and f the lcm of the
+        # denominators d/gcd(t, d) of the contents c t/d: the primitive part
+        # of p times the integer m = c t f/d.
+        parts = ((a.den * yg, u), (a.num * yg, -u),
+                 (b.num * xg, -(common // e_prev)) if k else (POLY_ZERO, 0))
+        f = lcm(*[p._den // gcd(t, p._den) for p, t in parts])
+        mus = [(p._prim, p._num * t * f // p._den) for p, t in parts]
         den_prev, den = den, x * yg
         # B_{k+1} from B_k and B_{k-1} by the 1-norms of the multipliers.
-        grow = sum(map(abs, mus[0])) + sum(map(abs, mus[1]))
-        grow_prev = sum(map(abs, mus[2]))
+        norms = [abs(m) * sum(map(abs, prim)) for prim, m in mus]
+        grow, grow_prev = norms[0] + norms[1], norms[2]
         bound_next = grow * bound + grow_prev * bound_prev
         if bound_next.bit_length() >= w:
             # Cancellation leaves the carried bounds loose: measure the
@@ -393,7 +421,7 @@ def _walk(terms):
                 row[live] = [_pack(_unpack(v, w), wider) for v in row[live]]
                 prev[live] = [_pack(_unpack(v, w), wider) for v in prev[live]]
                 w = wider
-        m_next, m_row, m_prev = (_pack(m, w) for m in mus)
+        m_next, m_row, m_prev = [m * _pack(prim, w) for prim, m in mus]
         nxt = [0] * (k + 1) + [m_next * row[l + 1] + m_row * row[l] + m_prev * prev[l]
                                for l in range(k + 1, top - k)]
         e_prev, e = e, f * common
@@ -409,4 +437,4 @@ def _walk(terms):
                     nxt = [v // g for v in nxt]
         prev, row = row, nxt
         bound_prev, bound = bound, bound_next
-        s_prev, ratio_prev = s, ratio
+        s_prev, neg_ratio = s, (-rn, rd)

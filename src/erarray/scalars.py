@@ -10,12 +10,15 @@ Python ints.
 The polynomial gcd is heuristic (GCDHEU) and returns the cofactors it
 proved, so ``_cofactors`` is the one place where a gcd is followed by a
 division, and only when the heuristic falls back to Euclid.  ``Scalar``
-sums and products follow Henrici's rules and keep every gcd on the small
-operands; a polynomial operand takes the same route, since its
+sums, products and quotients follow Henrici's rules and keep every gcd on
+the small operands; a polynomial operand takes the same route, since its
 denominator ``POLY_ONE`` is the identity of the product and the gcd of a
-one-term operand returns at once.  The one exact division is a long
-division that takes no gcd (``_exact_quotient``): ``PolyZ.exact_div``
-runs on it, and a ``Scalar`` quotient of polynomials tries it first.
+one-term operand returns at once.  Their kernels (``_sum``, ``_product``
+and ``_quotient``) take and give the numerator and denominator, so the
+Chebyshev walk of ``orthopoly`` runs on them without a Scalar per value.
+The one exact division is a long division that takes no gcd
+(``_exact_quotient``): ``PolyZ.exact_div`` runs on it, and a quotient of
+polynomials tries it first.
 The unit is canonical too: ``_poly``, which builds every ``PolyZ`` from
 canonical parts, gives the one ``POLY_ONE`` object for 1, so a monic
 constant, a cofactor of 1 and ``ONE.num`` are that object.  It is the
@@ -254,8 +257,9 @@ class PolyZ:
         while exponent:
             if exponent & 1:
                 result = result * base
-            base = base * base
             exponent >>= 1
+            if exponent:
+                base = base * base
         return result
 
     def __divmod__(self, other: PolyZ):
@@ -797,7 +801,7 @@ class Scalar:
                 return NotImplemented
         if self.den is POLY_ONE and other.den is POLY_ONE:
             return _polynomial(self.num + other.num)
-        return _sum(self.num, self.den, other.num, other.den)
+        return _canonical(*_sum(self.num, self.den, other.num, other.den))
 
     __radd__ = __add__
 
@@ -828,7 +832,7 @@ class Scalar:
             return _polynomial(self.num * other.num)
         if not self.num._prim or not other.num._prim:
             return ZERO
-        return _product(self.num, self.den, other.num, other.den)
+        return _canonical(*_product(self.num, self.den, other.num, other.den))
 
     __rmul__ = __mul__
 
@@ -842,18 +846,7 @@ class Scalar:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("scalar division by zero")
-        o = other.num
-        if other.den is POLY_ONE and len(o._prim) == 1:
-            # A rational constant only scales the numerator's content; the
-            # denominator stays monic and coprime to it.
-            return _canonical(self.num._times(o._den, o._num), self.den)
-        if not self.num._prim:
-            return ZERO
-        if self.den is POLY_ONE and other.den is POLY_ONE:
-            q = _exact_quotient(self.num, o)
-            if q is not None:
-                return _polynomial(q)
-        return _product(self.num, self.den, *_inverse(other))
+        return _canonical(*_quotient(self.num, self.den, other.num, other.den))
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -868,7 +861,7 @@ class Scalar:
         if exponent < 0:
             if self.is_zero:
                 raise ZeroDivisionError("scalar division by zero")
-            num, den = _inverse(self)
+            num, den = _inverse(num, den)
             exponent = -exponent
         # Powers of coprime polynomials are coprime, and of a monic one monic.
         return _canonical(num**exponent, den**exponent)
@@ -924,18 +917,20 @@ def _polynomial(num: PolyZ) -> Scalar:
     return _canonical(num, POLY_ONE)
 
 
-def _inverse(s: Scalar) -> tuple[PolyZ, PolyZ]:
-    """The coprime numerator and monic denominator of 1/s, for s != 0."""
-    n = s.num
-    prim = n._prim
-    num = s.den._times(n._den, n._num * prim[-1])
-    return num, _poly(1, prim[-1], prim)
+def _inverse(num: PolyZ, den: PolyZ) -> tuple[PolyZ, PolyZ]:
+    """The coprime numerator and monic denominator of den/num, for the
+    canonical parts of a nonzero fraction num/den."""
+    prim = num._prim
+    return den._times(num._den, num._num * prim[-1]), _poly(1, prim[-1], prim)
 
 
 # Henrici's rules (Knuth, TAOCP vol. 2, 4.5.1) for canonical fractions: each
 # gcd is taken of the small operands, and no full product is canonicalised.
+# They run on the numerators and denominators and give the canonical parts
+# of the result, which the Scalar operators wrap (``_canonical``) and the
+# Chebyshev walk of ``orthopoly`` keeps as parts.
 
-def _sum(an: PolyZ, ad: PolyZ, bn: PolyZ, bd: PolyZ) -> Scalar:
+def _sum(an: PolyZ, ad: PolyZ, bn: PolyZ, bd: PolyZ) -> tuple[PolyZ, PolyZ]:
     """an/ad + bn/bd, for canonical fractions not both polynomials.
 
     With g = gcd(ad, bd) the sum is t / ((ad/g) bd), t = an (bd/g) +
@@ -945,19 +940,40 @@ def _sum(an: PolyZ, ad: PolyZ, bn: PolyZ, bd: PolyZ) -> Scalar:
     ra, rb, g = _cofactors(ad, bd)
     t = an * rb + bn * ra
     if g is POLY_ONE:
-        return _canonical(t, ad * bd)
+        return t, ad * bd
     if not t._prim:
-        return ZERO
+        return POLY_ZERO, POLY_ONE
     t, g, _ = _cofactors(t, g)
-    return _canonical(t, ra * rb * g)
+    return t, ra * rb * g
 
 
-def _product(an: PolyZ, ad: PolyZ, bn: PolyZ, bd: PolyZ) -> Scalar:
+def _product(an: PolyZ, ad: PolyZ, bn: PolyZ, bd: PolyZ) -> tuple[PolyZ, PolyZ]:
     """(an/ad)(bn/bd), for canonical fractions with nonzero numerators:
     an is cross-cancelled with bd and bn with ad."""
     bn, ad, _ = _cofactors(bn, ad)
     an, bd, _ = _cofactors(an, bd)
-    return _canonical(an * bn, ad * bd)
+    return an * bn, ad * bd
+
+
+def _quotient(an: PolyZ, ad: PolyZ, bn: PolyZ, bd: PolyZ) -> tuple[PolyZ, PolyZ]:
+    """(an/ad)/(bn/bd), for canonical fractions with bn != 0.
+
+    A rational constant divisor only scales the numerator's content, and
+    the unit ``POLY_ONE`` not even that; the denominator stays monic and
+    coprime to it.  A quotient of two polynomials, the divisor not a
+    constant, is first tried as an exact division (``_exact_quotient``),
+    which takes no gcd; only when it fails is an/ad multiplied by the
+    inverse of the divisor (``_product``).
+    """
+    if bd is POLY_ONE and len(bn._prim) == 1:
+        return an if bn is POLY_ONE else an._times(bn._den, bn._num), ad
+    if not an._prim:
+        return POLY_ZERO, POLY_ONE
+    if ad is POLY_ONE and bd is POLY_ONE:
+        q = _exact_quotient(an, bn)
+        if q is not None:
+            return q, POLY_ONE
+    return _product(an, ad, *_inverse(bn, bd))
 
 
 def dot(pairs) -> Scalar:

@@ -304,7 +304,7 @@ def divide_by_gcd(x: Scalar, y: Scalar) -> Scalar:
         return _canonical(x.num._times(o._den, o._num), x.den)
     if x.is_zero:
         return ZERO
-    return _product(x.num, x.den, *_inverse(y))
+    return _canonical(*_product(x.num, x.den, *_inverse(y.num, y.den)))
 
 
 def scalar_by_cofactors(num, den) -> Scalar:

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from erarray import expr
 from erarray.expr import (
     MAX_DEGREE,
+    MAX_POWER_BITS,
     BinOp,
     Call,
     EvalError,
@@ -222,6 +224,36 @@ class TestEvalScalar:
                                                 rf"{MAX_DEGREE} \(at offset 1\.\.11\)$"):
                 parse_scalar(f"(z^2)^{MAX_DEGREE // 2 + 1}")
             assert parse_series("exp(z*x)^99999999999", 2).coeffs[0] == ONE
+
+    def test_power_budget_on_both_sides(self, deadline, monkeypatch):
+        """With the budget at 2^12 bits, the largest powers of 3 and z + 1
+        that the bound admits are built, with either sign, and one factor
+        more fails at once, naming the bound."""
+        monkeypatch.setattr(expr, "MAX_POWER_BITS", 1 << 12)
+        with deadline(2.0, "powers at the budget"):
+            # 2e + 6 bits for 3^e; e + 2 for the content and 1 + 3 for the
+            # unit denominator, and (e + 1) (e + 1) for (z + 1)^e.
+            for base, top, past in ((Scalar(3), 2045, 4098), (Z + 1, 62, 4101)):
+                for sign in (1, -1):
+                    assert parse_scalar(f"({base})^({sign * top})") == base ** (sign * top)
+                    with pytest.raises(EvalError, match=rf"^a power of up to {past} bits exceeds "
+                                                        rf"the bound of 4096 bits \(at offset "):
+                        parse_scalar(f"({base})^({sign * (top + 1)})")
+
+    def test_power_budget_before_any_work(self, deadline):
+        """At the real budget the first powers of z + 1 and of 3 past it
+        fail before they are built; built, each would take under a MB, so
+        a broken guard shows as a deadline miss, not a runaway.  A power
+        of z, whose coefficient is 1, stays well inside the budget up to
+        the degree bound."""
+        for base, past in ((Z + 1, 2047), (Scalar(3), 2097150)):
+            assert expr._power_bits(base, past - 1) <= MAX_POWER_BITS < expr._power_bits(base, past)
+        with deadline(2.0, "powers past the budget"):
+            for text in ("(z+1)^2047", "3^2097150", "3^(-2097150)"):
+                with pytest.raises(EvalError, match=rf"bits exceeds the bound of {MAX_POWER_BITS} bits"):
+                    parse_scalar(text)
+            assert parse_scalar("z^2048").num.degree == 2048
+        assert expr._power_bits(Z, MAX_DEGREE) < MAX_POWER_BITS // 32
 
     def test_round_trip_canonical(self):
         for s in (Z**2 - 1, (Z + 2) / (Z**2 - 1), Scalar(Fraction(1, 2)) * Z - 1,

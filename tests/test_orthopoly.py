@@ -642,6 +642,30 @@ class TestWalkGcdCount:
         assert self._count(monkeypatch, orthopoly._walk, terms, "_cofactors") == 0
         assert self._count(monkeypatch, orthopoly._walk, terms, "dot") == 0
 
+    def test_polynomial_rows_build_only_the_yielded_scalars(self, monkeypatch):
+        """On polynomial rows the step runs on the PolyZ parts of its
+        values: with the Scalar constructor, division and subtraction and
+        every gcd made to fail, the walks of the thm1 and thm2 moments at
+        order 32 and of the 32 polynomial ``hankel`` jobs still finish and
+        equal the integer rows."""
+        cases = [moments_from_jacobi(params(32), 32).terms for params in (thm1_params, thm2_params)]
+        cases += [moments_from_jacobi(params, 2 * n).terms
+                  for n, params in Hankel().make_jobs(erarray, 1)
+                  if all(b.is_polynomial for b in params.beta)]
+        assert len(cases) == 34
+        expected = [tuple(walk_by_integer_rows(terms)) for terms in cases]
+
+        def fail(*args):
+            raise AssertionError("the walk built an intermediate Scalar or took a gcd")
+
+        with monkeypatch.context() as patched:
+            for name in ("__init__", "__truediv__", "__sub__"):
+                patched.setattr(Scalar, name, fail)
+            patched.setattr(orthopoly, "_cofactors", fail)
+            patched.setattr(scalars, "_cofactors", fail)
+            walks = [tuple(orthopoly._walk(terms)) for terms in cases]
+        assert walks == expected
+
     def test_rational_moments(self, monkeypatch):
         rng = random.Random(17)
         depth = 17
