@@ -24,8 +24,9 @@ and that ``PolyZ.exact_div``, which runs on ``_exact_quotient`` too,
 gives what the quotient of pseudo-division gave (kept as
 ``exact_div_by_divmod`` in tests/oracles.py) on the exact divisions of
 ``_clear_denominators`` in the 42 jobs (through ``moments_from_jacobi``
-and ``_walk``) and on those of ``sequences._over_one_minus_z`` in the
-thm2 pair at each order.  ``--check`` runs it alone, and ``main`` runs
+and ``_walk``) and on those of ``sequences._over_one_minus_z``, which
+divides the x^k coefficients of the thm2 pair's numerator and denominator
+by 1 - z, at each order.  ``--check`` runs it alone, and ``main`` runs
 it before timing.  Under the interpreter's lowest int-to-str digit limit
 the check also shows that no route turns a large int into a string.  A case's time is the best
 of five passes over all its pairs, in milliseconds, the two routes taking

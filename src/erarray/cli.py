@@ -38,6 +38,9 @@ from .sequences import (
 
 FORMATS = ("json", "plain", "latex", "bfile")
 
+#: The largest ``--order``, and the largest ``poly --n``.
+MAX_ORDER = 64
+
 
 @dataclass
 class RunConfig:
@@ -46,8 +49,8 @@ class RunConfig:
     z_value: Fraction | None = None
 
     def __post_init__(self):
-        if not 2 <= self.order <= 64:
-            raise ValueError(f"order must be between 2 and 64, got {self.order}")
+        if not 2 <= self.order <= MAX_ORDER:
+            raise ValueError(f"order must be between 2 and {MAX_ORDER}, got {self.order}")
 
 
 def _config(args) -> RunConfig:
@@ -224,6 +227,8 @@ def cmd_triangle(args) -> int:
 
 
 def cmd_poly(args) -> int:
+    if args.n > MAX_ORDER:
+        raise ValueError(f"--n must be at most {MAX_ORDER}, got {args.n}")
     poly = bell_poly(args.n) if args.which == "bell" else eulerian_poly(args.n)
     if args.fmt == "plain":
         print(poly)

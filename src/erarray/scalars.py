@@ -27,6 +27,10 @@ itself and callers multiply by it without a guard.  The constructor
 ``Scalar(num, den)`` is the quotient num / den, so canonical form is
 reached by one route.
 
+A value at a rational z is one integer Horner step, ``_horner``, which
+``PolyZ.evaluate`` calls and, through ``_scalar_at``, ``Scalar.eval_z`` and
+``Series.eval_z``.
+
 The way into Q(z) is owned here too: ``_as_scalar`` coerces every input
 value the other modules accept, and ``_clear_denominators`` takes Scalars
 over the lcm of their denominators for the routes that run in Q[z].  The
@@ -252,6 +256,11 @@ class PolyZ:
     def __pow__(self, exponent: int) -> PolyZ:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial power needs a nonnegative integer")
+        prim = self._prim
+        if prim and not any(prim[:-1]):
+            # One term c z^k: (c z^k)^e = c^e z^(ke), by no product.
+            return _poly(self._num**exponent, self._den**exponent,
+                         (0,) * ((len(prim) - 1) * exponent) + _UNIT)
         result = POLY_ONE
         base = self
         while exponent:
@@ -338,16 +347,7 @@ class PolyZ:
 
     def evaluate(self, v) -> Fraction:
         v = _as_fraction(v)
-        vn, vd = v.numerator, v.denominator
-        prim = self._prim
-        if not prim:
-            return Fraction(0)
-        # Horner on vd^deg * p(vn/vd), all in integers.
-        acc, power = prim[-1], 1
-        for c in reversed(prim[:-1]):
-            power *= vd
-            acc = acc * vn + c * power
-        return Fraction(self._num * acc, self._den * power)
+        return Fraction(*_horner(self, v.numerator, v.denominator))
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -384,6 +384,19 @@ def _poly(num: int, den: int, prim: tuple) -> PolyZ:
     out = object.__new__(PolyZ)
     out._num, out._den, out._prim = num, den, prim
     return out
+
+
+def _horner(p: PolyZ, vn: int, vd: int) -> tuple[int, int]:
+    """(n, d) with p(vn/vd) = n/d and d > 0, for vd > 0, in integers and
+    not reduced: Horner's rule on vd^deg p(vn/vd)."""
+    prim = p._prim
+    if not prim:
+        return 0, 1
+    acc, power = prim[-1], 1
+    for c in prim[-2::-1]:
+        power *= vd
+        acc = acc * vn + c * power
+    return p._num * acc, p._den * power
 
 
 def _const(value) -> PolyZ:
@@ -868,11 +881,7 @@ class Scalar:
 
     def eval_z(self, v) -> Fraction:
         """Specialize z to a rational value; the denominator must not vanish."""
-        v = _as_fraction(v)
-        dv = self.den.evaluate(v)
-        if dv == 0:
-            raise ZeroDivisionError(f"pole at z = {v}")
-        return self.num.evaluate(v) / dv
+        return Fraction(*_scalar_at(self, _as_fraction(v)))
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -903,6 +912,19 @@ def _as_scalar(value, what: str = "a scalar") -> Scalar:
     if s is None:
         raise TypeError(f"cannot use {type(value).__name__} as {what}")
     return s
+
+
+def _scalar_at(s: Scalar, v: Fraction) -> tuple[int, int]:
+    """(n, d) with s = n/d at z = v and d != 0, in integers and not
+    reduced; a zero of the denominator raises."""
+    vn, vd = v.numerator, v.denominator
+    n, d = _horner(s.num, vn, vd)
+    if s.den is POLY_ONE:
+        return n, d
+    dn, dd = _horner(s.den, vn, vd)
+    if not dn:
+        raise ZeroDivisionError(f"pole at z = {v}")
+    return n * dd, d * dn
 
 
 def _canonical(num: PolyZ, den: PolyZ) -> Scalar:

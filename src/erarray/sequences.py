@@ -2,7 +2,9 @@
 
 The triangle generators are deliberately independent of the Riordan layer:
 they are computed from explicit summation formulas and serve as oracles for
-the array-level machinery.
+the array-level machinery.  The polynomials are built from their integer
+coefficients, and so is the thm2 pair, from the coefficients of its
+exponentials: its only series algebra is the two quotients over Q[z].
 """
 
 from __future__ import annotations
@@ -10,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .scalars import PolyZ, Scalar, Z
-from .series import Series
+from .scalars import PolyZ, Scalar, Z, _polynomial
+from .series import Series, _series
 
 
 def stirling2(n: int, k: int) -> int:
@@ -39,14 +41,14 @@ def bell_poly(n: int) -> PolyZ:
     """Exponential (Touchard) polynomial: sum of S(n,k) z^k."""
     if n < 0:
         raise ValueError("bell_poly needs n >= 0")
-    return PolyZ([stirling2(n, k) for k in range(n + 1)])
+    return PolyZ.from_integers([stirling2(n, k) for k in range(n + 1)])
 
 
 def eulerian_poly(n: int) -> PolyZ:
     """Eulerian polynomial: sum of A(n,k) z^k."""
     if n < 0:
         raise ValueError("eulerian_poly needs n >= 0")
-    return PolyZ([eulerian(n, k) for k in range(n + 1)])
+    return PolyZ.from_integers([eulerian(n, k) for k in range(n + 1)])
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,7 @@ def eulerian_triangle(nmax: int) -> IntTriangle:
     )
 
 
-_ONE_MINUS_Z = PolyZ([1, -1])
+_ONE_MINUS_Z = PolyZ.from_integers([1, -1])
 
 
 def _exp_x(order: int) -> Series:
@@ -94,20 +96,33 @@ def _pair_thm1(order: int) -> tuple[Series, Series]:
     return (f * Z).exp(), f
 
 
-def _over_one_minus_z(s: Series) -> Series:
-    """s / (1 - z), for s whose every coefficient is a multiple of 1 - z."""
-    return Series(Scalar(c.num.exact_div(_ONE_MINUS_Z)) for c in s.coeffs)
+def _over_one_minus_z(ints: list, den: int) -> Scalar:
+    """(ints[0] + ints[1] z + ...) / (den (1 - z)), for ints whose
+    polynomial vanishes at z = 1."""
+    return _polynomial(PolyZ.from_integers(ints, den).exact_div(_ONE_MINUS_Z))
 
 
 def _pair_thm2(order: int) -> tuple[Series, Series]:
     # g = e^{zx}(1 - z)/(e^{zx} - z e^x) and f = (e^x - e^{zx})/(e^{zx} - z e^x).
-    # Every coefficient of e^{zx} - z e^x and of e^x - e^{zx} vanishes at
-    # z = 1; dividing both by 1 - z first leaves a denominator with unit
-    # constant term, so both quotients run over Q[z].
-    ex = _exp_x(order)
-    ezx = (Series.x(order) * Z).exp()
-    den = _over_one_minus_z(ezx - ex * Z)
-    return ezx / den, _over_one_minus_z(ex - ezx) / den
+    # The x^k coefficients of e^{zx}, e^{zx} - z e^x and e^x - e^{zx} are
+    # z^k/k!, (z^k - z)/k! and (1 - z^k)/k!.  The last two vanish at z = 1;
+    # dividing both by 1 - z first leaves a denominator with unit constant
+    # term, so only the two quotients are series algebra, over Q[z].
+    if order < 1:
+        raise ValueError("series of x needs order >= 1")
+    ezx, den, num = [], [], []
+    for k in range(order + 1):
+        fk = factorial(k)
+        zk = [0] * k + [1]
+        ezx.append(_polynomial(PolyZ.from_integers(zk, fk)))
+        zk_minus_z = zk + [0] * (2 - len(zk))
+        zk_minus_z[1] -= 1
+        den.append(_over_one_minus_z(zk_minus_z, fk))
+        one_minus_zk = [-c for c in zk]
+        one_minus_zk[0] += 1
+        num.append(_over_one_minus_z(one_minus_zk, fk))
+    den = _series(den)
+    return _series(ezx) / den, _series(num) / den
 
 
 def _pair_stirling2(order: int) -> tuple[Series, Series]:

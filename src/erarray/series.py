@@ -9,7 +9,9 @@ A series whose every coefficient is a rational constant also holds them in
 one private integer form (D, ints): the coefficients are ints[k] / D, with
 D > 0 and gcd(D, *ints) = 1, so the form of a value is unique.  The leaves
 ``zero``, ``one``, ``x`` and ``constant`` of a rational start in it, and the
-public constructor sets it whenever every coefficient is rational.  When
+public constructor sets it whenever every coefficient is rational;
+``eval_z`` gives it directly, from the values of each coefficient's
+numerator and denominator on ints.  When
 both operands have it, ``+``, ``-``, negation, rational ``scale``, ``*``,
 ``divide`` (valuation-cancelling too), ``**``, ``exp``, ``log``,
 ``derivative``, ``integral`` and ``truncate`` run on ints and give the form
@@ -37,8 +39,8 @@ from functools import partial
 from math import gcd, lcm
 from operator import mul
 
-from .scalars import (ONE, POLY_ONE, ZERO, Scalar, _as_scalar, _format_terms, _rational_scalars,
-                      dot, solve_lower)
+from .scalars import (ONE, POLY_ONE, ZERO, Scalar, _as_fraction, _as_scalar, _format_terms,
+                      _rational_scalars, _scalar_at, dot, solve_lower)
 
 
 class Series:
@@ -326,10 +328,18 @@ class Series:
         return _series([ZERO] + [c / (k + 1) for k, c in enumerate(self.coeffs)])
 
     def eval_z(self, v) -> Series:
-        """Specialize every coefficient at z = v (errors on a pole)."""
+        """Specialize every coefficient at z = v (errors on a pole).
+
+        Each numerator and denominator is evaluated on ints by Horner's
+        rule, and the values go into the integer form over their lcm,
+        reduced by one gcd.
+        """
         if self._q:
             return self
-        return Series(Scalar(c.eval_z(v)) for c in self.coeffs)
+        v = _as_fraction(v)
+        values = [_scalar_at(c, v) for c in self.coeffs]
+        common = lcm(*(d for _, d in values))
+        return _reduce(common, [n * (common // d) for n, d in values])
 
     def __eq__(self, other):
         if not isinstance(other, Series):

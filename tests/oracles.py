@@ -559,6 +559,12 @@ def er_build_over_scalars(g: Series, f: Series) -> ERArray:
     return er_build(over_scalars(g), over_scalars(f))
 
 
+def eval_z_by_scalars(s: Series, v) -> Series:
+    """``s`` specialised at z = v coefficient by coefficient, each through
+    ``Scalar.eval_z``, a ``Scalar`` and the public constructor."""
+    return Series(Scalar(c.eval_z(v)) for c in s.coeffs)
+
+
 def eval_z_by_entries(a: ERArray, v) -> tuple[tuple[Scalar, ...], ...]:
     """The entries of ``a`` over Q(z), each specialised at z = v."""
     return tuple(tuple(Scalar(e.eval_z(v)) for e in row) for row in a.entries)

@@ -319,6 +319,18 @@ class TestTrianglePoly:
         assert code == 0
         assert out == "0 0\n1 1\n2 4\n3 1\n"
 
+    def test_poly_n_budget(self, capsys, deadline):
+        # --n shares --order's bound, checked before any work: n = 10^9
+        # would take longer than the deadline.
+        assert cli.MAX_ORDER == 64
+        for which in ("bell", "eulerian"):
+            code, out, _ = run(capsys, "poly", which, "--n", "64", "--format", "json")
+            assert code == 0 and json.loads(out)[-1] == "1"
+            with deadline(2.0, f"poly {which} --n 10^9"):
+                code, out, err = run(capsys, "poly", which, "--n", str(10**9))
+            assert code == 2 and not out
+            assert err == f"error: --n must be at most 64, got {10**9}\n"
+
 
 class TestVerify:
     def test_thm1_passes(self, capsys):

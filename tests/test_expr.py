@@ -255,6 +255,13 @@ class TestEvalScalar:
             assert parse_scalar("z^2048").num.degree == 2048
         assert expr._power_bits(Z, MAX_DEGREE) < MAX_POWER_BITS // 32
 
+    def test_monomial_power_at_the_degree_bound(self, deadline):
+        with deadline(2.0, "z to the degree bound"):
+            for sign in (1, -1):
+                s = parse_scalar(f"z^({sign * MAX_DEGREE})")
+                assert s == Z ** (sign * MAX_DEGREE)
+                assert (s.num if sign > 0 else s.den).degree == MAX_DEGREE
+
     def test_round_trip_canonical(self):
         for s in (Z**2 - 1, (Z + 2) / (Z**2 - 1), Scalar(Fraction(1, 2)) * Z - 1,
                   ZERO, -Z, -Z**2 + 1, (-Z**3) / (Z + 1)):

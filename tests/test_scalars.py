@@ -95,6 +95,28 @@ class TestPolyZ:
 
     def test_evaluate(self):
         assert poly(1, 2, 3).evaluate(2) == 17
+        assert poly(1, 2, 3).evaluate(Fraction(-1, 2)) == Fraction(3, 4)
+        assert poly(Fraction(1, 3), 0, 0, -1).evaluate(Fraction(2, 3)) == Fraction(1, 27)
+        assert PolyZ().evaluate(Fraction(5, 7)) == 0
+
+    def test_monomial_power_matches_products(self):
+        for base in (poly(0, 0, 0, Fraction(-2, 3)), poly(Fraction(-5, 2)), poly(0, 1),
+                     POLY_ONE, PolyZ()):
+            product = POLY_ONE
+            for e in range(7):
+                assert base**e == product
+                product = product * base
+
+    def test_monomial_powers_take_no_product(self, deadline):
+        # (c z^k)^e = c^e z^(ke), for both signs through Scalar.__pow__;
+        # by repeated squaring each of these took seconds.
+        with deadline(2.0, "powers of one-term polynomials"):
+            assert (Z**65536).num == PolyZ.from_integers([0] * 65536 + [1])
+            power = (2 * Z**3) ** 20000
+            assert power.num.degree == 60000 and power.num.leading == 2**20000
+            inverse = (2 * Z**3) ** -20000
+            assert inverse.num == PolyZ.const(Fraction(1, 2**20000))
+            assert inverse.den == PolyZ.from_integers([0] * 60000 + [1])
 
 
 class TestScalarCanonical:
@@ -156,6 +178,11 @@ class TestEvalZ:
     def test_cancelled_pole_is_fine(self):
         # (z^2-1)/(z-1) reduces to z+1 before evaluation
         assert ((Z * Z - 1) / (Z - 1)).eval_z(1) == 2
+
+    def test_rational_value(self):
+        assert ((Z * Z + 1) / (2 * Z - 3)).eval_z(Fraction(1, 2)) == Fraction(-5, 8)
+        with pytest.raises(ZeroDivisionError, match="^pole at z = 3/2$"):
+            ((Z * Z + 1) / (2 * Z - 3)).eval_z(Fraction(3, 2))
 
 
 def _random_scalars(seed, count):

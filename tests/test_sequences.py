@@ -7,6 +7,7 @@ import pytest
 
 from erarray.scalars import PolyZ, Scalar, Z
 from erarray.sequences import (
+    NAMED_PAIRS,
     bell_poly,
     eulerian,
     eulerian_poly,
@@ -120,9 +121,14 @@ class TestNamedPairs:
     def test_thm2_z1_alias(self):
         assert named_pair("thm2_z1", 6) == named_pair("laguerre", 6)
 
-    @pytest.mark.parametrize("order", range(1, 17))
+    @pytest.mark.parametrize("order", [*range(1, 17), 24, 32])
     def test_thm2_matches_quotient(self, order):
         assert named_pair("thm2", order) == pair_thm2_by_quotient(order)
+
+    def test_every_pair_needs_order_one(self):
+        for name in NAMED_PAIRS:
+            with pytest.raises(ValueError, match=r"^series of x needs order >= 1$"):
+                named_pair(name, 0)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown named pair"):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -18,6 +19,8 @@ from oracles import (
     ORACLE_SETTINGS,
     compose_by_powers,
     compose_horner,
+    eval_z_by_scalars,
+    one_factor_rationals,
     over_scalars,
     poly_scalars,
     random_pair,
@@ -531,6 +534,47 @@ class TestLeaves:
 
 #: Series coefficients of every kind a text can take: zero, +-1, negative
 #: and rational constants, polynomials in z and rational functions of z.
+#: Integer, rational, negative and zero values of z, as ints and Fractions;
+#: 1 is thm2's value of z and -1 the pole of ``one_factor_rationals``.
+_z_values = st.one_of(st.integers(-3, 3), st.sampled_from([Fraction(1), Fraction(-1), Fraction(0)]),
+                      st.fractions(-3, 3, max_denominator=4))
+
+
+class TestEvalZ:
+    """Specialisation at z = v on ints equals the route through
+    ``Scalar.eval_z``, a Scalar per value and the public constructor."""
+
+    @settings(ORACLE_SETTINGS, max_examples=200)
+    @given(data=st.data())
+    def test_matches_scalar_route(self, data):
+        scalars = data.draw(st.sampled_from([poly_scalars, rational_scalars, one_factor_rationals]))
+        s = data.draw(series_of(scalars, data.draw(st.integers(0, 8))))
+        v = data.draw(_z_values)
+        try:
+            expected = eval_z_by_scalars(s, v)
+        except ZeroDivisionError as exc:
+            with pytest.raises(ZeroDivisionError, match=f"^{re.escape(str(exc))}$"):
+                s.eval_z(v)
+            return
+        got = s.eval_z(v)
+        assert got._q is not None
+        assert got == expected
+        assert got._q == _rational_form(got.coeffs) == expected._q
+
+    @pytest.mark.parametrize("v, text", [(1, "1"), (Fraction(-1, 3), "-1/3"), (0, "0")])
+    def test_pole(self, v, text):
+        s = Series([ONE, Z, (Z + 2) / ((Z - 1) * (3 * Z + 1) * Z)])
+        for route in (Series.eval_z, eval_z_by_scalars):
+            with pytest.raises(ZeroDivisionError, match=f"^pole at z = {re.escape(text)}$"):
+                route(s, v)
+
+    def test_values(self):
+        s = Series([Z / (Z - 1), Scalar(3) / (2 * Z + 1), Z * Z - 3])
+        assert s.eval_z(2)._q == (5, [10, 3, 5])
+        assert s.eval_z(Fraction(1, 3))._q == (90, [-45, 162, -260])
+        assert s.eval_z(-1)._q == (2, [1, -6, -4])
+
+
 _text_coefficients = st.builds(
     lambda c, sign: c * sign,
     st.one_of(st.sampled_from((ZERO, ONE, Z, Z - 1)), zfree_scalars, poly_scalars,
